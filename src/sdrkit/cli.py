@@ -69,7 +69,11 @@ def _parse_place(text: str):
         p = int(text)
     except ValueError:
         raise UsageError(f"a place is 'real' or a prime, not {text!r}")
-    if not lg.is_prime(p):
+    try:
+        prime = lg.is_prime(p)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    if not prime:
         raise UsageError(f"{p} is not prime")
     return p
 
@@ -330,14 +334,17 @@ def _cmd_certify(args) -> Tuple[Dict[str, object], int]:
         data = _read_json_file(args.infile)
         try:
             cert = ObstructionCertificate.from_json(data)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, ClosureCapExceeded) as exc:
             raise UsageError(f"bad certificate: {exc}")
     else:
         try:
             cert = demo_certificate(args.m)
         except ValueError as exc:
             raise UsageError(str(exc))
-    verdict = certify_counterexample(cert)
+    try:
+        verdict = certify_counterexample(cert)
+    except ValueError as exc:
+        raise UsageError(f"cannot check this certificate: {exc}")
     payload = {
         "schema": _schema("certify"),
         "certified": verdict.certified,
@@ -374,9 +381,13 @@ def _conic_matrix(args) -> List[List[Fraction]]:
 
 def _cmd_conic(args) -> Tuple[Dict[str, object], int]:
     mat = _conic_matrix(args)
-    point = lg.conic_rational_point(mat)
     _, diag = lg.diagonalize_symmetric(mat)
     degenerate = any(d == 0 for d in diag)
+    try:
+        point = lg.conic_rational_point(mat)
+        obstructions = None if degenerate else lg.local_obstructions(*diag)
+    except ValueError as exc:
+        raise UsageError(f"conic outside the supported sizes: {exc}")
     payload: Dict[str, object] = {
         "schema": _schema("conic"),
         "matrix": [[_frac_str(x) for x in row] for row in mat],
@@ -384,7 +395,7 @@ def _cmd_conic(args) -> Tuple[Dict[str, object], int]:
         "obstructions": (
             None
             if degenerate
-            else [str(p) if p == "real" else p for p in lg.local_obstructions(*diag)]
+            else [str(p) if p == "real" else p for p in obstructions]
         ),
         "has_rational_point": point is not None,
         "point": None if point is None else [_frac_str(x) for x in point],
@@ -405,7 +416,10 @@ def _cmd_cubic(args) -> Tuple[Dict[str, object], int]:
         raise UsageError("the cubic is singular (zero discriminant)")
     if args.bound < 100:
         raise UsageError("--bound below 100 samples too few primes")
-    verdict = lg.cubic_local_global_verdict(a, b, args.bound)
+    try:
+        verdict = lg.cubic_local_global_verdict(a, b, args.bound)
+    except ValueError as exc:
+        raise UsageError(f"cubic outside the supported sizes: {exc}")
     report = verdict["report"]
     all_sampled_local = report["primes_with_root"] == report["primes_counted"]
     claim_ok = verdict["global_implies_local"] and (

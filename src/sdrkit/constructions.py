@@ -34,6 +34,7 @@ from .quadforms import (
     form_from_vector,
     pairing_mask,
     standard_base_form,
+    MAX_FORM_DIM,
 )
 from .f2core import symplectic_basis
 
@@ -411,23 +412,42 @@ class ObstructionCertificate:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "ObstructionCertificate":
+        """Parse and close the groups. m, degree_n and every generator's
+        dimension are validated first, raising ValueError, so no closure
+        runs on an input the certifier cannot check."""
         m = int(data["m"])
-        space = standard_symplectic(m)
-        group = close(
-            [F2Matrix.from_text(t) for t in data["G"]["generators"]], space
-        )
-        images = tuple(
-            LocalImage(
-                label=str(img["label"]),
-                group=close(
-                    [F2Matrix.from_text(t) for t in img["generators"]], space
-                ),
+        if not 1 <= m <= MAX_FORM_DIM // 2:
+            raise ValueError(
+                f"m = {m} is out of range: certificates are checked for "
+                f"1 <= m <= {MAX_FORM_DIM // 2}"
             )
+        degree_n = int(data["degree_n"])
+        if degree_n < 3:
+            raise ValueError(f"degree_n = {degree_n}: plane curves need degree >= 3")
+
+        def generators(texts) -> List[F2Matrix]:
+            gens = [F2Matrix.from_text(t) for t in texts]
+            for g in gens:
+                if g.dim != 2 * m:
+                    raise ValueError(
+                        f"a generator has dimension {g.dim}, expected 2m = {2 * m}"
+                    )
+            return gens
+
+        global_gens = generators(data["G"]["generators"])
+        image_gens = [
+            (str(img["label"]), generators(img["generators"]))
             for img in data["local_images"]
+        ]
+        space = standard_symplectic(m)
+        group = close(global_gens, space)
+        images = tuple(
+            LocalImage(label=label, group=close(gens, space))
+            for label, gens in image_gens
         )
         return cls(
             m=m,
-            degree_n=int(data["degree_n"]),
+            degree_n=degree_n,
             has_local_points_everywhere=bool(data["has_local_points_everywhere"]),
             group=group,
             local_images=images,

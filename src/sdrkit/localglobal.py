@@ -57,24 +57,55 @@ def primes_upto(n: int) -> List[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+# No composite below psi_13 is a strong pseudoprime to all of the first 13
+# prime bases (Sorenson and Webster, Math. Comp. 86 (2017)), so Miller-Rabin
+# on these bases decides primality exactly below it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981  # psi_13, about 3.317e24
+
+# Trial division runs to sqrt(|n|): about a second at this size.
+FACTOR_LIMIT = 10 ** 14
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < MILLER_RABIN_LIMIT; larger n raise
+    ValueError rather than get a probabilistic answer."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"primality is decided only below {MILLER_RABIN_LIMIT} "
+            f"(about 3.317e24), got {n}"
+        )
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
 def _factor(n: int) -> Dict[int, int]:
-    """Trial-division factorization of |n|; fine at the scales used here."""
+    """Trial-division factorization of |n| <= FACTOR_LIMIT; larger |n|
+    raise ValueError."""
     n = abs(n)
+    if n > FACTOR_LIMIT:
+        raise ValueError(
+            f"cannot factor {n}: integers are factored only up to "
+            f"10^14 in absolute value"
+        )
     out: Dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -190,17 +221,16 @@ def local_obstructions(a: Rat, b: Rat, c: Rat) -> List[Place]:
     (-ac, -bc)_v = +1. Only 2, the real place, and odd primes dividing the
     coefficients can obstruct. The returned list is primes ascending, with
     the real place last; the full symbol product is checked against
-    reciprocity before returning.
+    reciprocity before returning. The places dividing -ac and -bc are those
+    dividing a, b or c, so the coefficients are factored, not the products.
     """
     ai, bi, ci = (_square_class_int(x) for x in (a, b, c))
     first, second = -ai * ci, -bi * ci
-    if not hilbert_reciprocity_check(first, second):
+    places = _relevant_places((ai, bi, ci))
+    symbols = [hilbert_symbol(first, second, place) for place in places]
+    if math.prod(symbols) != 1:
         raise AssertionError("reciprocity failed; symbol computation is broken")
-    out: List[Place] = []
-    for place in _relevant_places((ai, bi, ci)):
-        if hilbert_symbol(first, second, place) == -1:
-            out.append(place)
-    return out
+    return [place for place, s in zip(places, symbols) if s == -1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,45 +401,100 @@ def _legendre_reduce(
     return work, s
 
 
+# Input limits of the Holzer search: the range of its outer loop, and the
+# number of candidates it may visit. At both limits it takes a few seconds.
+HOLZER_OUTER_LIMIT = 2 * 10 ** 6
+HOLZER_CANDIDATE_LIMIT = 5 * 10 ** 6
+
+
+def _sqrt_mod_prime(t: int, q: int) -> Tuple[int, ...]:
+    """The square roots of t mod the prime q, for t prime to q. A scan of
+    F_q: q is at most HOLZER_OUTER_LIMIT where this is used."""
+    if q == 2:
+        return (1,)
+    if pow(t, (q - 1) // 2, q) != 1:
+        return ()
+    r = next(r for r in range(1, q // 2 + 1) if r * r % q == t)
+    return (r, q - r)
+
+
 def _holzer_search(a: int, b: int, c: int) -> Optional[Tuple[int, int, int]]:
     """Exhaustive search within the Holzer bounds for a x^2+b y^2+c z^2 = 0,
     with a, b, c squarefree, pairwise coprime, mixed signs. A solvable form
-    has a solution with |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|."""
+    has a solution with |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|.
+
+    The coordinate with the largest bound is solved for and the other two,
+    (u, w), are enumerated in lexicographic order; the first solution found
+    is returned. Only the w with cs | c1 u^2 + c2 w^2 are visited. For each
+    prime q of the squarefree cs these are w = 0 mod q when q | u, and
+    w = +-r u mod q with r^2 = -c1/c2 mod q otherwise; the residues mod |cs|
+    are combined by CRT for each u. Inputs past HOLZER_OUTER_LIMIT or
+    HOLZER_CANDIDATE_LIMIT raise ValueError.
+    """
     coeffs = [a, b, c]
+    if 0 in coeffs:
+        raise ValueError("the Holzer search needs nonzero coefficients")
     bounds = [
         math.isqrt(abs(b * c)),
         math.isqrt(abs(a * c)),
         math.isqrt(abs(a * b)),
     ]
-    # solve for the coordinate with the largest bound, enumerate the others
     solve_idx = max(range(3), key=lambda i: bounds[i])
     e1, e2 = [i for i in range(3) if i != solve_idx]
-    cs = coeffs[solve_idx]
+    cs, c1, c2 = coeffs[solve_idx], coeffs[e1], coeffs[e2]
+    # |cs| is the smallest coefficient, so |cs| <= bounds[e1]: the outer
+    # limit also bounds the primes scanned below
+    if bounds[e1] > HOLZER_OUTER_LIMIT:
+        raise ValueError(
+            f"the conic search would run its outer loop to {bounds[e1]}; "
+            f"the limit is {HOLZER_OUTER_LIMIT}"
+        )
+    mod = abs(cs)
+    factors = _factor(mod)
+    if any(e > 1 for e in factors.values()) or math.gcd(mod, c1 * c2) != 1:
+        raise ValueError("the Holzer search needs a squarefree, pairwise coprime form")
+    # per prime q: the roots r, and the CRT idempotent (1 mod q, 0 mod |cs|/q)
+    sieve = []
+    residues_per_u = 1
+    for q in sorted(factors):
+        roots = _sqrt_mod_prime(-c1 * pow(c2, -1, q) % q, q)
+        cofactor = mod // q
+        sieve.append((q, roots, cofactor * pow(cofactor, -1, q) % mod))
+        residues_per_u *= max(len(roots), 1)
+    candidates = (bounds[e1] + 1) * residues_per_u * (bounds[e2] // mod + 1)
+    if candidates > HOLZER_CANDIDATE_LIMIT:
+        raise ValueError(
+            f"the conic search could visit {candidates} candidates; "
+            f"the limit is {HOLZER_CANDIDATE_LIMIT}"
+        )
     for u in range(bounds[e1] + 1):
-        for w in range(bounds[e2] + 1):
-            if u == 0 and w == 0:
-                continue
-            rhs = -(coeffs[e1] * u * u + coeffs[e2] * w * w)
-            if rhs % cs:
-                continue
-            q = rhs // cs
-            if q < 0:
-                continue
-            r = math.isqrt(q)
-            if r * r != q:
-                continue
-            sol = [0, 0, 0]
-            sol[e1], sol[e2], sol[solve_idx] = u, w, r
-            for su in (1, -1) if u else (1,):
-                for sw in (1, -1) if w else (1,):
-                    cand = list(sol)
-                    cand[e1] *= su
-                    cand[e2] *= sw
-                    if (
-                        a * cand[0] ** 2 + b * cand[1] ** 2 + c * cand[2] ** 2
-                        == 0
-                    ):
-                        return tuple(cand)
+        c1uu = c1 * u * u
+        residues = [0]
+        for q, roots, idem in sieve:
+            uq = u % q
+            if uq:
+                residues = [(x + r * uq * idem) % mod for x in residues for r in roots]
+        if not residues:
+            continue
+        residues.sort()
+        for base in range(0, bounds[e2] + 1, mod):
+            for res in residues:
+                w = base + res
+                if w > bounds[e2]:
+                    break
+                if u == 0 and w == 0:
+                    continue
+                square, rem = divmod(-(c1uu + c2 * w * w), cs)
+                if rem:
+                    raise AssertionError("the residue sieve admitted a w outside its classes")
+                if square < 0:
+                    continue
+                r = math.isqrt(square)
+                if r * r != square:
+                    continue
+                sol = [0, 0, 0]
+                sol[e1], sol[e2], sol[solve_idx] = u, w, r
+                return tuple(sol)
     return None
 
 

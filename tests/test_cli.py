@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,21 @@ def run(capsys, argv):
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     return code, json.loads(out), err
+
+
+def run_process(argv, timeout):
+    """The CLI in a fresh interpreter, killed after `timeout` seconds, so a
+    hang fails the test (subprocess.TimeoutExpired) instead of the suite."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", "sdrkit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
 
 
 def test_order_materialized(capsys):
@@ -169,6 +188,32 @@ def test_certify_from_file(capsys, tmp_path):
     assert payload["checks"]["local_points"] is False
 
 
+def test_certify_rejects_unsupported_m_without_traceback(tmp_path):
+    data = demo_certificate(3).to_json()
+    data["m"] = 9
+    path = tmp_path / "m9.json"
+    path.write_text(json.dumps(data))
+    proc = run_process(["certify", "--in", str(path)], timeout=15)
+    assert proc.returncode == 2
+    assert "m = 9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_certify_validates_before_closing(capsys, tmp_path):
+    good = demo_certificate(3).to_json()
+    for field, value, reason in [
+        ("m", 0, "m = 0"),
+        ("degree_n", 2, "degree_n = 2"),
+        ("m", 2, "expected 2m = 4"),
+    ]:
+        data = dict(good, **{field: value})
+        path = tmp_path / f"{field}-{value}.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["certify", "--in", str(path)])
+        assert code == 2
+        assert reason in err
+
+
 def test_certify_usage(capsys, tmp_path):
     assert run(capsys, ["certify"])[0] == 2
     p = tmp_path / "x.json"
@@ -222,6 +267,31 @@ def test_conic_matrix_and_file_inputs(capsys, tmp_path):
     assert run(capsys, ["conic"])[0] == 2
 
 
+def test_conic_near_a_million_finishes():
+    proc = run_process(
+        ["conic", "--diag", "1000003", "1000033", "-1000037", "--no-sdr"], timeout=15
+    )
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["has_rational_point"] is False
+    assert payload["point"] is None
+
+
+@pytest.mark.parametrize(
+    "diag, limit",
+    [
+        (["2000003", "2000029", "-2000039"], "limit is 2000000"),
+        (["8353", "4906103", "-4908941"], "limit is 5000000"),
+        (["2", "3", "-1000000000000037"], "10^14"),
+    ],
+)
+def test_conic_over_the_limits_is_usage_error(diag, limit):
+    proc = run_process(["conic", "--diag", *diag], timeout=1)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert limit in proc.stderr
+
+
 def test_cubic(capsys):
     code, payload, _ = run_json(capsys, ["cubic", "0", "-2", "--bound", "2000"])
     assert code == 0
@@ -235,6 +305,7 @@ def test_cubic(capsys):
 
     assert run(capsys, ["cubic", "0", "-2", "--bound", "50"])[0] == 2
     assert run(capsys, ["cubic", "-3", "2"])[0] == 2  # singular
+    assert run(capsys, ["cubic", "1", str(10 ** 20 + 1)])[0] == 2  # too big to factor
 
 
 def test_hilbert(capsys):
@@ -250,6 +321,15 @@ def test_hilbert(capsys):
 
     assert run(capsys, ["hilbert", "2", "3", "6"])[0] == 2
     assert run(capsys, ["hilbert", "0", "3", "2"])[0] == 2
+    code, _, err = run(capsys, ["hilbert", "3", "5", str(10 ** 25 + 13)])
+    assert code == 2
+    assert "3.317e24" in err
+
+
+def test_hilbert_at_a_large_prime_is_fast():
+    proc = run_process(["hilbert", "3", "5", "1000000000000000003"], timeout=2)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["symbol"] == 1
 
 
 def test_quartic_check_defaults(capsys):

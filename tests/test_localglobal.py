@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,15 @@ from sdrkit.localglobal import (
     quartic_point_check,
     quartic_value,
 )
-from sdrkit.localglobal import _cubic_has_root_mod
+from sdrkit.localglobal import (
+    FACTOR_LIMIT,
+    HOLZER_CANDIDATE_LIMIT,
+    HOLZER_OUTER_LIMIT,
+    MILLER_RABIN_LIMIT,
+    _cubic_has_root_mod,
+    _factor,
+    _holzer_search,
+)
 
 
 PLACES = ["real", 2, 3, 5, 7, 13]
@@ -34,6 +43,34 @@ def test_primes_upto_and_is_prime():
     assert is_prime(97)
     assert not is_prime(1)
     assert not is_prime(91)  # 7 * 13
+
+
+def test_is_prime_matches_the_sieve():
+    sieved = set(primes_upto(10 ** 6))
+    assert {n for n in range(10 ** 6) if is_prime(n)} == sieved
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # strong pseudoprimes to the prime bases 2..7, 2..31 and 2..37 (psi_12),
+    # and two Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041):
+        assert not is_prime(n), n
+    assert is_prime(1000000000000000003)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(MILLER_RABIN_LIMIT - 2)  # odd, divisible by 3
+
+
+def test_is_prime_raises_past_its_range():
+    # psi_13 itself is a strong pseudoprime to all 13 bases
+    for n in (MILLER_RABIN_LIMIT, 10 ** 25, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
+def test_factor_limit():
+    assert _factor(-FACTOR_LIMIT) == {2: 14, 5: 14}
+    with pytest.raises(ValueError, match="10\\^14"):
+        _factor(FACTOR_LIMIT + 1)
 
 
 def test_hilbert_symbol_known_values():
@@ -134,6 +171,72 @@ def test_conic_point_rejects_bad_matrices():
         conic_rational_point([[1, 2], [2, 1]])
     with pytest.raises(ValueError):
         conic_rational_point([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def _holzer_reference(a, b, c):
+    """The plain double loop over the Holzer box that the sieved search
+    must reproduce, first point found included."""
+    coeffs = [a, b, c]
+    bounds = [math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b))]
+    solve_idx = max(range(3), key=lambda i: bounds[i])
+    e1, e2 = [i for i in range(3) if i != solve_idx]
+    for u in range(bounds[e1] + 1):
+        for w in range(bounds[e2] + 1):
+            if u == 0 and w == 0:
+                continue
+            rhs = -(coeffs[e1] * u * u + coeffs[e2] * w * w)
+            if rhs % coeffs[solve_idx]:
+                continue
+            q = rhs // coeffs[solve_idx]
+            if q < 0 or math.isqrt(q) ** 2 != q:
+                continue
+            sol = [0, 0, 0]
+            sol[e1], sol[e2], sol[solve_idx] = u, w, math.isqrt(q)
+            return tuple(sol)
+    return None
+
+
+def _reduced(a, b, c):
+    squarefree = all(e == 1 for x in (a, b, c) for e in _factor(x).values())
+    coprime = math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
+    mixed = min(a, b, c) < 0 < max(a, b, c)
+    return squarefree and coprime and mixed
+
+
+def test_holzer_search_matches_double_loop_on_the_sweep():
+    signed = [s * v for v in range(1, 21) for s in (1, -1)]
+    sweep = [(a, b, c) for a in signed for b in signed for c in signed if _reduced(a, b, c)]
+    assert len(sweep) > 6000
+    for conic in sweep:
+        assert _holzer_search(*conic) == _holzer_reference(*conic), conic
+
+
+def test_holzer_search_matches_double_loop_near_a_thousand():
+    # six obstructed conics (each a full search of about 10^6 candidates)
+    # and four solvable ones, sorted by their local symbols
+    rng = random.Random(97)
+    wanted = {True: 6, False: 4}
+    while any(wanted.values()):
+        conic = tuple(rng.randint(950, 1050) * rng.choice((1, -1)) for _ in range(3))
+        if not _reduced(*conic):
+            continue
+        obstructed = bool(local_obstructions(*conic))
+        if wanted[obstructed]:
+            wanted[obstructed] -= 1
+            want = _holzer_reference(*conic)
+            assert (want is None) == obstructed, conic
+            assert _holzer_search(*conic) == want, conic
+
+
+def test_conic_limits_raise():
+    outer = [[2000003, 0, 0], [0, 2000029, 0], [0, 0, -2000039]]
+    with pytest.raises(ValueError, match=f"limit is {HOLZER_OUTER_LIMIT}"):
+        conic_rational_point(outer)
+    wide = [[8353, 0, 0], [0, 4906103, 0], [0, 0, -4908941]]
+    with pytest.raises(ValueError, match=f"limit is {HOLZER_CANDIDATE_LIMIT}"):
+        conic_rational_point(wide)
+    with pytest.raises(ValueError, match="10\\^14"):
+        conic_rational_point([[2, 0, 0], [0, 3, 0], [0, 0, -(10 ** 15 + 37)]])
 
 
 def test_conic_sdr_det_identity():

@@ -16,7 +16,6 @@ from sdrkit.matgroups import (
     gl22_common_fixed_vector,
     has_nonzero_fixed_vector,
     obstruction_conditions,
-    order6_uniqueness_scan,
     orthogonal_group,
     subgroup_census,
     symplectic_group,
@@ -261,9 +260,9 @@ def test_gl22_common_fixed_vector():
 
 
 @pytest.mark.extended
-def test_order6_scan_finds_single_dihedral_class():
+def test_order6_scan_finds_single_dihedral_class(order6_scan):
     """Full sweep of Sp_6(F2); takes several minutes."""
-    result = order6_uniqueness_scan()
+    result = order6_scan
     assert result["m"] == 3
     assert result["candidates"] == 5040
     assert result["classes"] == 1

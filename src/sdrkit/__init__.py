@@ -8,6 +8,7 @@ independent search oracles.
 from .f2core import (
     F2Matrix,
     SymplecticSpace,
+    affine_span,
     nullspace,
     solve,
     solve_affine,

@@ -31,9 +31,7 @@ from .constructions import (
 from .f2core import F2Matrix
 from .matgroups import (
     SubgroupHandle,
-    _all_subgroups,
-    gl22_common_fixed_vector,
-    has_nonzero_fixed_vector,
+    lemma51_scan,
     obstruction_conditions,
     orthogonal_group,
     subgroup_census,
@@ -205,20 +203,11 @@ def _c06_impossibility_m1(ctx: AcceptanceContext) -> Tuple[bool, str]:
         and len(census.classes) == 4
         and len(census.satisfying) == 0
     )
-    sp1 = symplectic_group(1)
     qualifying = 0
-    for hset, hgens in _all_subgroups(sp1).items():
-        mats = [F2Matrix.from_packed(p, 2) for p in hset]
-        if any(has_nonzero_fixed_vector(g) is None for g in mats):
+    for handle, v in lemma51_scan():
+        if v is None:
             continue
-        handle = SubgroupHandle(
-            sp1.space,
-            [F2Matrix.from_packed(p, 2) for p in hgens] or [F2Matrix.identity(2)],
-            hset,
-            core=hgens,
-        )
-        v = gl22_common_fixed_vector(handle)
-        if v == 0 or any(g.apply(v) != v for g in mats):
+        if v == 0 or any(g.apply(v) != v for g in handle.matrices()):
             return False, "claimed common fixed vector is not fixed"
         qualifying += 1
     ok = ok and qualifying == 4  # the trivial group and the three involutions

@@ -35,12 +35,12 @@ from .matgroups import (
     close,
     gl22_common_fixed_vector,
     has_nonzero_fixed_vector,
+    lemma51_scan,
     order6_uniqueness_scan,
     orthogonal_group,
     subgroup_census,
     symplectic_group,
     symplectic_order_formula,
-    _all_subgroups,
 )
 from .quadforms import all_forms, orbits, standard_base_form
 
@@ -268,26 +268,15 @@ def _cmd_lemma51(args) -> Tuple[Dict[str, object], int]:
         }
         return payload, 0
 
-    sp1 = symplectic_group(1)
     rows = []
-    for hset, hgens in sorted(
-        _all_subgroups(sp1).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-    ):
-        mats = [F2Matrix.from_packed(p, 2) for p in hset]
-        qualifies = all(has_nonzero_fixed_vector(g) is not None for g in mats)
+    for handle, v in lemma51_scan():
         row: Dict[str, object] = {
-            "order": len(hset),
-            "generators": [F2Matrix.from_packed(p, 2).to_text() for p in hgens],
-            "qualifies": qualifies,
+            "order": handle.order,
+            "generators": [F2Matrix.from_packed(p, 2).to_text() for p in handle.core],
+            "qualifies": v is not None,
         }
-        if qualifies:
-            handle = _close_or_usage(
-                [F2Matrix.from_packed(p, 2) for p in hgens] or [F2Matrix.identity(2)],
-                sp1.space,
-                DEFAULT_CAP,
-            )
-            v = gl22_common_fixed_vector(handle)
-            assert all(g.apply(v) == v for g in mats)
+        if v is not None:
+            assert all(g.apply(v) == v for g in handle.matrices())
             row["common_fixed_vector"] = v
         rows.append(row)
     payload = {
@@ -445,7 +434,10 @@ def _cmd_hilbert(args) -> Tuple[Dict[str, object], int]:
     }
     code = 0
     if args.verify_search:
-        oracle = orc.hilbert_symbol_by_search(a, b, place)
+        try:
+            oracle = orc.hilbert_symbol_by_search(a, b, place)
+        except ValueError as exc:
+            raise UsageError(f"--verify-search: {exc}")
         payload["search_symbol"] = oracle
         payload["search_agrees"] = oracle == symbol
         if oracle != symbol:

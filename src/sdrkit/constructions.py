@@ -16,17 +16,17 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .f2core import F2Matrix, SymplecticSpace, is_symplectic, solve_affine, standard_symplectic
+from .f2core import F2Matrix, SymplecticSpace, is_symplectic, standard_symplectic
 from .gf2k import as_f2_linear, make_field, norm_one_generator
 from .matgroups import (
     ObstructionReport,
     SubgroupHandle,
     close,
-    common_fixed_form_vectors,
+    invariant_arf0_vectors,
     obstruction_conditions,
+    smallest_fixed_vector,
 )
 from .quadforms import (
-    BaseForm,
     QuadraticForm,
     act,
     arf_by_count,
@@ -101,28 +101,6 @@ class DihedralPair:
         )
         verify_dihedral_pair(pair)
         return pair
-
-
-def _fixed_vector_with_value_one(g: F2Matrix, base: BaseForm) -> Optional[int]:
-    """Smallest x with g x = x and base value 1, scanning the fixed space."""
-    d = g.dim
-    rows = [g.rows[i] ^ (1 << i) for i in range(d)]
-    got = solve_affine(rows, [0] * d, d)
-    assert got is not None
-    _, kernel = got
-    best = None
-    for mask in range(1 << len(kernel)):
-        x = 0
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        if x and base.value(x) == 1 and (best is None or x < best):
-            best = x
-    return best
 
 
 def build_dihedral_pair(m: int) -> DihedralPair:
@@ -225,7 +203,7 @@ def verify_dihedral_pair(pair: DihedralPair) -> Dict[str, bool]:
     power = ident
     for i in range(target):
         refl = pair.tau * power
-        if _fixed_vector_with_value_one(refl, base) is None:
+        if smallest_fixed_vector([refl], refl.dim, base.value) is None:
             raise DihedralConditionError(
                 "e", f"tau sigma^{i} fixes no vector of value one"
             )
@@ -473,39 +451,13 @@ class CertificateVerdict:
         }
 
 
-def _group_fixes_some_arf0(group: SubgroupHandle, base: BaseForm) -> bool:
-    got = common_fixed_form_vectors(group, base)
-    if got is None:
-        return False
-    particular, kernel = got
-    for mask in range(1 << len(kernel)):
-        x = particular
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        if base.value(x) == 1:
-            return True
-    return False
-
-
 def _is_cyclic(group: SubgroupHandle) -> bool:
     # A generator g would make F2[g] a commutative subalgebra of dimension
     # at most d, so cyclic subgroups of GL_d(F2) have order below 2^d;
     # anything larger is settled without scanning its elements.
     if group.order >= (1 << group.dim):
         return False
-    return any(
-        _order_in(group, p) == group.order for p in group.elements
-    )
-
-
-def _order_in(group: SubgroupHandle, packed: int) -> int:
-    mat = F2Matrix.from_packed(packed, group.dim)
-    return mat.order(cap=group.order + 1)
+    return any(g.order(cap=group.order + 1) == group.order for g in group.matrices())
 
 
 def certify_counterexample(cert: ObstructionCertificate) -> CertificateVerdict:
@@ -527,9 +479,10 @@ def certify_counterexample(cert: ObstructionCertificate) -> CertificateVerdict:
     checks["local_images_inside_group"] = all(
         img.group.is_subgroup_of(cert.group) for img in cert.local_images
     )
-    checks["no_invariant_arf0"] = not _group_fixes_some_arf0(cert.group, base)
+    checks["no_invariant_arf0"] = next(invariant_arf0_vectors(cert.group, base), None) is None
     checks["local_images_fix_arf0"] = all(
-        _group_fixes_some_arf0(img.group, base) for img in cert.local_images
+        next(invariant_arf0_vectors(img.group, base), None) is not None
+        for img in cert.local_images
     )
     if cert.degree_n % 2 == 1:
         checks["local_points"] = True

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_DIM",
@@ -18,6 +18,7 @@ __all__ = [
     "nullspace",
     "solve",
     "solve_affine",
+    "affine_span",
     "SymplecticSpace",
     "standard_symplectic",
     "is_symplectic",
@@ -316,6 +317,21 @@ def solve_affine(
                 v |= 1 << pj
         kernel.append(v)
     return x, kernel
+
+
+def affine_span(particular: int, kernel: Sequence[int]) -> Iterator[int]:
+    """Every point of particular + span(kernel), one per mask in increasing
+    order: bit i of the mask picks kernel[i], so mask 0 gives `particular`."""
+    for mask in range(1 << len(kernel)):
+        x = particular
+        mm = mask
+        idx = 0
+        while mm:
+            if mm & 1:
+                x ^= kernel[idx]
+            mm >>= 1
+            idx += 1
+        yield x
 
 
 class SymplecticSpace:

@@ -9,17 +9,25 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .f2core import F2Matrix, SymplecticSpace, is_symplectic, solve_affine, standard_symplectic
+from .f2core import (
+    F2Matrix,
+    SymplecticSpace,
+    affine_span,
+    is_symplectic,
+    solve_affine,
+    standard_symplectic,
+)
 from .quadforms import (
     BaseForm,
     QuadraticForm,
     action_shift,
-    all_forms,
+    fixed_form_vectors,
+    generator_matrices,
     standard_base_form,
 )
 
@@ -32,15 +40,18 @@ __all__ = [
     "symplectic_group",
     "symplectic_order_formula",
     "orthogonal_group",
+    "smallest_fixed_vector",
     "has_nonzero_fixed_vector",
     "fixed_forms",
     "common_fixed_form_vectors",
+    "invariant_arf0_vectors",
     "ObstructionReport",
     "obstruction_conditions",
     "CensusClass",
     "GroupCensus",
     "subgroup_census",
     "gl22_common_fixed_vector",
+    "lemma51_scan",
     "order6_uniqueness_scan",
     "census_m3_incremental",
 ]
@@ -57,7 +68,11 @@ class ClosureCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # packed-matrix engine
 
+# Row tables have 2^dim entries each, so the cache is bounded by the entries
+# it holds: 65536 tables at dim 6, but only 64 at dim 16.
+ROW_TABLE_CACHE_ENTRIES = 1 << 22
 _ROW_TABLE_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+_row_table_cached_entries = 0
 
 
 def _identity_packed(dim: int) -> int:
@@ -73,6 +88,7 @@ def _unpack(packed: int, dim: int) -> F2Matrix:
 
 def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
     """Table over all 2^dim row vectors r of the product r * M."""
+    global _row_table_cached_entries
     key = (dim, packed)
     cached = _ROW_TABLE_CACHE.get(key)
     if cached is not None:
@@ -85,8 +101,9 @@ def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
         low = r & -r
         tab[r] = tab[r ^ low] ^ rows[low.bit_length() - 1]
     result = tuple(tab)
-    if len(_ROW_TABLE_CACHE) < 1 << 16:
+    if _row_table_cached_entries + size <= ROW_TABLE_CACHE_ENTRIES:
         _ROW_TABLE_CACHE[key] = result
+        _row_table_cached_entries += size
     return result
 
 
@@ -115,6 +132,21 @@ def _mul_generic(a: int, b: int, dim: int, mask: int) -> int:
 
 def _inv_packed(a: int, dim: int) -> int:
     return _unpack(a, dim).inverse().packed
+
+
+def _grow_core(
+    candidates: Iterable[int], dim: int, cap: int
+) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
+    """Closure of the candidates and the core of those that were not yet in
+    the running closure when their turn came."""
+    elements: FrozenSet[int] = frozenset({_identity_packed(dim)})
+    core: List[int] = []
+    for p in candidates:
+        if p in elements:
+            continue
+        core.append(p)
+        elements = _mulclose(core, dim, elements | {p}, cap)
+    return elements, tuple(core)
 
 
 def _mulclose(
@@ -233,17 +265,8 @@ def close(
     for g in generators:
         if not is_symplectic(g, space):
             raise ValueError(f"generator is not symplectic: {g!r}")
-    dim = space.dim
-    ident = _identity_packed(dim)
-    elements: FrozenSet[int] = frozenset({ident})
-    core: List[int] = []
-    for g in generators:
-        p = g.packed
-        if p in elements:
-            continue
-        core.append(p)
-        elements = _mulclose(core, dim, elements | {p}, cap)
-    return SubgroupHandle(space, generators, elements, core=tuple(core))
+    elements, core = _grow_core((g.packed for g in generators), space.dim, cap)
+    return SubgroupHandle(space, generators, elements, core=core)
 
 
 def symplectic_order_formula(m: int) -> int:
@@ -308,49 +331,27 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
         if ok:
             kept.append(p)
     kept_set = frozenset(kept)
-    # grow a small generating core for the filtered subgroup
-    ident = _identity_packed(dim)
-    elements: FrozenSet[int] = frozenset({ident})
-    core: List[int] = []
-    for p in kept:
-        if p in elements:
-            continue
-        core.append(p)
-        elements = _mulclose(core, dim, elements | {p}, DEFAULT_CAP)
+    elements, core = _grow_core(kept, dim, DEFAULT_CAP)
     if elements != kept_set:
         raise AssertionError("form stabilizer failed to close onto itself")
     gens = [_unpack(p, dim) for p in core]
-    return SubgroupHandle(ambient.space, gens, kept_set, core=tuple(core))
+    return SubgroupHandle(ambient.space, gens, kept_set, core=core)
+
+
+def smallest_fixed_vector(
+    mats: Iterable[F2Matrix], dim: int, accept: Callable[[int], object] = bool
+) -> Optional[int]:
+    """Smallest x with g x = x for every g in mats and accept(x) true, or
+    None; the default accepts every nonzero x."""
+    rows = [g.rows[i] ^ (1 << i) for g in mats for i in range(dim)]
+    got = solve_affine(rows, [0] * len(rows), dim)
+    assert got is not None  # homogeneous systems always have x = 0
+    return min(filter(accept, affine_span(*got)), default=None)
 
 
 def has_nonzero_fixed_vector(g: F2Matrix) -> Optional[int]:
     """Smallest nonzero fixed vector of g, or None."""
-    d = g.dim
-    rows = [g.rows[i] ^ (1 << i) for i in range(d)]
-    got = solve_affine(rows, [0] * d, d)
-    assert got is not None
-    _, kernel = got
-    if not kernel:
-        return None
-    best = None
-    for massk in range(1, 1 << len(kernel)):
-        x = 0
-        mm = massk
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        if best is None or x < best:
-            best = x
-    return best
-
-
-def _gen_matrices(group) -> List[F2Matrix]:
-    if isinstance(group, SubgroupHandle):
-        return [_unpack(p, group.dim) for p in group.core]
-    return list(group)
+    return smallest_fixed_vector([g], g.dim)
 
 
 def fixed_forms(group, forms: Iterable[QuadraticForm]) -> List[QuadraticForm]:
@@ -360,7 +361,7 @@ def fixed_forms(group, forms: Iterable[QuadraticForm]) -> List[QuadraticForm]:
     if not forms:
         return []
     base = forms[0].base
-    maps = [(g, action_shift(g, base)) for g in _gen_matrices(group)]
+    maps = [(g, action_shift(g, base)) for g in generator_matrices(group, base.space)]
     out = []
     for f in forms:
         if all(g.apply(f.v ^ w) == f.v for g, w in maps):
@@ -376,41 +377,31 @@ def common_fixed_form_vectors(
     d = base.space.dim
     rows: List[int] = []
     rhs: List[int] = []
-    for g in _gen_matrices(group):
+    for g in generator_matrices(group, base.space):
         w = action_shift(g, base)
         gw = g.apply(w)
         rows.extend(g.rows[i] ^ (1 << i) for i in range(d))
         rhs.extend((gw >> i) & 1 for i in range(d))
-    if not rows:  # trivial group fixes everything
-        return 0, [1 << i for i in range(d)]
+    # with no generators there are no equations: every form is fixed
     return solve_affine(rows, rhs, d)
 
 
-def _affine_iter(particular: int, kernel: Sequence[int]) -> Iterator[int]:
-    for mask in range(1 << len(kernel)):
-        x = particular
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        yield x
+def invariant_arf0_vectors(group, base: BaseForm) -> Iterator[int]:
+    """The v with Q_v of Arf 0 (Q0(v) = 1) fixed by the whole group, in
+    affine-span order; lazy, so a caller asking whether there is one stops
+    at the first."""
+    got = common_fixed_form_vectors(group, base)
+    if got is not None:
+        yield from (v for v in affine_span(*got) if base.value(v) == 1)
 
 
 def _fixed_arf0_vector(g: F2Matrix, base: BaseForm) -> Optional[int]:
     """Smallest v with Q_v of Arf 0 fixed by g, or None."""
-    d = base.space.dim
-    w = action_shift(g, base)
-    gw = g.apply(w)
-    rows = [g.rows[i] ^ (1 << i) for i in range(d)]
-    got = solve_affine(rows, [(gw >> i) & 1 for i in range(d)], d)
+    got = fixed_form_vectors(g, base)
     if got is None:
         return None
-    particular, kernel = got
     best = None
-    for v in _affine_iter(particular, kernel):
+    for v in affine_span(*got):  # a plain loop: this runs for every element
         if base.value(v) == 1 and (best is None or v < best):
             best = v
     return best
@@ -453,13 +444,7 @@ def obstruction_conditions(
     if base is None:
         base = standard_base_form(group.space.m)
     d = base.space.dim
-    got = common_fixed_form_vectors(group, base)
-    invariant_arf0: List[int] = []
-    if got is not None:
-        particular, kernel = got
-        invariant_arf0 = sorted(
-            v for v in _affine_iter(particular, kernel) if base.value(v) == 1
-        )
+    invariant_arf0 = sorted(invariant_arf0_vectors(group, base))
     cond1 = not invariant_arf0
 
     witnesses: Optional[Dict[int, int]] = {} if group.order <= witness_cap else None
@@ -566,63 +551,77 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     return subs
 
 
-def _conjugacy_partition(
-    subs: Dict[FrozenSet[int], Tuple[int, ...]],
-    ambient: SubgroupHandle,
-) -> List[List[FrozenSet[int]]]:
-    """Orbits of the subgroup list under conjugation by the ambient group."""
+def _conjugation_orbits(family, ambient: SubgroupHandle) -> List[list]:
+    """Partition `family` into orbits under conjugation by the ambient group.
+
+    Members are packed elements, or frozensets of them (subgroups) ordered
+    by their sorted elements; `family` is any container of them (a set, or
+    a dict keyed by them). Each orbit is sorted and the orbits come in
+    increasing order of their smallest member. A conjugate outside the
+    family is an error.
+    """
     dim = ambient.dim
     mask = (1 << dim) - 1
     # (g, right-table of g^-1): h -> (g h) g^-1
-    conjugators = [
-        (p, _row_table(_inv_packed(p, dim), dim)) for p in ambient.core
-    ]
-    unseen = set(subs.keys())
-    orbits: List[List[FrozenSet[int]]] = []
-    while unseen:
-        seed = min(unseen, key=lambda fs: tuple(sorted(fs)))
-        orbit = {seed}
+    conjugators = [(p, _row_table(_inv_packed(p, dim), dim)) for p in ambient.core]
+
+    def conj(h: int, g: int, t_ginv: Sequence[int]) -> int:
+        return _mul_table(_mul_generic(g, h, dim, mask), t_ginv, dim, mask)
+
+    def key(x):
+        return tuple(sorted(x)) if isinstance(x, frozenset) else x
+
+    seen = set()
+    orbits = []
+    for seed in sorted(family, key=key):
+        if seed in seen:
+            continue
+        seen.add(seed)
+        orbit = [seed]
         frontier = [seed]
         while frontier:
             fresh = []
-            for hset in frontier:
+            for x in frontier:
                 for g, t_ginv in conjugators:
-                    conj = frozenset(
-                        _mul_table(_mul_generic(g, h, dim, mask), t_ginv, dim, mask)
-                        for h in hset
-                    )
-                    if conj not in orbit:
-                        if conj not in subs:
-                            raise AssertionError("conjugate left the subgroup list")
-                        orbit.add(conj)
-                        fresh.append(conj)
+                    if isinstance(x, frozenset):
+                        y = frozenset(conj(h, g, t_ginv) for h in x)
+                    else:
+                        y = conj(x, g, t_ginv)
+                    if y not in seen:
+                        if y not in family:
+                            raise AssertionError("conjugate left the family")
+                        seen.add(y)
+                        orbit.append(y)
+                        fresh.append(y)
             frontier = fresh
-        unseen -= orbit
-        orbits.append(sorted(orbit, key=lambda fs: tuple(sorted(fs))))
-    orbits.sort(key=lambda orb: tuple(sorted(orb[0])))
+        orbit.sort(key=key)
+        orbits.append(orbit)
     return orbits
 
 
-def _normalizer_order(
-    hset: FrozenSet[int],
-    hgens: Sequence[int],
+def _transporters(
+    gens: Sequence[int],
+    target: FrozenSet[int],
     ambient: SubgroupHandle,
-) -> int:
-    """Direct scan: count a with a H a^-1 = H (generators suffice)."""
+    deadline: Optional[float] = None,
+) -> Iterator[Optional[int]]:
+    """Every ambient a with a g a^-1 in target for each g in gens, in
+    element order; with target = <gens> these are the normalizer. The scan
+    touches every ambient element, so an optional deadline, checked every
+    1024 elements, can cut it short: it then yields None, meaning "ran out
+    of time", and stops."""
     dim = ambient.dim
     mask = (1 << dim) - 1
-    count = 0
-    for a in ambient.elements:
+    for i, a in enumerate(ambient.elements):
+        if deadline is not None and not i & 0x3FF and time.monotonic() >= deadline:
+            yield None
+            return
         ainv = _inv_packed(a, dim)
-        ok = True
-        for h in hgens:
-            conj = _mul_generic(_mul_generic(a, h, dim, mask), ainv, dim, mask)
-            if conj not in hset:
-                ok = False
+        for h in gens:
+            if _mul_generic(_mul_generic(a, h, dim, mask), ainv, dim, mask) not in target:
                 break
-        if ok:
-            count += 1
-    return count
+        else:
+            yield a
 
 
 def subgroup_census(m: int) -> GroupCensus:
@@ -635,7 +634,7 @@ def subgroup_census(m: int) -> GroupCensus:
     ambient = symplectic_group(m)
     base = standard_base_form(m)
     subs = _all_subgroups(ambient)
-    orbits = _conjugacy_partition(subs, ambient)
+    orbits = _conjugation_orbits(subs, ambient)
 
     total = len(subs)
     if sum(len(orb) for orb in orbits) != total:
@@ -645,7 +644,7 @@ def subgroup_census(m: int) -> GroupCensus:
     for orb in orbits:
         rep = orb[0]
         repgens = subs[rep]
-        norm_order = _normalizer_order(rep, repgens, ambient)
+        norm_order = sum(1 for _ in _transporters(repgens, rep, ambient))
         if norm_order * len(orb) != ambient.order:
             raise AssertionError("orbit size disagrees with the normalizer index")
         gens_m = [_unpack(p, ambient.dim) for p in repgens] or [
@@ -679,49 +678,34 @@ def gl22_common_fixed_vector(group: SubgroupHandle) -> int:
     vector, return a nonzero vector fixed by all of it."""
     if group.dim != 2:
         raise ValueError("this helper is specific to m = 1")
-    for p in group.elements:
-        if has_nonzero_fixed_vector(_unpack(p, 2)) is None:
+    for g in group.matrices():
+        if has_nonzero_fixed_vector(g) is None:
             raise ValueError("an element fixes no nonzero vector")
-    d = 2
-    rows: List[int] = []
-    for p in group.core:
-        g = _unpack(p, d)
-        rows.extend(g.rows[i] ^ (1 << i) for i in range(d))
-    if not rows:
-        return 1
-    got = solve_affine(rows, [0] * len(rows), d)
-    assert got is not None
-    _, kernel = got
-    best = None
-    for mask in range(1, 1 << len(kernel)):
-        x = 0
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        if best is None or x < best:
-            best = x
+    best = smallest_fixed_vector((_unpack(p, 2) for p in group.core), 2)
     if best is None:
         raise AssertionError("no common fixed vector despite elementwise fixes")
     return best
 
 
+def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
+    """Every subgroup of Sp_2(F2), by order then elements, with its common
+    nonzero fixed vector when each of its elements fixes a nonzero vector
+    (None otherwise). The handle's core is its join generators, empty for
+    the trivial group."""
+    sp1 = symplectic_group(1)
+    out = []
+    for hset, hgens in sorted(
+        _all_subgroups(sp1).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
+    ):
+        gens = [_unpack(p, 2) for p in hgens] or [F2Matrix.identity(2)]
+        handle = SubgroupHandle(sp1.space, gens, hset, core=hgens)
+        qualifies = all(has_nonzero_fixed_vector(g) is not None for g in handle.matrices())
+        out.append((handle, gl22_common_fixed_vector(handle) if qualifies else None))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # long-running scans (opt-in)
-
-def _packed_order(p: int, dim: int, mask: int, ident: int) -> int:
-    n = 1
-    x = p
-    while x != ident:
-        x = _mul_generic(x, p, dim, mask)
-        n += 1
-        if n > 1 << dim + dim:
-            raise AssertionError("runaway order computation")
-    return n
-
 
 def _fixes_some_arf0(p: int, base: BaseForm) -> bool:
     return _fixed_arf0_vector(_unpack(p, base.space.dim), base) is not None
@@ -770,11 +754,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
 
     def group_no_common_arf0(gens_packed: Sequence[int]) -> bool:
         gens = [_unpack(p, dim) for p in gens_packed]
-        got = common_fixed_form_vectors(gens, base)
-        if got is None:
-            return True
-        particular, kernel = got
-        return all(base.value(v) == 0 for v in _affine_iter(particular, kernel))
+        return next(invariant_arf0_vectors(gens, base), None) is None
 
     survivors: Dict[FrozenSet[int], Tuple[str, Tuple[int, ...]]] = {}
 
@@ -817,30 +797,9 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
                 survivors[key] = ("dihedral", (r, t))
 
     say(f"{len(survivors)} candidate subgroups; partitioning into classes")
-    conjugators = [(p, _row_table(_inv_packed(p, dim), dim)) for p in sp6.core]
-    unseen = set(survivors.keys())
     classes: List[Dict[str, object]] = []
-    while unseen:
-        seed = min(unseen, key=lambda fs: tuple(sorted(fs)))
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            fresh = []
-            for hset in frontier:
-                for g, t_ginv in conjugators:
-                    conj = frozenset(
-                        _mul_table(_mul_generic(g, h, dim, mask), t_ginv, dim, mask)
-                        for h in hset
-                    )
-                    if conj not in orbit:
-                        if conj not in survivors:
-                            raise AssertionError(
-                                "conjugate of a qualifying subgroup does not qualify"
-                            )
-                        orbit.add(conj)
-                        fresh.append(conj)
-            frontier = fresh
-        kind, gens = survivors[seed]
+    for orbit in _conjugation_orbits(survivors, sp6):
+        kind, gens = survivors[orbit[0]]
         classes.append(
             {
                 "kind": kind,
@@ -848,7 +807,6 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
                 "generators": [_unpack(p, dim).to_text() for p in gens],
             }
         )
-        unseen -= orbit
     classes.sort(key=lambda c: (c["kind"], c["orbit_size"]))
     return {
         "m": 3,
@@ -878,7 +836,7 @@ def census_m3_incremental(
             progress(msg)
 
     sp6 = symplectic_group(3)
-    dim, mask = 6, 63
+    dim = 6
     ident = _identity_packed(dim)
     deadline = time.monotonic() + max_seconds
 
@@ -890,13 +848,6 @@ def census_m3_incremental(
         say("no checkpoint; seeding with cyclic subgroup classes")
         state = _census_m3_seed(sp6, say)
         _census_m3_save(checkpoint_path, state)
-
-    def fingerprint(elems: FrozenSet[int]) -> List[int]:
-        counts: Dict[int, int] = {}
-        for p in elems:
-            o = _packed_order(p, dim, mask, ident)
-            counts[o] = counts.get(o, 0) + 1
-        return [x for pair in sorted(counts.items()) for x in pair]
 
     classes = state["classes"]
     materialized: Dict[int, FrozenSet[int]] = {}
@@ -933,13 +884,14 @@ def census_m3_incremental(
                 continue
             jset = _mulclose(repgens + (g,), dim, rep | {g}, sp6.order + 1)
             joins += 1
-            fp = fingerprint(jset)
+            fp = _order_fingerprint(jset, dim)
             known = False
             for idx, cls in enumerate(classes):
                 if cls["order"] != len(jset) or cls["fingerprint"] != fp:
                     continue
-                verdict = _conjugate_into(
-                    jset, repgens + (g,), class_set(idx), sp6, deadline
+                # equal orders, so a conjugate inside the class is the class
+                verdict = next(
+                    _transporters(repgens + (g,), class_set(idx), sp6, deadline), False
                 )
                 if verdict is None:
                     # out of budget mid-scan; this join is redone on resume
@@ -981,30 +933,22 @@ def census_m3_incremental(
     return state
 
 
+def _order_fingerprint(elems: Iterable[int], dim: int) -> List[int]:
+    """Element orders and how often each occurs, as a flat sorted list
+    [order, count, order, count, ...]; conjugate subgroups share it."""
+    counts = Counter(_unpack(p, dim).order() for p in elems)
+    return [x for pair in sorted(counts.items()) for x in pair]
+
+
 def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     """Element conjugacy classes, merged over coprime powers, give the cyclic
     subgroup classes (plus the trivial class) that seed the join phase."""
     dim, mask = 6, 63
     ident = _identity_packed(dim)
-    conjugators = [(p, _row_table(_inv_packed(p, dim), dim)) for p in sp6.core]
-    class_of: Dict[int, int] = {}
-    reps: List[int] = []
-    for p in sp6.elements:
-        if p in class_of:
-            continue
-        cid = len(reps)
-        reps.append(p)
-        class_of[p] = cid
-        frontier = [p]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g, t_ginv in conjugators:
-                    y = _mul_table(_mul_generic(g, x, dim, mask), t_ginv, dim, mask)
-                    if y not in class_of:
-                        class_of[y] = cid
-                        fresh.append(y)
-            frontier = fresh
+    element_classes = _conjugation_orbits(sp6.element_set, sp6)
+    reps = [orbit[0] for orbit in element_classes]
+    class_of = {x: cid for cid, orbit in enumerate(element_classes) for x in orbit}
+    del element_classes
     say(f"{len(reps)} element conjugacy classes")
 
     parent = list(range(len(reps)))
@@ -1023,7 +967,7 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     import math
 
     for cid, x in enumerate(reps):
-        o = _packed_order(x, dim, mask, ident)
+        o = _unpack(x, dim).order()
         y = x
         for k in range(2, o):
             y = _mul_generic(y, x, dim, mask)
@@ -1034,58 +978,20 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     classes = []
     for root in roots:
         x = reps[root]
-        if x == ident:
-            classes.append(
-                {"order": 1, "generators": [], "fingerprint": [1, 1], "seed": True}
-            )
-            continue
-        o = _packed_order(x, dim, mask, ident)
-        counts: Dict[int, int] = {}
-        y = ident
-        for _ in range(o):
-            oo = _packed_order(y, dim, mask, ident) if y != ident else 1
-            counts[oo] = counts.get(oo, 0) + 1
-            y = _mul_generic(y, x, dim, mask)
-        fp = [v for pair in sorted(counts.items()) for v in pair]
+        o = _unpack(x, dim).order()
+        powers = [ident]
+        for _ in range(o - 1):
+            powers.append(_mul_generic(powers[-1], x, dim, mask))
         classes.append(
             {
                 "order": o,
-                "generators": [_unpack(x, dim).to_text()],
-                "fingerprint": fp,
+                "generators": [] if x == ident else [_unpack(x, dim).to_text()],
+                "fingerprint": _order_fingerprint(powers, dim),
                 "seed": True,
             }
         )
     classes.sort(key=lambda c: (c["order"], c["generators"]))
     return {"m": 3, "classes": classes, "cursor": [0, 0], "done": False}
-
-
-def _conjugate_into(
-    jset: FrozenSet[int],
-    jgens: Sequence[int],
-    target: FrozenSet[int],
-    ambient: SubgroupHandle,
-    deadline: Optional[float] = None,
-) -> Optional[bool]:
-    """Transporter scan: is some ambient conjugate of <jgens> inside target?
-    Equality follows from equal orders. A full scan touches every ambient
-    element, so an optional deadline can cut it short; None then means
-    "ran out of time", not "no"."""
-    dim = ambient.dim
-    mask = (1 << dim) - 1
-    if len(jset) != len(target):
-        return False
-    for i, a in enumerate(ambient.elements):
-        if deadline is not None and not i & 0x3FF and time.monotonic() >= deadline:
-            return None
-        ainv = _inv_packed(a, dim)
-        ok = True
-        for h in jgens:
-            if _mul_generic(_mul_generic(a, h, dim, mask), ainv, dim, mask) not in target:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def _census_m3_save(path: str, state: Dict[str, object]) -> None:

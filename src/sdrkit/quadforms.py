@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .f2core import (
     F2Matrix,
     SymplecticSpace,
+    affine_span,
     is_symplectic,
     solve_affine,
     standard_symplectic,
@@ -32,6 +33,7 @@ __all__ = [
     "act",
     "action_shift",
     "fixed_form_vectors",
+    "generator_matrices",
     "orbits",
     "adapted_symplectic_basis",
 ]
@@ -271,24 +273,20 @@ def fixed_form_vectors(
     return solve_affine(rows, rhs, d)
 
 
-def _affine_points(particular: int, kernel: Sequence[int]) -> Iterator[int]:
-    for mask in range(1 << len(kernel)):
-        x = particular
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        yield x
-
-
-def _generator_list(group) -> List[F2Matrix]:
-    gens = getattr(group, "generators", None)
-    if gens is not None:
-        return list(gens)
-    return list(group)
+def generator_matrices(group, space: SymplecticSpace) -> List[F2Matrix]:
+    """A generating set for `group`: the core of a subgroup handle, whose
+    elements were checked when it was closed, or else the given matrices,
+    each checked to be symplectic here."""
+    core = getattr(group, "core", None)
+    if core is not None:
+        if group.space != space:
+            raise ValueError("the group acts on a different space")
+        return [F2Matrix.from_packed(p, space.dim) for p in core]
+    gens = list(group)
+    for g in gens:
+        if not is_symplectic(g, space):
+            raise ValueError("group element is not symplectic")
+    return gens
 
 
 def orbits(group, forms: Iterable[QuadraticForm]) -> List[List[QuadraticForm]]:
@@ -305,12 +303,7 @@ def orbits(group, forms: Iterable[QuadraticForm]) -> List[List[QuadraticForm]]:
     for f in forms:
         if f.base != base:
             raise ValueError("forms must share one base form")
-    gens = _generator_list(group)
-    maps = []
-    for g in gens:
-        if not is_symplectic(g, base.space):
-            raise ValueError("group element is not symplectic")
-        maps.append((g, action_shift(g, base)))
+    maps = [(g, action_shift(g, base)) for g in generator_matrices(group, base.space)]
     todo = {f.v for f in forms}
     out: List[List[QuadraticForm]] = []
     while todo:
@@ -354,23 +347,12 @@ def adapted_symplectic_basis(space: SymplecticSpace, table: int) -> F2Matrix:
     basis = [1 << i for i in range(space.dim)]
     splits: List[Tuple[int, int]] = []
 
-    def span(vectors: Sequence[int]) -> Iterator[int]:
-        for mask in range(1, 1 << len(vectors)):
-            x = 0
-            mm = mask
-            idx = 0
-            while mm:
-                if mm & 1:
-                    x ^= vectors[idx]
-                mm >>= 1
-                idx += 1
-            yield x
-
     while len(basis) > 2:
-        u = next((x for x in span(basis) if val(x) == 0), None)
+        # skip x = 0: Q(0) = 0 would otherwise be picked as u
+        u = next((x for x in affine_span(0, basis) if x and val(x) == 0), None)
         if u is None:
             raise AssertionError("no isotropic vector in a space of dim >= 4")
-        w = next((x for x in span(basis) if space.pairing(u, x) == 1), None)
+        w = next((x for x in affine_span(0, basis) if space.pairing(u, x) == 1), None)
         if w is None:
             raise AssertionError("pairing degenerate on the remaining space")
         if val(w) == 1:

@@ -332,6 +332,23 @@ def test_hilbert_at_a_large_prime_is_fast():
     assert json.loads(proc.stdout)["symbol"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["hilbert", "3", "5", "1000000000039", "--verify-search"], "p <= 1000000"),
+        (
+            ["hilbert", "1000000000000000031", "5", "7", "--verify-search"],
+            "<= 100000000000000",
+        ),
+    ],
+)
+def test_hilbert_verify_search_over_the_limits_is_usage_error(argv, limit):
+    proc = run_process(argv, timeout=5)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "--verify-search" in proc.stderr and limit in proc.stderr
+
+
 def test_quartic_check_defaults(capsys):
     code, payload, _ = run_json(capsys, ["quartic-check"])
     assert code == 0

@@ -15,6 +15,7 @@ from sdrkit.constructions import (
     m_for_degree,
     verify_dihedral_pair,
 )
+from sdrkit import matgroups
 from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import close, transvection
 from sdrkit.quadforms import act, standard_base_form
@@ -200,3 +201,30 @@ def test_certify_flags_noncyclic_local_image():
     # the dihedral group is its own subgroup and fixes no Arf-0 form
     assert not verdict.checks["local_images_fix_arf0"]
     assert not verdict.certified
+
+
+def test_row_table_cache_is_bounded_by_entries(monkeypatch):
+    """m = 8 row tables have 2^16 entries each; 80 cyclic local images would
+    hold 5.2M entries if the cache counted tables instead."""
+    monkeypatch.setattr(matgroups, "_ROW_TABLE_CACHE", {})
+    monkeypatch.setattr(matgroups, "_row_table_cached_entries", 0)
+    space = standard_symplectic(8)
+    images = [[transvection(v, space).to_text()] for v in range(1, 81)]
+    assert len(images) << 16 > matgroups.ROW_TABLE_CACHE_ENTRIES
+    cert = ObstructionCertificate.from_json(
+        {
+            "m": 8,
+            "degree_n": 6,
+            "has_local_points_everywhere": True,
+            "G": {"m": 8, "generators": images[0]},
+            "local_images": [
+                {"label": f"image-{i}", "generators": gens} for i, gens in enumerate(images)
+            ],
+            "theta_noneffective": True,
+        }
+    )
+    verdict = certify_counterexample(cert)
+    assert not verdict.checks["dimension_matches"]  # no degree has 2m = 16
+    entries = sum(len(t) for t in matgroups._ROW_TABLE_CACHE.values())
+    assert entries == matgroups._row_table_cached_entries
+    assert 0 < entries <= matgroups.ROW_TABLE_CACHE_ENTRIES

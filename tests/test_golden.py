@@ -2,7 +2,8 @@
 
 Each case runs `main(argv)` in process and compares stdout with
 `tests/golden/<name>.json`, frozen from a known-good build. A refactor of
-the group kernels must leave every one of these unchanged. The m = 2 census
+the group kernels or of the arithmetic kernels must leave every one of these
+unchanged. The m = 2 census
 is compared through the session's shared census instead of a second
 100-second run, and the two long scans are compared under `-m extended`.
 """
@@ -50,6 +51,12 @@ CASES = {
         ["reproduce"] + [arg for name in GROUP_CRITERIA for arg in ("--only", name)],
         0,
     ),
+    "cubic-s3-1e5": (["cubic", "0", "-2", "--bound", "100000"], 0),
+    "cubic-c3-1e5": (["cubic", "-3", "1", "--bound", "100000"], 0),
+    "cubic-split": (["cubic", "-7", "6"], 0),
+    # "--" so that argparse reads "-3/5" as a value, not an option
+    "cubic-rational": (["cubic", "--bound", "20000", "--", "1/2", "-3/5"], 0),
+    "reproduce-cubic-densities": (["reproduce", "--only", "cubic-densities"], 0),
 }
 
 

@@ -68,11 +68,17 @@ class ClosureCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # packed-matrix engine
 
-# Row tables have 2^dim entries each, so the cache is bounded by the entries
-# it holds: 65536 tables at dim 6, but only 64 at dim 16.
-ROW_TABLE_CACHE_ENTRIES = 1 << 22
+# Row tables have 2^dim entries each, so the cache is bounded by the bytes
+# they hold. An entry is an 8-byte pointer, plus a separate int object of
+# about 28 bytes once it can exceed 256 (dim > 8): 65536 tables fit at dim 6
+# and 14 at dim 16.
+ROW_TABLE_CACHE_BYTES = 32 << 20
 _ROW_TABLE_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-_row_table_cached_entries = 0
+_row_table_cached_bytes = 0
+
+
+def _row_table_bytes(dim: int) -> int:
+    return (1 << dim) * (8 if dim <= 8 else 36)
 
 
 def _identity_packed(dim: int) -> int:
@@ -88,7 +94,7 @@ def _unpack(packed: int, dim: int) -> F2Matrix:
 
 def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
     """Table over all 2^dim row vectors r of the product r * M."""
-    global _row_table_cached_entries
+    global _row_table_cached_bytes
     key = (dim, packed)
     cached = _ROW_TABLE_CACHE.get(key)
     if cached is not None:
@@ -101,9 +107,10 @@ def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
         low = r & -r
         tab[r] = tab[r ^ low] ^ rows[low.bit_length() - 1]
     result = tuple(tab)
-    if _row_table_cached_entries + size <= ROW_TABLE_CACHE_ENTRIES:
+    cost = _row_table_bytes(dim)
+    if _row_table_cached_bytes + cost <= ROW_TABLE_CACHE_BYTES:
         _ROW_TABLE_CACHE[key] = result
-        _row_table_cached_entries += size
+        _row_table_cached_bytes += cost
     return result
 
 

@@ -308,6 +308,15 @@ def test_cubic(capsys):
     assert run(capsys, ["cubic", "1", str(10 ** 20 + 1)])[0] == 2  # too big to factor
 
 
+@pytest.mark.parametrize("bound", ["10000001", "100000000000"])
+def test_cubic_over_the_bound_limit_is_usage_error(bound):
+    # the sieve would hold one byte per integer up to the bound
+    proc = run_process(["cubic", "0", "-2", "--bound", bound], timeout=5)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "sampling limit 10000000" in proc.stderr
+
+
 def test_hilbert(capsys):
     code, payload, _ = run_json(capsys, ["hilbert", "-1", "-1", "2", "--verify-search"])
     assert code == 0

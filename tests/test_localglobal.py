@@ -17,6 +17,7 @@ from sdrkit.localglobal import (
     hilbert_reciprocity_check,
     hilbert_symbol,
     is_prime,
+    legendre,
     local_obstructions,
     primes_upto,
     quartic_point_check,
@@ -309,15 +310,86 @@ def test_galois_image_labels():
         galois_image(-3, 2)  # repeated root
 
 
+def _xp_mod_cubic_reference(p, a, b):
+    """X^p mod (X^3 + a X + b) over F_p by square-and-multiply."""
+    c0, c1, c2 = 1, 0, 0
+    for bit in bin(p)[2:]:
+        # square, then reduce by X^3 = -aX - b
+        d0, d1 = c0 * c0, 2 * c0 * c1
+        d2, d3, d4 = c1 * c1 + 2 * c0 * c2, 2 * c1 * c2, c2 * c2
+        c0, c1, c2 = (d0 - b * d3) % p, (d1 - a * d3 - b * d4) % p, (d2 - a * d4) % p
+        if bit == "1":
+            c0, c1, c2 = (-b * c2) % p, (c0 - a * c2) % p, c1
+    return c0, c1, c2
+
+
+def _poly_mod_reference(num, den, p):
+    """Remainder of num by den over F_p; coefficient lists, constant first,
+    den with a nonzero leading coefficient."""
+    num = [x % p for x in num]
+    inv = pow(den[-1], -1, p)
+    while len(num) >= len(den):
+        fac = num[-1] * inv % p
+        off = len(num) - len(den)
+        for i, coef in enumerate(den):
+            num[off + i] = (num[off + i] - fac * coef) % p
+        num.pop()
+    while num and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _cubic_has_root_reference(p, a, b):
+    """gcd(X^p - X, X^3 + aX + b) over F_p has positive degree: the
+    polynomial test the Lucas-sequence kernel replaced."""
+    c0, c1, c2 = _xp_mod_cubic_reference(p, a, b)
+    u, v = [b % p, a % p, 0, 1], [c0, (c1 - 1) % p, c2]
+    while v and v[-1] == 0:
+        v.pop()
+    if not v:
+        return True  # f divides X^p - X
+    while v:
+        u, v = v, _poly_mod_reference(u, v, p)
+    return len(u) > 1
+
+
 def test_cubic_root_mod_matches_enumeration():
-    cubics = [(0, -2), (-3, 1), (-7, 6), (1, 1), (0, 3)]
-    for a, b in cubics:
-        disc = cubic_discriminant(a, b)
-        for p in primes_upto(100):
-            if p in (2, 3) or disc.numerator % p == 0:
-                continue
-            brute = any((x * x * x + a * x + b) % p == 0 for x in range(p))
-            assert _cubic_has_root_mod(p, a % p, b % p) == brute, (a, b, p)
+    seen = set()
+    for p in primes_upto(600)[2:]:
+        cubes = [x * x * x % p for x in range(p)]
+        for a in range(-12, 13):
+            values = {(c + a * x) % p for x, c in enumerate(cubes)}
+            for b in range(-12, 13):
+                d = (-4 * a ** 3 - 27 * b * b) % p
+                if d == 0:
+                    continue
+                brute = -b % p in values
+                assert _cubic_has_root_mod(p, a % p, b % p) == brute, (a, b, p)
+                assert _cubic_has_root_reference(p, a % p, b % p) == brute, (a, b, p)
+                seen.add((a % p == 0, legendre(d, p), brute))
+    # a = 0 mod p and a != 0 mod p, under both characters of D, with and
+    # without a root (a non-square D always gives exactly one root)
+    assert seen == {(z, 1, r) for z in (True, False) for r in (True, False)} | {
+        (z, -1, True) for z in (True, False)
+    }
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(0, -2), (-3, 1), (Fraction(1, 2), Fraction(-3, 5)), (Fraction(-7, 4), Fraction(5, 3))],
+)
+def test_density_matches_the_polynomial_reference(a, b):
+    report = cubic_local_root_density(a, b, 10 ** 5)
+    a, b = Fraction(a), Fraction(b)
+    counted = with_root = 0
+    for p in primes_upto(10 ** 5):
+        if p in report.skipped:
+            continue
+        ai = a.numerator * pow(a.denominator, p - 2, p) % p
+        bi = b.numerator * pow(b.denominator, p - 2, p) % p
+        counted += 1
+        with_root += _cubic_has_root_reference(p, ai, bi)
+    assert (report.primes_counted, report.primes_with_root) == (counted, with_root)
 
 
 def test_density_report_split_cubic_is_exact():

@@ -89,6 +89,47 @@ def test_rank_nullspace_dimension():
         assert len(seen) == 1 << len(kernel)
 
 
+def _all_matrices(dim):
+    for packed in range(1 << (dim * dim)):
+        yield F2Matrix.from_packed(packed, dim)
+
+
+def _span(vectors):
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+def test_rank_inverse_nullspace_exhaustive_small_dims():
+    """Every matrix of dimension 1..3 against brute force. The nullspace
+    basis is the reduced one: for each free column j (a column in the span of
+    the columns before it), the unique kernel vector whose free-column part
+    is exactly bit j."""
+    for dim in (1, 2, 3):
+        ident = F2Matrix.identity(dim)
+        for g in _all_matrices(dim):
+            assert g.rank() == len(_span(g.rows)).bit_length() - 1
+            kernel = [v for v in range(1 << dim) if g.apply(v) == 0]
+            free = [
+                j for j in range(dim)
+                if g.col(j) in _span(g.col(i) for i in range(j))
+            ]
+            free_mask = sum(1 << j for j in free)
+            want = []
+            for j in free:
+                (v,) = [v for v in kernel if v & free_mask == 1 << j]
+                want.append(v)
+            assert nullspace(g) == want
+            inverses = [h for h in _all_matrices(dim) if g * h == ident]
+            if g.rank() == dim:
+                assert [g.inverse()] == inverses
+            else:
+                assert inverses == []
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    g.inverse()
+
+
 def test_solve_against_apply():
     rng = random.Random(43)
     for _ in range(150):
@@ -174,16 +215,43 @@ def test_is_symplectic_detects_violations():
     assert not is_symplectic(bad, sp)
 
 
-def test_symplectic_basis_on_scrambled_gram():
-    """A random change of basis scrambles the Gram matrix; the extractor
-    recovers a basis in which it is standard again."""
+def _scrambled_spaces():
+    """Seeded random changes of basis of the standard pairing: 15 per m."""
     rng = random.Random(83)
     for m in (1, 2, 3):
         std = standard_symplectic(m)
-        dim = 2 * m
         for _ in range(15):
-            t = _random_invertible(rng, dim)
-            gram = t.transpose() * std.gram * t
-            space = SymplecticSpace(gram)
-            basis = symplectic_basis(space)
-            assert basis.transpose() * gram * basis == std.gram
+            t = _random_invertible(rng, 2 * m)
+            yield m, SymplecticSpace(t.transpose() * std.gram * t)
+
+
+def test_symplectic_basis_on_scrambled_gram():
+    """A random change of basis scrambles the Gram matrix; the extractor
+    recovers a basis in which it is standard again."""
+    for m, space in _scrambled_spaces():
+        basis = symplectic_basis(space)
+        assert basis.transpose() * space.gram * basis == standard_symplectic(m).gram
+
+
+# symplectic_basis(space).packed for each space of _scrambled_spaces(), frozen
+# so that a different (even if valid) basis is caught: the transports in the
+# lemma52 and certify goldens depend on this exact choice.
+FROZEN_SYMPLECTIC_BASES = {
+    1: [9] * 15,
+    2: [
+        33379, 35875, 33483, 33379, 35883, 33835, 33481, 35875,
+        33345, 18465, 35883, 18475, 33473, 33483, 33345,
+    ],
+    3: [
+        34430208423, 35166104193, 35166236419, 34440487431, 35175547303,
+        34431184803, 34440490755, 34629234209, 34629365557, 34431076529,
+        34439458323, 8866777505, 35166126247, 34495201431, 34629378579,
+    ],
+}
+
+
+def test_symplectic_basis_is_frozen():
+    got = {m: [] for m in FROZEN_SYMPLECTIC_BASES}
+    for m, space in _scrambled_spaces():
+        got[m].append(symplectic_basis(space).packed)
+    assert got == FROZEN_SYMPLECTIC_BASES

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -27,10 +28,9 @@ from .constructions import (
     demo_certificate,
     verify_dihedral_pair,
 )
-from .f2core import F2Matrix, standard_symplectic
+from .f2core import MAX_DIM, F2Matrix, standard_symplectic
 from .matgroups import (
     ClosureCapExceeded,
-    DEFAULT_CAP,
     census_m3_incremental,
     close,
     gl22_common_fixed_vector,
@@ -42,7 +42,7 @@ from .matgroups import (
     symplectic_group,
     symplectic_order_formula,
 )
-from .quadforms import all_forms, orbits, standard_base_form
+from .quadforms import MAX_FORM_DIM, all_forms, orbits, standard_base_form
 
 SCHEMA_PREFIX = "sdrkit"
 
@@ -94,9 +94,9 @@ def _parse_generators(texts: Sequence[str], m: Optional[int]) -> List[F2Matrix]:
     return gens
 
 
-def _close_or_usage(gens, space, cap):
+def _close_or_usage(gens, space):
     try:
-        return close(gens, space, cap=cap)
+        return close(gens, space)
     except (ValueError, ClosureCapExceeded) as exc:
         raise UsageError(str(exc))
 
@@ -122,8 +122,8 @@ def _frac_str(x: Fraction) -> str:
 
 def _cmd_order(args) -> Tuple[Dict[str, object], int]:
     m = args.m
-    if m < 1:
-        raise UsageError("--m must be at least 1")
+    if not 1 <= m <= MAX_DIM // 2:
+        raise UsageError(f"--m must be between 1 and {MAX_DIM // 2}")
     formula = symplectic_order_formula(m)
     materialize = m <= 3 and not args.formula_only
     payload: Dict[str, object] = {
@@ -177,16 +177,18 @@ def _cmd_census(args) -> Tuple[Dict[str, object], int]:
 
 
 def _cmd_forms_census(args) -> Tuple[Dict[str, object], int]:
-    if args.m < 1 or args.m > 12:
-        raise UsageError("--m must be between 1 and 12")
-    forms = all_forms(standard_base_form(args.m))
-    arf0 = sum(1 for f in forms if f.arf == 0)
+    top = MAX_FORM_DIM // 2
+    if not 1 <= args.m <= top:
+        raise UsageError(f"--m must be between 1 and {top} (value tables of 2^(2m) bits)")
+    base = standard_base_form(args.m)
+    total = 1 << base.space.dim
+    arf0 = base.table.bit_count()  # Arf(Q_v) = 0 exactly when Q0(v) = 1
     payload = {
         "schema": _schema("forms-census"),
         "m": args.m,
-        "total": len(forms),
+        "total": total,
         "arf0": arf0,
-        "arf1": len(forms) - arf0,
+        "arf1": total - arf0,
     }
     return payload, 0
 
@@ -200,7 +202,7 @@ def _cmd_orbits(args) -> Tuple[Dict[str, object], int]:
     base = standard_base_form(m)
     if args.gen:
         gens = _parse_generators(args.gen, m)
-        group = _close_or_usage(gens, base.space, args.cap)
+        group = _close_or_usage(gens, base.space)
         label = "generated"
     else:
         group = symplectic_group(m)
@@ -246,7 +248,7 @@ def _cmd_o_group(args) -> Tuple[Dict[str, object], int]:
 def _cmd_lemma51(args) -> Tuple[Dict[str, object], int]:
     if args.gen:
         gens = _parse_generators(args.gen, 1)
-        group = _close_or_usage(gens, standard_symplectic(1), args.cap)
+        group = _close_or_usage(gens, standard_symplectic(1))
         blocker = None
         for mat in group.matrices():
             if has_nonzero_fixed_vector(mat) is None:
@@ -566,6 +568,13 @@ def _render_text(value, indent: int = 0) -> List[str]:
     return lines
 
 
+# argparse on Python 3.10/3.11 reads an argument as a negative number only
+# when it is -<digits> or -<digits>.<digits>, so "-3/5" would be taken for an
+# option. The subcommands with rational positionals take any argument that
+# starts with "-" and a digit as a value; none of their options looks so.
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -637,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help="generator as ;-joined bit rows (repeatable); default: full group",
     )
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="closure size cap")
     p.set_defaults(fn=_cmd_orbits)
 
     p = sub.add_parser(
@@ -657,7 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ROWS",
         help="check one generated subgroup instead of scanning all of them",
     )
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(fn=_cmd_lemma51)
 
     p = sub.add_parser(
@@ -694,12 +701,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cubic", parents=[common], help="global roots against sampled local roots"
     )
+    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("a", help="coefficient of X")
     p.add_argument("b", help="constant term")
     p.add_argument("--bound", type=int, default=10000, help="prime sampling bound")
     p.set_defaults(fn=_cmd_cubic)
 
     p = sub.add_parser("hilbert", parents=[common], help="hilbert symbol at a place")
+    p._negative_number_matcher = _NEGATIVE_VALUE
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("place", help="'real' or a prime")

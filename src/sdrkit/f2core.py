@@ -7,14 +7,12 @@ every row inside one machine word on CPython.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_DIM",
     "F2Matrix",
-    "mat_mul",
     "nullspace",
     "solve",
     "solve_affine",
@@ -23,6 +21,7 @@ __all__ = [
     "standard_symplectic",
     "is_symplectic",
     "symplectic_basis",
+    "symplectic_complement",
 ]
 
 MAX_DIM = 64
@@ -60,10 +59,6 @@ class F2Matrix:
         return cls(tuple(1 << i for i in range(dim)), dim)
 
     @classmethod
-    def zero(cls, dim: int) -> "F2Matrix":
-        return cls((0,) * dim, dim)
-
-    @classmethod
     def from_cols(cls, cols: Iterable[int], dim: Optional[int] = None) -> "F2Matrix":
         cols = tuple(cols)
         if dim is None:
@@ -89,10 +84,6 @@ class F2Matrix:
             rows.append(sum(1 << j for j, ch in enumerate(part) if ch == "1"))
         return cls(rows, dim)
 
-    @classmethod
-    def from_json(cls, data: List[str]) -> "F2Matrix":
-        return cls.from_text(";".join(data))
-
     # -- serialization ------------------------------------------------
 
     def row_text(self, i: int) -> str:
@@ -101,9 +92,6 @@ class F2Matrix:
 
     def to_text(self) -> str:
         return ";".join(self.row_text(i) for i in range(self.dim))
-
-    def to_json(self) -> List[str]:
-        return [self.row_text(i) for i in range(self.dim)]
 
     # -- element access ------------------------------------------------
 
@@ -154,11 +142,6 @@ class F2Matrix:
             new_rows.append(acc)
         return F2Matrix(new_rows, self.dim)
 
-    def __add__(self, other: "F2Matrix") -> "F2Matrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return F2Matrix(tuple(a ^ b for a, b in zip(self.rows, other.rows)), self.dim)
-
     def __pow__(self, e: int) -> "F2Matrix":
         base = self
         if e < 0:
@@ -176,41 +159,15 @@ class F2Matrix:
         return F2Matrix.from_cols(self.rows, self.dim)
 
     def rank(self) -> int:
-        rows = list(self.rows)
-        rank = 0
-        for j in range(self.dim):
-            pivot = None
-            for i in range(rank, self.dim):
-                if (rows[i] >> j) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            for i in range(self.dim):
-                if i != rank and (rows[i] >> j) & 1:
-                    rows[i] ^= rows[rank]
-            rank += 1
-        return rank
+        return len(_rref(self.rows, self.dim)[1])
 
     def inverse(self) -> "F2Matrix":
+        # reduce [A | I] on A's columns: a full rank leaves [I | A^-1]
         d = self.dim
-        aug = [r | (1 << (d + i)) for i, r in enumerate(self.rows)]
-        rank = 0
-        for j in range(d):
-            pivot = None
-            for i in range(rank, d):
-                if (aug[i] >> j) & 1:
-                    pivot = i
-                    break
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[rank], aug[pivot] = aug[pivot], aug[rank]
-            for i in range(d):
-                if i != rank and (aug[i] >> j) & 1:
-                    aug[i] ^= aug[rank]
-            rank += 1
-        return F2Matrix(tuple(r >> d for r in aug), d)
+        reduced, pivots = _rref([r | (1 << (d + i)) for i, r in enumerate(self.rows)], d)
+        if len(pivots) != d:
+            raise ValueError("matrix is singular")
+        return F2Matrix(tuple(r >> d for r in reduced), d)
 
     def is_identity(self) -> bool:
         return all(r == (1 << i) for i, r in enumerate(self.rows))
@@ -242,12 +199,10 @@ class F2Matrix:
         return f"F2Matrix({self.to_text()!r})"
 
 
-def mat_mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    return a * b
-
-
-def _rref(rows: List[int], dim: int) -> Tuple[List[int], List[int]]:
-    """Row-reduce in place style; returns (reduced rows, pivot columns)."""
+def _rref(rows: Sequence[int], dim: int) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form on columns 0..dim-1, the only elimination
+    loop; bits at dim and above ride along. Returns (nonzero reduced rows,
+    pivot columns)."""
     rows = list(rows)
     pivots: List[int] = []
     rank = 0
@@ -270,18 +225,7 @@ def _rref(rows: List[int], dim: int) -> Tuple[List[int], List[int]]:
 
 def nullspace(mat: F2Matrix) -> List[int]:
     """Basis vectors v with mat.apply(v) == 0, ordered by free column."""
-    rows, pivots = _rref(list(mat.rows), mat.dim)
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(mat.dim):
-        if j in pivot_set:
-            continue
-        v = 1 << j
-        for r, pj in zip(rows, pivots):
-            if (r >> j) & 1:
-                v |= 1 << pj
-        basis.append(v)
-    return basis
+    return solve_affine(list(mat.rows), [0] * mat.dim, mat.dim)[1]
 
 
 def solve(mat: F2Matrix, rhs: int) -> Optional[int]:
@@ -337,7 +281,7 @@ def affine_span(particular: int, kernel: Sequence[int]) -> Iterator[int]:
 class SymplecticSpace:
     """F2^(2m) with a nondegenerate alternating pairing given by a Gram matrix."""
 
-    __slots__ = ("m", "dim", "gram", "_gram_rows")
+    __slots__ = ("m", "dim", "gram")
 
     def __init__(self, gram: F2Matrix):
         d = gram.dim
@@ -353,7 +297,6 @@ class SymplecticSpace:
         self.dim = d
         self.m = d // 2
         self.gram = gram
-        self._gram_rows = gram.rows
 
     def pairing(self, x: int, y: int) -> int:
         return _parity(x & self.gram.apply(y))
@@ -395,6 +338,30 @@ def is_symplectic(g: F2Matrix, space: SymplecticSpace) -> bool:
     return g.transpose() * space.gram * g == space.gram
 
 
+def symplectic_complement(
+    space: SymplecticSpace, vectors: Iterable[int], u: int, w: int
+) -> List[int]:
+    """Project `vectors` onto the complement of the plane <u, w>, where
+    <u, w> = 1, and keep each projection that is independent of the ones
+    kept before it, in order. x maps to x + <x, w> u + <x, u> w, so u and w
+    themselves map to 0."""
+    gu = space.gram.apply(u)
+    gw = space.gram.apply(w)
+    kept: List[int] = []
+    echelon: Dict[int, int] = {}  # leading bit -> reduced kept vector
+    for x in vectors:
+        y = x ^ (u if _parity(x & gw) else 0) ^ (w if _parity(x & gu) else 0)
+        z = y
+        while z:
+            lead = z.bit_length() - 1
+            if lead not in echelon:
+                echelon[lead] = z
+                kept.append(y)
+                break
+            z ^= echelon[lead]
+    return kept
+
+
 def symplectic_basis(space: SymplecticSpace) -> F2Matrix:
     """Change of basis T with T^T * gram * T equal to the standard Gram matrix.
 
@@ -408,26 +375,12 @@ def symplectic_basis(space: SymplecticSpace) -> F2Matrix:
     fs: List[int] = []
     while basis:
         u = basis[0]
-        w = None
-        for cand in basis[1:]:
-            if space.pairing(u, cand):
-                w = cand
-                break
+        w = next((x for x in basis[1:] if space.pairing(u, x)), None)
         if w is None:
             raise ValueError("pairing is degenerate on the remaining space")
         es.append(u)
         fs.append(w)
-        reduced = []
-        for x in basis:
-            if x == u or x == w:
-                continue
-            y = x
-            if space.pairing(x, w):
-                y ^= u
-            if space.pairing(x, u):
-                y ^= w
-            reduced.append(y)
-        basis = reduced
+        basis = symplectic_complement(space, basis, u, w)
     t = F2Matrix.from_cols(es + fs, d)
     check = t.transpose() * space.gram * t
     if check != _standard_gram(space.m):

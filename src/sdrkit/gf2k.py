@@ -8,7 +8,7 @@ contexts with the same k are interchangeable.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, List
 
 from .f2core import F2Matrix
 
@@ -165,20 +165,6 @@ class BinaryFieldCtx:
     def norm(self, a: int) -> int:
         """Norm from F(2m) to F(m): a * conjugate(a) = a^(2^m + 1)."""
         return self.mul(a, self.conjugate(a))
-
-    # -- iteration / io ------------------------------------------------------
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(1 << self.k))
-
-    def units(self) -> Iterator[int]:
-        return iter(range(1, 1 << self.k))
-
-    def to_json(self) -> Dict[str, object]:
-        return {"k": self.k, "modulus": hex(self.modulus)}
-
-    def element_json(self, a: int) -> Dict[str, object]:
-        return {"k": self.k, "coeffs": hex(a)}
 
     def __repr__(self) -> str:
         return f"BinaryFieldCtx(k={self.k}, modulus={bin(self.modulus)})"

@@ -81,17 +81,6 @@ def _row_table_bytes(dim: int) -> int:
     return (1 << dim) * (8 if dim <= 8 else 36)
 
 
-def _identity_packed(dim: int) -> int:
-    out = 0
-    for i in range(dim):
-        out |= (1 << i) << (i * dim)
-    return out
-
-
-def _unpack(packed: int, dim: int) -> F2Matrix:
-    return F2Matrix.from_packed(packed, dim)
-
-
 def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
     """Table over all 2^dim row vectors r of the product r * M."""
     global _row_table_cached_bytes
@@ -138,7 +127,7 @@ def _mul_generic(a: int, b: int, dim: int, mask: int) -> int:
 
 
 def _inv_packed(a: int, dim: int) -> int:
-    return _unpack(a, dim).inverse().packed
+    return F2Matrix.from_packed(a, dim).inverse().packed
 
 
 def _grow_core(
@@ -146,7 +135,7 @@ def _grow_core(
 ) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
     """Closure of the candidates and the core of those that were not yet in
     the running closure when their turn came."""
-    elements: FrozenSet[int] = frozenset({_identity_packed(dim)})
+    elements: FrozenSet[int] = frozenset({F2Matrix.identity(dim).packed})
     core: List[int] = []
     for p in candidates:
         if p in elements:
@@ -216,7 +205,7 @@ class SubgroupHandle:
 
     def matrices(self) -> Iterator[F2Matrix]:
         for p in self.elements:
-            yield _unpack(p, self.dim)
+            yield F2Matrix.from_packed(p, self.dim)
 
     def is_subgroup_of(self, other: "SubgroupHandle") -> bool:
         return self.element_set <= other.element_set
@@ -341,7 +330,7 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
     elements, core = _grow_core(kept, dim, DEFAULT_CAP)
     if elements != kept_set:
         raise AssertionError("form stabilizer failed to close onto itself")
-    gens = [_unpack(p, dim) for p in core]
+    gens = [F2Matrix.from_packed(p, dim) for p in core]
     return SubgroupHandle(ambient.space, gens, kept_set, core=core)
 
 
@@ -458,7 +447,7 @@ def obstruction_conditions(
     cond2 = True
     failing: Optional[F2Matrix] = None
     for p in group.elements:
-        g = _unpack(p, d)
+        g = F2Matrix.from_packed(p, d)
         v = _fixed_arf0_vector(g, base)
         if v is None:
             cond2 = False
@@ -536,7 +525,7 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     """
     dim = ambient.dim
     mask = (1 << dim) - 1
-    ident = _identity_packed(dim)
+    ident = F2Matrix.identity(dim).packed
     cap = ambient.order + 1
     everything = ambient.element_set
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset({ident}): ()}
@@ -654,7 +643,7 @@ def subgroup_census(m: int) -> GroupCensus:
         norm_order = sum(1 for _ in _transporters(repgens, rep, ambient))
         if norm_order * len(orb) != ambient.order:
             raise AssertionError("orbit size disagrees with the normalizer index")
-        gens_m = [_unpack(p, ambient.dim) for p in repgens] or [
+        gens_m = [F2Matrix.from_packed(p, ambient.dim) for p in repgens] or [
             F2Matrix.identity(ambient.dim)
         ]
         handle = SubgroupHandle(ambient.space, gens_m, rep, core=repgens)
@@ -688,7 +677,7 @@ def gl22_common_fixed_vector(group: SubgroupHandle) -> int:
     for g in group.matrices():
         if has_nonzero_fixed_vector(g) is None:
             raise ValueError("an element fixes no nonzero vector")
-    best = smallest_fixed_vector((_unpack(p, 2) for p in group.core), 2)
+    best = smallest_fixed_vector((F2Matrix.from_packed(p, 2) for p in group.core), 2)
     if best is None:
         raise AssertionError("no common fixed vector despite elementwise fixes")
     return best
@@ -704,7 +693,7 @@ def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
     for hset, hgens in sorted(
         _all_subgroups(sp1).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
     ):
-        gens = [_unpack(p, 2) for p in hgens] or [F2Matrix.identity(2)]
+        gens = [F2Matrix.from_packed(p, 2) for p in hgens] or [F2Matrix.identity(2)]
         handle = SubgroupHandle(sp1.space, gens, hset, core=hgens)
         qualifies = all(has_nonzero_fixed_vector(g) is not None for g in handle.matrices())
         out.append((handle, gl22_common_fixed_vector(handle) if qualifies else None))
@@ -715,7 +704,7 @@ def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
 # long-running scans (opt-in)
 
 def _fixes_some_arf0(p: int, base: BaseForm) -> bool:
-    return _fixed_arf0_vector(_unpack(p, base.space.dim), base) is not None
+    return _fixed_arf0_vector(F2Matrix.from_packed(p, base.space.dim), base) is not None
 
 
 def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
@@ -734,7 +723,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     sp6 = symplectic_group(3)
     base = standard_base_form(3)
     dim, mask = 6, 63
-    ident = _identity_packed(dim)
+    ident = F2Matrix.identity(dim).packed
 
     say("bucketing elements by order")
     ord2: List[int] = []
@@ -760,7 +749,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     say(f"condition-2 candidates: {len(qual2)} involutions, {len(qual3)} of order 3")
 
     def group_no_common_arf0(gens_packed: Sequence[int]) -> bool:
-        gens = [_unpack(p, dim) for p in gens_packed]
+        gens = [F2Matrix.from_packed(p, dim) for p in gens_packed]
         return next(invariant_arf0_vectors(gens, base), None) is None
 
     survivors: Dict[FrozenSet[int], Tuple[str, Tuple[int, ...]]] = {}
@@ -811,7 +800,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
             {
                 "kind": kind,
                 "orbit_size": len(orbit),
-                "generators": [_unpack(p, dim).to_text() for p in gens],
+                "generators": [F2Matrix.from_packed(p, dim).to_text() for p in gens],
             }
         )
     classes.sort(key=lambda c: (c["kind"], c["orbit_size"]))
@@ -844,7 +833,7 @@ def census_m3_incremental(
 
     sp6 = symplectic_group(3)
     dim = 6
-    ident = _identity_packed(dim)
+    ident = F2Matrix.identity(dim).packed
     deadline = time.monotonic() + max_seconds
 
     try:
@@ -916,7 +905,7 @@ def census_m3_incremental(
                     {
                         "order": len(jset),
                         "generators": [
-                            _unpack(p, dim).to_text() for p in repgens + (g,)
+                            F2Matrix.from_packed(p, dim).to_text() for p in repgens + (g,)
                         ],
                         "fingerprint": fp,
                         "seed": False,
@@ -943,7 +932,7 @@ def census_m3_incremental(
 def _order_fingerprint(elems: Iterable[int], dim: int) -> List[int]:
     """Element orders and how often each occurs, as a flat sorted list
     [order, count, order, count, ...]; conjugate subgroups share it."""
-    counts = Counter(_unpack(p, dim).order() for p in elems)
+    counts = Counter(F2Matrix.from_packed(p, dim).order() for p in elems)
     return [x for pair in sorted(counts.items()) for x in pair]
 
 
@@ -951,7 +940,7 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     """Element conjugacy classes, merged over coprime powers, give the cyclic
     subgroup classes (plus the trivial class) that seed the join phase."""
     dim, mask = 6, 63
-    ident = _identity_packed(dim)
+    ident = F2Matrix.identity(dim).packed
     element_classes = _conjugation_orbits(sp6.element_set, sp6)
     reps = [orbit[0] for orbit in element_classes]
     class_of = {x: cid for cid, orbit in enumerate(element_classes) for x in orbit}
@@ -974,7 +963,7 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     import math
 
     for cid, x in enumerate(reps):
-        o = _unpack(x, dim).order()
+        o = F2Matrix.from_packed(x, dim).order()
         y = x
         for k in range(2, o):
             y = _mul_generic(y, x, dim, mask)
@@ -985,14 +974,14 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     classes = []
     for root in roots:
         x = reps[root]
-        o = _unpack(x, dim).order()
+        o = F2Matrix.from_packed(x, dim).order()
         powers = [ident]
         for _ in range(o - 1):
             powers.append(_mul_generic(powers[-1], x, dim, mask))
         classes.append(
             {
                 "order": o,
-                "generators": [] if x == ident else [_unpack(x, dim).to_text()],
+                "generators": [] if x == ident else [F2Matrix.from_packed(x, dim).to_text()],
                 "fingerprint": _order_fingerprint(powers, dim),
                 "seed": True,
             }

@@ -7,7 +7,6 @@ holding Q(x).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -18,6 +17,7 @@ from .f2core import (
     is_symplectic,
     solve_affine,
     standard_symplectic,
+    symplectic_complement,
 )
 
 __all__ = [
@@ -103,22 +103,12 @@ def standard_base_form(m: int) -> BaseForm:
 
 
 @lru_cache(maxsize=None)
-def _pairing_mask_cached(m: int, v: int) -> int:
-    space = standard_symplectic(m)
-    gv = _swap_halves(v, m)
+def pairing_mask(space: SymplecticSpace, v: int) -> int:
+    """Bitmask with bit x = <x, v>."""
+    gv = space.gram.apply(v)
     mask = 0
     for x in range(1 << space.dim):
         mask |= ((x & gv).bit_count() & 1) << x
-    return mask
-
-
-def pairing_mask(space: SymplecticSpace, v: int) -> int:
-    """Bitmask with bit x = <x, v>."""
-    if space.is_standard():
-        return _pairing_mask_cached(space.m, v)
-    mask = 0
-    for x in range(1 << space.dim):
-        mask |= space.pairing(x, v) << x
     return mask
 
 
@@ -133,7 +123,7 @@ class QuadraticForm:
         self.base = base
         self.v = v
         if table is None:
-            table = base.table ^ _pairing_mask_cached(base.m, v)
+            table = base.table ^ pairing_mask(base.space, v)
         self.table = table
 
     @property
@@ -357,29 +347,7 @@ def adapted_symplectic_basis(space: SymplecticSpace, table: int) -> F2Matrix:
             raise AssertionError("pairing degenerate on the remaining space")
         if val(w) == 1:
             w ^= u  # Q(w+u) = Q(w)+Q(u)+<w,u> = 0
-        projected = []
-        for x in basis:
-            y = x
-            if space.pairing(x, w):
-                y ^= u
-            if space.pairing(x, u):
-                y ^= w
-            if y:
-                projected.append(y)
-        # keep an independent subset (leading-bit elimination)
-        reduced = []
-        echelon: Dict[int, int] = {}
-        for y in projected:
-            z = y
-            while z:
-                lead = z.bit_length() - 1
-                if lead in echelon:
-                    z ^= echelon[lead]
-                else:
-                    echelon[lead] = z
-                    reduced.append(y)
-                    break
-        basis = reduced
+        basis = symplectic_complement(space, basis, u, w)
         splits.append((u, w))
         if len(basis) != space.dim - 2 * len(splits):
             raise AssertionError("complement dimension drifted")

@@ -53,13 +53,24 @@ def test_order_formula_only(capsys):
     assert payload["materialized"] is False
     assert payload["order"] == symplectic_order_formula(6)
     assert "formula_order" not in payload
+    code, payload, _ = run_json(capsys, ["order", "--m", "32", "--formula-only"])
+    assert code == 0
+    assert payload["order"] == symplectic_order_formula(32)
 
 
 def test_order_usage_error(capsys):
-    code, out, err = run(capsys, ["order", "--m", "0"])
-    assert code == 2
-    assert not out
-    assert err.startswith("error:")
+    for m in ("0", "33", "85", "5000"):
+        code, out, err = run(capsys, ["order", "--m", m])
+        assert code == 2
+        assert not out
+        assert err.startswith("error:")
+        assert "between 1 and 32" in err
+    # the order of Sp_2m(F2) has more than 4300 digits from m = 85 on, past
+    # Python's default int-to-str limit
+    proc = run_process(["order", "--m", "85", "--formula-only"], timeout=5)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "between 1 and 32" in proc.stderr
 
 
 def test_forms_census(capsys):
@@ -68,6 +79,22 @@ def test_forms_census(capsys):
     assert payload["total"] == 64
     assert payload["arf0"] == 36
     assert payload["arf1"] == 28
+
+
+def test_forms_census_largest_m_is_bounded():
+    proc = run_process(["forms-census", "--m", "8"], timeout=5)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    # 2^(m-1) (2^m + 1) Arf-0 forms out of 2^(2m)
+    assert (payload["total"], payload["arf0"], payload["arf1"]) == (65536, 32896, 32640)
+
+
+@pytest.mark.parametrize("m", ["0", "9", "12"])
+def test_forms_census_out_of_range_is_usage_error(m):
+    proc = run_process(["forms-census", "--m", m], timeout=5)
+    assert proc.returncode == 2
+    assert not proc.stdout
+    assert "between 1 and 8" in proc.stderr
 
 
 def test_census_m1(capsys):
@@ -105,6 +132,15 @@ def test_orbits_generated_subgroup(capsys):
     assert payload["group"] == "generated"
     assert payload["group_order"] == 2
     assert sum(o["size"] for o in payload["orbits"]) == 4
+
+
+@pytest.mark.parametrize("argv", [["orbits", "--m", "1"], ["lemma51"]])
+def test_closures_have_no_cap_option(capsys, argv):
+    # both close with the library's DEFAULT_CAP; there is no knob to raise it
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
 
 
 def test_orbits_large_m_needs_generators(capsys):
@@ -315,6 +351,23 @@ def test_cubic_over_the_bound_limit_is_usage_error(bound):
     assert proc.returncode == 2
     assert not proc.stdout
     assert "sampling limit 10000000" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cubic", "1/2", "-3/5"],
+        ["cubic", "-1/2", "3"],
+        ["hilbert", "-1/2", "3", "2"],
+        ["hilbert", "3", "-5/7", "real"],
+    ],
+)
+def test_negative_rationals_are_values(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert not err
+    want = run(capsys, [argv[0], "--"] + argv[1:])
+    assert (code, out) == want[:2]
+    assert json.loads(out)["schema"] == f"sdrkit/{argv[0]}/v1"
 
 
 def test_hilbert(capsys):

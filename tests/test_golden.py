@@ -54,7 +54,7 @@ CASES = {
     "cubic-s3-1e5": (["cubic", "0", "-2", "--bound", "100000"], 0),
     "cubic-c3-1e5": (["cubic", "-3", "1", "--bound", "100000"], 0),
     "cubic-split": (["cubic", "-7", "6"], 0),
-    # "--" so that argparse reads "-3/5" as a value, not an option
+    # frozen with "--"; test_cli checks that "1/2 -3/5" without it agrees
     "cubic-rational": (["cubic", "--bound", "20000", "--", "1/2", "-3/5"], 0),
     "reproduce-cubic-densities": (["reproduce", "--only", "cubic-densities"], 0),
 }

@@ -231,15 +231,14 @@ def _cmd_o_group(args) -> Tuple[Dict[str, object], int]:
     m = args.m
     if m < 1 or m > 3:
         raise UsageError("--m must be 1, 2 or 3 (the group is materialized)")
-    base = standard_base_form(m)
-    ambient = symplectic_group(m)
-    group = orthogonal_group(base, ambient)
+    group = orthogonal_group(standard_base_form(m))
+    ambient_order = symplectic_order_formula(m)
     payload = {
         "schema": _schema("o-group"),
         "m": m,
         "order": group.order,
-        "ambient_order": ambient.order,
-        "index": ambient.order // group.order,
+        "ambient_order": ambient_order,
+        "index": ambient_order // group.order,
         "generators": [F2Matrix.from_packed(p, group.dim).to_text() for p in group.core],
     }
     return payload, 0

@@ -1,9 +1,10 @@
-"""Materialized subgroups of Sp_2m(F2): closure, filters, and the census.
+"""Materialized subgroups of Sp_2m(F2): closure, fixed forms, and the census.
 
 Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim), which makes sets of a million elements practical. Per-generator row
 tables turn a matrix product into dim table lookups, so breadth-first closure
-of Sp6(F2) finishes in seconds.
+of Sp6(F2) from two generators finishes in seconds; the stabilizer O(Q) of a
+form is closed from its own transvections.
 """
 from __future__ import annotations
 
@@ -273,65 +274,84 @@ def symplectic_order_formula(m: int) -> int:
     return n
 
 
+def _orthogonal_order_formula(m: int, arf: int) -> int:
+    """|O^e(2m, 2)| = 2 * 2^(m(m-1)) * (2^m - e) * prod_{i=1..m-1} (2^(2i) - 1),
+    with e = +1 for a form of Arf 0 and e = -1 for Arf 1."""
+    n = 2 * ((1 << m) - (1 if arf == 0 else -1)) << (m * (m - 1))
+    for i in range(1, m):
+        n *= (1 << (2 * i)) - 1
+    return n
+
+
 @lru_cache(maxsize=None)
 def symplectic_group(m: int) -> SubgroupHandle:
-    """Sp_2m(F2) as the closure of all transvections (m <= 3 materializes).
+    """Sp_2m(F2) (m <= 3 materializes), closed from two elements.
 
-    Candidate order feeds a chain of plane-linking transvections first so the
-    incremental closure settles on a small core before sweeping the rest.
+    c is the product of a chain of plane-linking transvections
+    T_e1, T_f1, T_(e1+e2), T_f2, ...; the closure of <c, T_e2> (<c, T_e1>
+    for m = 1) multiplies each element by two generators only. Every
+    transvection is checked to lie in the closure, so the closure is the
+    group they generate, Sp_2m(F2); the declared generators are all
+    transvections and the core is (c, T).
     """
+    if symplectic_order_formula(m) > DEFAULT_CAP:
+        raise ClosureCapExceeded(DEFAULT_CAP)
     space = standard_symplectic(m)
     chain = [1, 1 << m]  # e_1, f_1
     for i in range(1, m):
         chain.append((1 << (i - 1)) | (1 << i))  # e_i + e_(i+1)
         chain.append(1 << (m + i))  # f_(i+1)
-    rest = [v for v in range(1, 1 << space.dim) if v not in set(chain)]
-    ordered = [transvection(v, space) for v in chain + rest]
-    handle = close(ordered, space)
-    # closure must swallow every transvection; the declared generator list
-    # is the full transvection set regardless of the core actually used
-    for g in ordered:
-        if not handle.contains(g):
-            raise AssertionError("transvection escaped its own closure")
-    return SubgroupHandle(
-        space,
-        all_transvections(space),
-        handle.element_set,
-        core=handle.core,
-    )
+    c = F2Matrix.identity(space.dim)
+    for v in chain:
+        c = c * transvection(v, space)
+    t = transvection(1 if m == 1 else 0b10, space)
+    elements, core = _grow_core((c.packed, t.packed), space.dim, DEFAULT_CAP)
+    generators = all_transvections(space)
+    if any(g.packed not in elements for g in generators):
+        raise AssertionError("a transvection escaped the closure")
+    return SubgroupHandle(space, generators, elements, core=core)
 
 
 def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -> SubgroupHandle:
-    """Elements of the ambient group preserving the form's value table.
+    """O(Q), the elements of Sp_2m(F2) preserving the form's value table.
 
-    Because the value defect x -> Q(gx) + Q(x) is linear for symplectic g,
-    checking the basis vectors suffices.
+    Closed from the transvections T_v with Q(v) = 1, which are exactly the
+    transvections preserving Q; over F2 they generate O(Q) except for
+    O+(4, 2) (Dieudonne; Taylor, The Geometry of the Classical Groups),
+    which is refused. The order is checked against |O^+-(2m, 2)|. The core
+    is the one `_grow_core` finds over the sorted elements. `ambient`, when
+    given, must be the full Sp_2m(F2) on the form's space.
     """
+    space = base.space
     m = base.m
-    if ambient is None:
-        ambient = symplectic_group(m)
-    dim = ambient.dim
-    mask = (1 << dim) - 1
-    table = base.table
-    basis_vals = [(table >> (1 << i)) & 1 for i in range(dim)]
-    kept = []
-    for p in ambient.elements:
-        ok = True
-        for i in range(dim):
-            col = 0
-            for r in range(dim):
-                col |= ((p >> (r * dim + i)) & 1) << r
-            if (table >> col) & 1 != basis_vals[i]:
-                ok = False
-                break
-        if ok:
-            kept.append(p)
-    kept_set = frozenset(kept)
-    elements, core = _grow_core(kept, dim, DEFAULT_CAP)
-    if elements != kept_set:
-        raise AssertionError("form stabilizer failed to close onto itself")
-    gens = [F2Matrix.from_packed(p, dim) for p in core]
-    return SubgroupHandle(ambient.space, gens, kept_set, core=core)
+    if ambient is not None and (
+        ambient.space != space or ambient.order != symplectic_order_formula(m)
+    ):
+        raise ValueError("ambient must be the full symplectic group on the form's space")
+    arf = base.arf
+    if m == 2 and arf == 0:
+        raise ValueError("O+(4, 2) is not generated by its transvections")
+    want = _orthogonal_order_formula(m, arf)
+    if want > DEFAULT_CAP:
+        raise ClosureCapExceeded(DEFAULT_CAP)
+    dim = space.dim
+    # the value defect x -> Q(gx) + Q(x) is linear for symplectic g, so a
+    # generator preserves Q once it does on the basis vectors
+    basis_vals = [base.value(1 << i) for i in range(dim)]
+    gens = []
+    for v in range(1, 1 << dim):
+        if base.value(v):
+            t = transvection(v, space)
+            if any(base.value(t.apply(1 << i)) != basis_vals[i] for i in range(dim)):
+                raise AssertionError("a transvection with Q(v) = 1 moves the form")
+            gens.append(t.packed)
+    elements, _ = _grow_core(gens, dim, DEFAULT_CAP)
+    if len(elements) != want:
+        raise AssertionError("transvection closure disagrees with |O(Q)|")
+    elements, core = _grow_core(sorted(elements), dim, DEFAULT_CAP)
+    return SubgroupHandle(
+        space, [F2Matrix.from_packed(p, dim) for p in core], elements, core=core
+    )
 
 
 def smallest_fixed_vector(

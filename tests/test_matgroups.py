@@ -22,7 +22,27 @@ from sdrkit.matgroups import (
     symplectic_order_formula,
     transvection,
 )
-from sdrkit.quadforms import act, all_forms, form_from_vector, standard_base_form
+from sdrkit.quadforms import BaseForm, act, all_forms, form_from_vector, standard_base_form
+
+
+def _orthogonal_by_filter(base, ambient):
+    """Oracle for O(Q): the elements of `ambient` that preserve the form's
+    value table, tested on each element's columns (the value defect
+    x -> Q(gx) + Q(x) is linear for symplectic g, so basis vectors suffice)."""
+    dim = ambient.dim
+    table = base.table
+    basis_vals = [(table >> (1 << i)) & 1 for i in range(dim)]
+    kept = []
+    for p in ambient.elements:
+        for i in range(dim):
+            col = 0
+            for r in range(dim):
+                col |= ((p >> (r * dim + i)) & 1) << r
+            if (table >> col) & 1 != basis_vals[i]:
+                break
+        else:
+            kept.append(p)
+    return frozenset(kept)
 
 
 def _order3_element(sp):
@@ -76,16 +96,26 @@ def test_close_cap_raises():
         close(all_transvections(sp), sp, cap=100)
 
 
-def test_symplectic_group_orders_match_formula():
+def test_symplectic_group_orders_match_formula(sp3):
     assert symplectic_order_formula(1) == 6
     assert symplectic_order_formula(2) == 720
     assert symplectic_order_formula(3) == 1451520
-    for m in (1, 2):
-        group = symplectic_group(m)
+    for m, group in ((1, symplectic_group(1)), (2, symplectic_group(2)), (3, sp3)):
         assert group.order == symplectic_order_formula(m)
-        for t in all_transvections(group.space):
+        # closed from two elements, declared by all 2^(2m) - 1 transvections
+        assert len(group.core) == 2
+        transvections = all_transvections(group.space)
+        assert list(group.generators) == transvections
+        assert len(transvections) == (1 << (2 * m)) - 1
+        for t in transvections:
             assert group.contains(t)
-        assert len(group.generators) == (1 << (2 * m)) - 1
+
+
+def test_groups_past_the_cap_are_refused_up_front():
+    with pytest.raises(ClosureCapExceeded):
+        symplectic_group(4)
+    with pytest.raises(ClosureCapExceeded):
+        orthogonal_group(standard_base_form(4))
 
 
 def test_orthogonal_group_orders_and_stabilization():
@@ -104,6 +134,52 @@ def test_orthogonal_group_orders_and_stabilization():
     assert sp2.order // og2.order == 6
     outside = next(g for g in sp2.matrices() if not og2.contains(g))
     assert act(outside, form_from_vector(standard_base_form(2), 0)).v != 0
+
+
+def test_orthogonal_group_matches_filter_for_every_form():
+    # |O+(2,2)| = 2, |O-(2,2)| = 6, |O-(4,2)| = 120; O+(4,2) is refused
+    want = {(1, 0): 2, (1, 1): 6, (2, 1): 120}
+    for m in (1, 2):
+        base = standard_base_form(m)
+        sp = symplectic_group(m)
+        for f in all_forms(base):
+            qv = BaseForm(base.space, f.table)
+            if (m, f.arf) not in want:
+                with pytest.raises(ValueError, match=r"O\+\(4, 2\)"):
+                    orthogonal_group(qv, sp)
+                continue
+            og = orthogonal_group(qv, sp)
+            assert og.order == want[m, f.arf]
+            assert og.element_set == _orthogonal_by_filter(qv, sp)
+            assert close(og.generators, base.space).element_set == og.element_set
+
+
+def test_orthogonal_group_refuses_plus_type_in_dimension_4():
+    base = standard_base_form(2)
+    arf0 = [f for f in all_forms(base) if f.arf == 0]
+    assert len(arf0) == 10
+    for f in arf0:
+        with pytest.raises(ValueError):
+            orthogonal_group(BaseForm(base.space, f.table))
+
+
+def test_orthogonal_group_arf0_m3_matches_filter(sp3):
+    base = standard_base_form(3)
+    v = min(x for x in range(64) if base.value(x))  # Q_v has Arf 0
+    qv = BaseForm(base.space, form_from_vector(base, v).table)
+    assert qv.arf == 0
+    og = orthogonal_group(qv, sp3)
+    assert og.order == 40320
+    assert og.element_set == _orthogonal_by_filter(qv, sp3)
+
+
+def test_orthogonal_group_rejects_a_partial_ambient():
+    sp = standard_symplectic(2)
+    base = standard_base_form(2)
+    with pytest.raises(ValueError, match="full symplectic group"):
+        orthogonal_group(base, close([transvection(0b0011, sp)], sp))
+    with pytest.raises(ValueError, match="full symplectic group"):
+        orthogonal_group(base, symplectic_group(1))
 
 
 def test_handle_json_roundtrip():

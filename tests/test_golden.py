@@ -57,6 +57,19 @@ CASES = {
     # frozen with "--"; test_cli checks that "1/2 -3/5" without it agrees
     "cubic-rational": (["cubic", "--bound", "20000", "--", "1/2", "-3/5"], 0),
     "reproduce-cubic-densities": (["reproduce", "--only", "cubic-densities"], 0),
+    # the 2-adic search oracle: a +1 pair, a -1 pair and fraction arguments
+    "hilbert-2-plus": (["hilbert", "2", "7", "2", "--verify-search"], 0),
+    "hilbert-2-minus": (["hilbert", "2", "3", "2", "--verify-search"], 0),
+    "hilbert-2-fraction": (["hilbert", "1/2", "-5/3", "2", "--verify-search"], 0),
+    "reproduce-hilbert-symbols": (["reproduce", "--only", "hilbert-symbols"], 0),
+    "conic-diag": (["conic", "--diag", "2", "3", "-5"], 0),
+    "conic-matrix": (["conic", "--matrix", "1,2,0;2,-3,1;0,1,5"], 0),
+    "conic-matrix-rational": (["conic", "--matrix", "0,1/2,0;1/2,0,0;0,0,-3"], 0),
+    "conic-degenerate": (["conic", "--diag", "1", "-1", "0"], 0),
+    "conic-obstructed": (["conic", "--diag", "1", "1", "-3"], 1),
+    "conic-heavy": (["conic", "--diag", "997", "1009", "-1013"], 0),
+    "conic-heavy-obstructed": (["conic", "--diag", "998", "1001", "-1003"], 1),
+    "conic-heavy-no-sdr": (["conic", "--diag", "1009", "-1013", "1019", "--no-sdr"], 0),
 }
 
 

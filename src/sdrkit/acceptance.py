@@ -76,10 +76,22 @@ class AcceptanceContext:
 
     def sp3(self) -> SubgroupHandle:
         if "sp3" not in self._cache:
+            self._cache["sp3"] = symplectic_group(3)
+        return self._cache["sp3"]
+
+    def time_sp3_build(self) -> float:
+        """Seconds for one closure of Sp6, measured once per context.
+
+        `symplectic_group` is cached per process, so its cache is cleared
+        first: the budget then times a closure even when something earlier
+        in the process built Sp6, never a lookup.
+        """
+        if self.sp3_build_seconds is None:
+            symplectic_group.cache_clear()
             t0 = time.monotonic()
             self._cache["sp3"] = symplectic_group(3)
             self.sp3_build_seconds = time.monotonic() - t0
-        return self._cache["sp3"]
+        return self.sp3_build_seconds
 
     def o3(self) -> SubgroupHandle:
         if "o3" not in self._cache:
@@ -98,13 +110,10 @@ class AcceptanceContext:
 
 def _c01_symplectic_orders(ctx: AcceptanceContext) -> Tuple[bool, str]:
     want = {1: 6, 2: 720, 3: 1451520}
+    within = ctx.time_sp3_build() < SP6_CLOSURE_BUDGET_S
     orders = {m: symplectic_group(m).order for m in (1, 2)}
     orders[3] = ctx.sp3().order
     ok = all(orders[m] == want[m] == symplectic_order_formula(m) for m in want)
-    within = (
-        ctx.sp3_build_seconds is not None
-        and ctx.sp3_build_seconds < SP6_CLOSURE_BUDGET_S
-    )
     return ok and within, (
         f"orders {orders[1]}/{orders[2]}/{orders[3]}, "
         f"m=3 closure within the {int(SP6_CLOSURE_BUDGET_S)}s budget: {within}"

@@ -4,7 +4,11 @@ Each test prints its PASS/FAIL line (visible with -rA or on failure) and
 asserts the criterion's verdict, so `pytest -v tests/test_acceptance.py`
 reads as the acceptance table.
 """
-from sdrkit.acceptance import run_one
+import functools
+import time
+
+from sdrkit import acceptance
+from sdrkit.acceptance import AcceptanceContext, run_one
 
 
 def _check(name, actx):
@@ -64,3 +68,23 @@ def test_certifier(actx):
 
 def test_quartic_points(actx):
     _check("quartic-points", actx)
+
+
+def test_sp3_budget_times_a_closure_not_a_cache_hit(monkeypatch):
+    built = []
+
+    @functools.lru_cache(maxsize=None)
+    def slow_symplectic_group(m):
+        time.sleep(0.05)
+        built.append(m)
+        return f"Sp{2 * m}"
+
+    slow_symplectic_group(3)  # warm: a lookup now would take microseconds
+    monkeypatch.setattr(acceptance, "symplectic_group", slow_symplectic_group)
+    ctx = AcceptanceContext()
+    assert ctx.time_sp3_build() >= 0.04
+    assert built == [3, 3]
+    # the timed build is the context's group, and it is timed only once
+    assert ctx.sp3() == "Sp6"
+    assert ctx.time_sp3_build() == ctx.sp3_build_seconds
+    assert built == [3, 3]

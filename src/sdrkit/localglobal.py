@@ -289,7 +289,8 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
     off-diagonal entry is symmetrized by a column addition (characteristic
     zero, so 2 M_ij lands on the diagonal).
     """
-    mm = [list(row) for row in _to_mat3(m)]
+    m3 = _to_mat3(m)
+    mm = [list(row) for row in m3]
     t = _identity3()
 
     def col_op_add(dst: int, src: int, factor: Fraction) -> None:
@@ -335,14 +336,26 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
                 col_op_add(j, k, -mm[k][j] / mm[k][k])
 
     tt = tuple(tuple(row) for row in t)
-    check = _mat_mul3(_mat_T(tt), _mat_mul3(_to_mat3(m), tt))
+    # T^t M T = diag, checked on integers: T_i = d_T T and M_i = d_M M, so
+    # T_i^t M_i T_i = d_T^2 d_M diag
+    d_t, t_int = _clear_denominators(tt)
+    d_m, m_int = _clear_denominators(m3)
+    check = _mat_mul3(_mat_T(t_int), _mat_mul3(m_int, t_int))
+    scale = d_t * d_t * d_m
     for i in range(3):
         for j in range(3):
             if i != j and check[i][j] != 0:
                 raise AssertionError("diagonalization left an off-diagonal entry")
-            if i == j and check[i][j] != mm[i][i]:
+            d = mm[i][i]
+            if i == j and check[i][j] * d.denominator != scale * d.numerator:
                 raise AssertionError("diagonalization bookkeeping mismatch")
     return tt, tuple(mm[i][i] for i in range(3))
+
+
+def _clear_denominators(a: Mat3) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """(d, d a) with d the least common denominator of the entries of a."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a)
 
 
 def _squarefree_split(n: int) -> Tuple[int, int]:

@@ -13,6 +13,7 @@ from sdrkit.localglobal import (
     cubic_local_global_verdict,
     cubic_local_root_density,
     cubic_rational_roots,
+    diagonalize_symmetric,
     galois_image,
     hilbert_reciprocity_check,
     hilbert_symbol,
@@ -439,3 +440,26 @@ def test_quartic_checks_reject_bad_input():
         quartic_point_check(COUNTEREXAMPLE_QUARTICS["quartic-a"], (0, 0, 0))
     with pytest.raises(ValueError):
         quartic_value({(1, 1, 1): 1}, (1, 1, 1))
+
+
+def test_diagonalize_symmetric_is_a_congruence():
+    # T^t M T recomputed in Fractions, independently of the integer
+    # self-check inside; zero and repeated entries force every pivot branch
+    rng = random.Random(7)
+    entries = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    for _ in range(400):
+        u = [[rng.choice(entries) for _ in range(3)] for _ in range(3)]
+        m = [[u[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+        t, diag = diagonalize_symmetric(m)
+        tmt = [
+            [sum(t[k][i] * m[k][l] * t[l][j] for k in range(3) for l in range(3))
+             for j in range(3)]
+            for i in range(3)
+        ]
+        assert tmt == [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
+        det_t = (
+            t[0][0] * (t[1][1] * t[2][2] - t[1][2] * t[2][1])
+            - t[0][1] * (t[1][0] * t[2][2] - t[1][2] * t[2][0])
+            + t[0][2] * (t[1][0] * t[2][1] - t[1][1] * t[2][0])
+        )
+        assert det_t != 0

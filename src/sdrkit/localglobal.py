@@ -343,12 +343,11 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
     check = _mat_mul3(_mat_T(t_int), _mat_mul3(m_int, t_int))
     scale = d_t * d_t * d_m
     for i in range(3):
-        for j in range(3):
-            if i != j and check[i][j] != 0:
-                raise AssertionError("diagonalization left an off-diagonal entry")
-            d = mm[i][i]
-            if i == j and check[i][j] * d.denominator != scale * d.numerator:
-                raise AssertionError("diagonalization bookkeeping mismatch")
+        if any(check[i][j] != 0 for j in range(3) if j != i):
+            raise AssertionError("diagonalization left an off-diagonal entry")
+        d = mm[i][i]
+        if check[i][i] * d.denominator != scale * d.numerator:
+            raise AssertionError("diagonalization bookkeeping mismatch")
     return tt, tuple(mm[i][i] for i in range(3))
 
 

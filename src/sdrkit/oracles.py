@@ -7,11 +7,11 @@ other in the test suite. A True from `anisotropic_mod` is a proof (no
 primitive solution at that precision means none over the p-adics); a False
 only exhibits a solution at that precision.
 
-`anisotropic_mod` is the one exhaustive search: a x^2 + b y^2 + c z^2 mod
-p^k depends on x only through the class (x^2 mod p^k, p does not divide x),
-so it runs over those classes instead of over all residues (44 classes
-instead of 256 residues mod 2^8). The 2-adic Hilbert symbol is that search
-on the ternary form <a, b, -1>.
+`anisotropic_mod` is the one search for primitive zeros mod p^k. The
+value of a x^2 + b y^2 + c z^2 mod p^k depends on x only through the class
+(x^2 mod p^k, p does not divide x), so the search runs over those classes
+instead of over all residues (44 classes instead of 256 residues mod 2^8).
+The 2-adic Hilbert symbol is that search on the ternary form <a, b, -1>.
 """
 from __future__ import annotations
 
@@ -177,10 +177,9 @@ def anisotropic_mod(a: int, b: int, c: int, p: int, k: int) -> bool:
     """
     if k < 1:
         raise ValueError(f"the search needs a precision k >= 1, got {k}")
-    # p^k <= the limit forces k below its bit length, so p^k stays small
-    if p > SEARCH_MODULUS_LIMIT or (
-        p ** min(k, SEARCH_MODULUS_LIMIT.bit_length()) > SEARCH_MODULUS_LIMIT
-    ):
+    # for p >= 2, p^k <= the limit forces k below its bit length, so this
+    # power stays small even for a huge k, and trial division sees a small p
+    if p ** min(k, SEARCH_MODULUS_LIMIT.bit_length()) > SEARCH_MODULUS_LIMIT:
         raise ValueError(
             f"the search takes moduli p^k <= {SEARCH_MODULUS_LIMIT}, got {p}^{k}"
         )

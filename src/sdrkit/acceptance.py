@@ -301,7 +301,7 @@ def _c10_conic_hasse_sweep(ctx: AcceptanceContext) -> Tuple[bool, str]:
                         return False, f"no point yet no obstruction for ({a},{b},{c})"
                     obstructed += 1
                 else:
-                    sdr = lg.conic_sdr(mat)  # exact det = scale * F check inside
+                    sdr = lg.conic_sdr(mat, pt)  # exact det = scale * F check inside
                     if sdr.scale == 0:
                         return False, f"degenerate pencil for ({a},{b},{c})"
                     pencils += 1

@@ -393,7 +393,7 @@ def _cmd_conic(args) -> Tuple[Dict[str, object], int]:
     }
     if point is not None and not args.no_sdr:
         try:
-            payload["sdr"] = lg.conic_sdr(mat).to_json()
+            payload["sdr"] = lg.conic_sdr(mat, point).to_json()
         except ValueError as exc:
             payload["sdr_note"] = str(exc)
     return payload, 0 if point is not None else 1

@@ -124,7 +124,7 @@ class F2Matrix:
         """Matrix-vector product over GF(2)."""
         out = 0
         for i, r in enumerate(self.rows):
-            out |= _parity(r & v) << i
+            out |= ((r & v).bit_count() & 1) << i
         return out
 
     def __mul__(self, other: "F2Matrix") -> "F2Matrix":

@@ -733,7 +733,9 @@ def _invert3(mat: Mat3) -> Mat3:
     return _mat_T(tuple(cols))
 
 
-def conic_sdr(m: Sequence[Sequence[Rat]]) -> ConicSDR:
+def conic_sdr(
+    m: Sequence[Sequence[Rat]], point: Optional[Tuple[int, int, int]] = None
+) -> ConicSDR:
     """Express a smooth conic with a rational point as det of a linear pencil
     of symmetric 2x2 matrices, verified exactly.
 
@@ -741,13 +743,24 @@ def conic_sdr(m: Sequence[Sequence[Rat]]) -> ConicSDR:
     line PS. In that frame the form is F(R) (Y^2 - XZ) after scaling the S
     column by -F(R) / (2 P^t M S), and XZ - Y^2 is det of the standard
     pencil; pulling back along the inverse frame gives the matrices.
+
+    P is `point` when given (a caller that already ran
+    `conic_rational_point(m)` passes its answer, which is checked to lie on
+    the conic), else `conic_rational_point(m)`.
     """
     mat = _to_mat3(m)
     if _det3(mat) == 0:
         raise ValueError("conic is degenerate")
-    p = conic_rational_point(mat)
-    if p is None:
-        raise ValueError("conic has no rational point, so no pencil over Q")
+    if point is None:
+        p = conic_rational_point(mat)
+        if p is None:
+            raise ValueError("conic has no rational point, so no pencil over Q")
+    else:
+        p = tuple(point)
+        if len(p) != 3 or not all(isinstance(x, int) for x in p) or p == (0, 0, 0):
+            raise ValueError("point must be a nonzero integer triple")
+        if _dot3(p, _matvec3(mat, [Fraction(x) for x in p])) != 0:
+            raise ValueError("point does not lie on the conic")
     pf = [Fraction(x) for x in p]
     s = _second_conic_point(mat, p)
     cross = (

@@ -266,6 +266,24 @@ def test_conic_sdr_det_identity():
             assert sdr.matrices[j][0][1] == sdr.matrices[j][1][0]
 
 
+def test_conic_sdr_with_the_callers_point_gives_the_same_pencil():
+    cases = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        [[2, 0, 0], [0, 3, 0], [0, 0, -5]],
+        [[1, 1, 0], [1, -2, 3], [0, 3, -1]],
+        [[0, 1, 0], [1, 0, 1], [0, 1, -4]],
+        [[997, 0, 0], [0, 1009, 0], [0, 0, -1013]],
+    ]
+    for m in cases:
+        p = conic_rational_point(m)
+        assert conic_sdr(m, p) == conic_sdr(m)
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, -1]]
+    with pytest.raises(ValueError, match="does not lie"):
+        conic_sdr(m, (1, 1, 1))
+    with pytest.raises(ValueError, match="nonzero integer"):
+        conic_sdr(m, (0, 0, 0))
+
+
 def test_conic_sdr_refuses_pointless_or_degenerate():
     with pytest.raises(ValueError):
         conic_sdr([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sdrkit import matgroups
 from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import (
     ClosureCapExceeded,
@@ -43,6 +44,50 @@ def _orthogonal_by_filter(base, ambient):
         else:
             kept.append(p)
     return frozenset(kept)
+
+
+def _mulclose_by_rows(gens, dim, seed):
+    """Reference closure: every product is the dim row-table lookups of
+    `_mul_table`, whatever the frontier size."""
+    mask = (1 << dim) - 1
+    tables = [matgroups._row_table(g, dim) for g in gens]
+    seen = set(seed)
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for t in tables:
+            for a in frontier:
+                out = matgroups._mul_table(a, t, dim, mask)
+                if out not in seen:
+                    seen.add(out)
+                    fresh.append(out)
+        frontier = fresh
+    return frozenset(seen)
+
+
+def _grow_core_by_rows(candidates, dim):
+    elements = frozenset({F2Matrix.identity(dim).packed})
+    core = []
+    for p in candidates:
+        if p in elements:
+            continue
+        core.append(p)
+        elements = _mulclose_by_rows(core, dim, elements | {p})
+    return elements, tuple(core)
+
+
+@pytest.fixture
+def chunk_builds(monkeypatch):
+    """Counts the chunk tables `_mulclose` builds, by dimension."""
+    built = []
+    real = matgroups._chunk_tables
+
+    def counted(table, dim):
+        built.append(dim)
+        return real(table, dim)
+
+    monkeypatch.setattr(matgroups, "_chunk_tables", counted)
+    return built
 
 
 def _order3_element(sp):
@@ -180,6 +225,59 @@ def test_orthogonal_group_rejects_a_partial_ambient():
         orthogonal_group(base, close([transvection(0b0011, sp)], sp))
     with pytest.raises(ValueError, match="full symplectic group"):
         orthogonal_group(base, symplectic_group(1))
+
+
+def test_chunk_table_product_matches_generic_product():
+    rng = random.Random(8)
+    for dim in range(1, 7):
+        mask = (1 << dim) - 1
+        width = -(-dim // 3) * dim
+        cmask = (1 << width) - 1
+        for _ in range(200):
+            a = rng.getrandbits(dim * dim)
+            b = rng.getrandbits(dim * dim)
+            t0, t1, t2 = matgroups._chunk_tables(matgroups._row_table(b, dim), dim)
+            assert len(t0) == len(t1) == cmask + 1
+            got = t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> (2 * width)]
+            assert got == matgroups._mul_generic(a, b, dim, mask)
+
+
+def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
+    # Sp2: the seed is the whole group, 6 elements past the 4-entry tables
+    sp2 = symplectic_group(1)
+    got = matgroups._mulclose(sp2.core, 2, sp2.element_set, matgroups.DEFAULT_CAP)
+    assert got == _mulclose_by_rows(sp2.core, 2, sp2.element_set)
+    assert chunk_builds == [2, 2]
+    # Sp4 (720 elements) regrown from its sorted elements: the last step
+    # seeds a frontier past the 256-entry tables
+    del chunk_builds[:]
+    sp4 = symplectic_group(2)
+    got = matgroups._grow_core(sorted(sp4.element_set), 4, matgroups.DEFAULT_CAP)
+    assert chunk_builds and set(chunk_builds) == {4}
+    assert got[0] == sp4.element_set
+    assert got == _grow_core_by_rows(sorted(sp4.element_set), 4)
+    # O-(6, 2): the transvection closure and the core regrown from it
+    del chunk_builds[:]
+    base = standard_base_form(3)
+    og = orthogonal_group(base)
+    assert chunk_builds and set(chunk_builds) == {6}
+    gens = [transvection(v, base.space).packed for v in range(1, 64) if base.value(v)]
+    elements, _ = _grow_core_by_rows(gens, 6)
+    assert elements == og.element_set
+    assert (og.element_set, og.core) == _grow_core_by_rows(sorted(elements), 6)
+
+
+def test_sp6_closure_charges_the_row_table_cache_for_row_tables_only(
+    sp3, chunk_builds, monkeypatch
+):
+    monkeypatch.setattr(matgroups, "_ROW_TABLE_CACHE", {})
+    monkeypatch.setattr(matgroups, "_row_table_cached_bytes", 0)
+    got = matgroups._mulclose(sp3.core, 6, sp3.element_set, matgroups.DEFAULT_CAP)
+    assert got == sp3.element_set
+    assert chunk_builds == [6, 6]
+    assert sorted(matgroups._ROW_TABLE_CACHE) == sorted((6, g) for g in sp3.core)
+    assert all(len(t) == 64 for t in matgroups._ROW_TABLE_CACHE.values())
+    assert matgroups._row_table_cached_bytes == 2 * matgroups._row_table_bytes(6)
 
 
 def test_handle_json_roundtrip():

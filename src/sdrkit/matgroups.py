@@ -186,13 +186,13 @@ def _mulclose(
     top = dim * dim
     chunks = None
     width = -(-dim // 3) * dim if dim <= 6 else 0
+    w2 = 2 * width
     cmask = (1 << width) - 1
     while frontier:
         fresh = []
         if chunks is None and width and len(frontier) > cmask + 1:
             chunks = [_chunk_tables(t, dim) for t in tables]
         if chunks is not None:
-            w2 = 2 * width
             for t0, t1, t2 in chunks:
                 for a in frontier:
                     out = t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> w2]

@@ -5,12 +5,14 @@ versioned under a top-level "schema" field, no timings) so runs with the
 same configuration are byte-identical; `--format text` trades that for a
 human layout with elapsed times. Exit codes: 0 when the run's claim holds,
 1 when a checked claim fails (no rational point, certificate rejected,
-criterion failed), 2 for usage problems.
+criterion failed), 2 for usage problems, 141 when stdout is closed before
+the output is written (`| head`).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -371,13 +373,11 @@ def _conic_matrix(args) -> List[List[Fraction]]:
 
 def _cmd_conic(args) -> Tuple[Dict[str, object], int]:
     mat = _conic_matrix(args)
-    _, diag = lg.diagonalize_symmetric(mat)
-    degenerate = any(d == 0 for d in diag)
     try:
-        point = lg.conic_rational_point(mat)
-        obstructions = None if degenerate else lg.local_obstructions(*diag)
+        point, obstructions = lg._conic_point_and_places(mat)
     except ValueError as exc:
         raise UsageError(f"conic outside the supported sizes: {exc}")
+    degenerate = obstructions is None
     payload: Dict[str, object] = {
         "schema": _schema("conic"),
         "matrix": [[_frac_str(x) for x in row] for row in mat],
@@ -748,8 +748,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush at
+        # interpreter exit does not fail again, and exit as a shell reports a
+        # writer stopped by SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(args) -> int:
     t0 = time.monotonic()
     try:
         payload, code = args.fn(args)

@@ -270,16 +270,12 @@ def _dot3(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _det3(a: Mat3) -> Fraction:
+def _cross(u: Sequence[Fraction], v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
     )
-
-
-def _identity3() -> List[List[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
 def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fraction, ...]]:
@@ -291,7 +287,7 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
     """
     m3 = _to_mat3(m)
     mm = [list(row) for row in m3]
-    t = _identity3()
+    t = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
     def col_op_add(dst: int, src: int, factor: Fraction) -> None:
         # column dst += factor * column src, applied congruently
@@ -367,20 +363,14 @@ def _squarefree_split(n: int) -> Tuple[int, int]:
     return sf, rt
 
 
-def _legendre_reduce(
-    coeffs: List[int],
-) -> Tuple[List[int], List[List[Fraction]]]:
+def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int]]:
     """Reduce a diagonal integer conic to squarefree pairwise-coprime shape.
 
-    Returns the reduced coefficients and a transform S mapping reduced
-    solutions to solutions of the input (as a rational diagonal-ish matrix).
+    Returns the reduced coefficients and one integer factor per coordinate:
+    a reduced solution (x, y, z) maps to the input's solution
+    (f0 x, f1 y, f2 z).
     """
-    s = _identity3()
-
-    def scale_col(idx: int, factor: Fraction) -> None:
-        for r in range(3):
-            s[r][idx] *= factor
-
+    factors = [1, 1, 1]
     work = list(coeffs)
     changed = True
     while changed:
@@ -397,7 +387,7 @@ def _legendre_reduce(
                 work[idx] = sf
                 for other in range(3):
                     if other != idx:
-                        scale_col(other, Fraction(rt))
+                        factors[other] *= rt
                 changed = True
         for i in range(3):
             for j in range(i + 1, 3):
@@ -409,9 +399,9 @@ def _legendre_reduce(
                     work[i] //= g
                     work[j] //= g
                     work[k] *= g
-                    scale_col(k, Fraction(g))
+                    factors[k] *= g
                     changed = True
-    return work, s
+    return work, factors
 
 
 # Input limits of the Holzer search: the range of its outer loop, and the
@@ -524,6 +514,49 @@ def _primitive(vec: Sequence[Rat]) -> Tuple[int, int, int]:
     return tuple(ints)
 
 
+def _conic_point_and_places(
+    m: Sequence[Sequence[Rat]],
+) -> Tuple[Optional[Tuple[int, int, int]], Optional[List[Place]]]:
+    """(point, places): `conic_rational_point(m)` and the places where the
+    conic has no local point, or None for them when the conic is degenerate.
+
+    The places are those of the reduced diagonal form; a change of
+    coordinates and a scaling of the form keep local solvability, so they
+    equal `local_obstructions` of any diagonalization of m.
+    """
+    mat = _to_mat3(m)
+    t, diag = diagonalize_symmetric(mat)
+
+    places: Optional[List[Place]] = None
+    if 0 in diag:
+        idx = diag.index(0)
+        point_local = [int(i == idx) for i in range(3)]
+    else:
+        # scaling coordinate i by the denominator of diag[i] makes the
+        # diagonal entries integers
+        ints = [d.numerator * d.denominator for d in diag]
+        reduced, back = _legendre_reduce(ints)
+        if all(x > 0 for x in reduced) or all(x < 0 for x in reduced):
+            found = None
+        else:
+            found = _holzer_search(*reduced)
+        places = local_obstructions(*reduced)
+        if (found is None) != bool(places):
+            raise AssertionError(
+                "search and local symbols disagree on solvability"
+            )
+        if found is None:
+            return None, places
+        point_local = [d.denominator * f * x for d, f, x in zip(diag, back, found)]
+
+    out = _primitive(_matvec3(t, point_local))
+    if _dot3(out, _matvec3(mat, out)) != 0:
+        raise AssertionError("computed point does not lie on the conic")
+    if out == (0, 0, 0):
+        raise AssertionError("point search produced the zero vector")
+    return out, places
+
+
 def conic_rational_point(
     m: Sequence[Sequence[Rat]],
 ) -> Optional[Tuple[int, int, int]]:
@@ -535,46 +568,7 @@ def conic_rational_point(
     proof of unsolvability, which is cross-checked against the local symbol
     story (disagreement raises, since it would mean a bug, not mathematics).
     """
-    mat = _to_mat3(m)
-    t, diag = diagonalize_symmetric(mat)
-
-    point_local: Optional[Tuple[Fraction, ...]] = None
-    for idx in range(3):
-        if diag[idx] == 0:
-            point_local = tuple(Fraction(int(i == idx)) for i in range(3))
-            break
-
-    if point_local is None:
-        # scale each column so the diagonal entries become integers
-        scaled = _identity3()
-        ints: List[int] = []
-        for idx in range(3):
-            d = diag[idx]
-            scaled[idx][idx] = Fraction(d.denominator)
-            ints.append(d.numerator * d.denominator)
-        reduced, back = _legendre_reduce(ints)
-        if all(x > 0 for x in reduced) or all(x < 0 for x in reduced):
-            found = None
-        else:
-            found = _holzer_search(*reduced)
-        obstructions = local_obstructions(*reduced)
-        if (found is None) != bool(obstructions):
-            raise AssertionError(
-                "search and local symbols disagree on solvability"
-            )
-        if found is None:
-            return None
-        vec = [Fraction(x) for x in found]
-        vec = _matvec3(tuple(tuple(r) for r in back), vec)
-        point_local = _matvec3(tuple(tuple(r) for r in scaled), vec)
-
-    point = _matvec3(t, point_local)
-    out = _primitive(point)
-    if _dot3(out, _matvec3(mat, [Fraction(x) for x in out])) != 0:
-        raise AssertionError("computed point does not lie on the conic")
-    if out == (0, 0, 0):
-        raise AssertionError("point search produced the zero vector")
-    return out
+    return _conic_point_and_places(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -694,43 +688,25 @@ def _second_conic_point(
                     else:
                         s = tuple(dmd * x - 2 * pmd * y for x, y in zip(pf, d))
                     # reject multiples of p
-                    cross = [
-                        pf[1] * s[2] - pf[2] * s[1],
-                        pf[2] * s[0] - pf[0] * s[2],
-                        pf[0] * s[1] - pf[1] * s[0],
-                    ]
-                    if all(x == 0 for x in cross):
+                    if not any(_cross(pf, s)):
                         continue
-                    if _dot3(s, _matvec3(mat, s)) != 0:
-                        continue
-                    if _dot3(pf, _matvec3(mat, s)) == 0:
-                        continue
-                    return s
+                    ms = _matvec3(mat, s)
+                    if _dot3(s, ms) == 0 and _dot3(pf, ms) != 0:
+                        return s
     raise AssertionError("no second conic point found in the sweep")
 
 
-def _solve3(mat: Mat3, rhs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
-    for k in range(3):
-        piv = next((r for r in range(k, 3) if a[r][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for r in range(3):
-            if r != k and a[r][k]:
-                f = a[r][k]
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-    return tuple(a[r][3] for r in range(3))
-
-
 def _invert3(mat: Mat3) -> Mat3:
-    cols = []
-    for j in range(3):
-        rhs = [Fraction(int(i == j)) for i in range(3)]
-        cols.append(_solve3(mat, rhs))
-    return _mat_T(tuple(cols))
+    """The inverse by the adjugate: with c0, c1, c2 the columns of mat,
+    row i of the inverse is c_(i+1) x c_(i+2) / det."""
+    cols = _mat_T(mat)
+    det = _dot3(cols[0], _cross(cols[1], cols[2]))
+    if det == 0:
+        raise ValueError("singular system")
+    return tuple(
+        tuple(x / det for x in _cross(cols[(i + 1) % 3], cols[(i + 2) % 3]))
+        for i in range(3)
+    )
 
 
 def conic_sdr(
@@ -749,7 +725,7 @@ def conic_sdr(
     the conic), else `conic_rational_point(m)`.
     """
     mat = _to_mat3(m)
-    if _det3(mat) == 0:
+    if _dot3(mat[0], _cross(mat[1], mat[2])) == 0:
         raise ValueError("conic is degenerate")
     if point is None:
         p = conic_rational_point(mat)
@@ -759,39 +735,19 @@ def conic_sdr(
         p = tuple(point)
         if len(p) != 3 or not all(isinstance(x, int) for x in p) or p == (0, 0, 0):
             raise ValueError("point must be a nonzero integer triple")
-        if _dot3(p, _matvec3(mat, [Fraction(x) for x in p])) != 0:
+        if _dot3(p, _matvec3(mat, p)) != 0:
             raise ValueError("point does not lie on the conic")
     pf = [Fraction(x) for x in p]
     s = _second_conic_point(mat, p)
-    cross = (
-        pf[1] * s[2] - pf[2] * s[1],
-        pf[2] * s[0] - pf[0] * s[2],
-        pf[0] * s[1] - pf[1] * s[0],
-    )
-    r = _solve3(mat, cross)
+    r = _matvec3(_invert3(mat), _cross(pf, s))
     f_r = _dot3(r, _matvec3(mat, r))
     if f_r == 0:
         raise AssertionError("pole of the chord lies on the conic")
     pms = _dot3(pf, _matvec3(mat, s))
     s_scaled = [-f_r / (2 * pms) * x for x in s]
-    frame = tuple(
-        tuple(col[i] for col in (pf, r, s_scaled)) for i in range(3)
-    )
-    frame_inv = _invert3(frame)
-
-    a_mats = (
-        ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))),
-        ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
-        ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1))),
-    )
-    matrices = []
-    for j in range(3):
-        mj = [[Fraction(0)] * 2 for _ in range(2)]
-        for i in range(3):
-            for r_ in range(2):
-                for c_ in range(2):
-                    mj[r_][c_] += frame_inv[i][j] * a_mats[i][r_][c_]
-        matrices.append(tuple(tuple(row) for row in mj))
+    # frame (P | R | scaled S); M_j = [[X_j, Y_j], [Y_j, Z_j]] from column j of its inverse
+    inv = _invert3(_mat_T((pf, r, s_scaled)))
+    matrices = [((inv[0][j], inv[1][j]), (inv[1][j], inv[2][j])) for j in range(3)]
     scale = Fraction(-1) / f_r
 
     entries = [

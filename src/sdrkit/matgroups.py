@@ -71,26 +71,9 @@ class ClosureCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # packed-matrix engine
 
-# Row tables have 2^dim entries each, so the cache is bounded by the bytes
-# they hold. An entry is an 8-byte pointer, plus a separate int object of
-# about 28 bytes once it can exceed 256 (dim > 8): 65536 tables fit at dim 6
-# and 14 at dim 16.
-ROW_TABLE_CACHE_BYTES = 32 << 20
-_ROW_TABLE_CACHE: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-_row_table_cached_bytes = 0
-
-
-def _row_table_bytes(dim: int) -> int:
-    return (1 << dim) * (8 if dim <= 8 else 36)
-
-
 def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
-    """Table over all 2^dim row vectors r of the product r * M."""
-    global _row_table_cached_bytes
-    key = (dim, packed)
-    cached = _ROW_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Table over all 2^dim row vectors r of the product r * M. Built on
+    every call: 2^dim XORs, far less than the closure that uses it."""
     mask = (1 << dim) - 1
     rows = [(packed >> (i * dim)) & mask for i in range(dim)]
     size = 1 << dim
@@ -98,12 +81,7 @@ def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
     for r in range(1, size):
         low = r & -r
         tab[r] = tab[r ^ low] ^ rows[low.bit_length() - 1]
-    result = tuple(tab)
-    cost = _row_table_bytes(dim)
-    if _row_table_cached_bytes + cost <= ROW_TABLE_CACHE_BYTES:
-        _ROW_TABLE_CACHE[key] = result
-        _row_table_cached_bytes += cost
-    return result
+    return tuple(tab)
 
 
 def _mul_table(a: int, table: Sequence[int], dim: int, mask: int) -> int:
@@ -123,7 +101,7 @@ def _chunk_tables(
     dim <= 6: a chunk is ceil(dim/3) consecutive rows of a packed element,
     so a * M is t0[a & C] | t1[(a >> W) & C] | t2[a >> 2W], with W the
     chunk's bit width and C = 2^W - 1. At dim 6 a chunk is 2 rows, 12 bits.
-    Not cached: at dim 6 the three hold about 440 KB per generator."""
+    At dim 6 the three hold about 440 KB per generator."""
     if dim <= 3:
         t0 = list(table)
     else:
@@ -258,10 +236,10 @@ class SubgroupHandle:
         }
 
     @classmethod
-    def from_json(cls, data: Dict[str, object], cap: int = DEFAULT_CAP) -> "SubgroupHandle":
+    def from_json(cls, data: Dict[str, object]) -> "SubgroupHandle":
         m = int(data["m"])
         gens = [F2Matrix.from_text(t) for t in data["generators"]]
-        return close(gens, standard_symplectic(m), cap=cap)
+        return close(gens, standard_symplectic(m))
 
     def __repr__(self) -> str:
         return f"SubgroupHandle(m={self.space.m}, order={self.order})"
@@ -491,10 +469,13 @@ class ObstructionReport:
         }
 
 
+# groups up to this order get each element's fixed Arf-0 vector in the report
+_WITNESS_CAP = 4096
+
+
 def obstruction_conditions(
     group: SubgroupHandle,
     base: Optional[BaseForm] = None,
-    witness_cap: int = 4096,
 ) -> ObstructionReport:
     """Evaluate both obstruction conditions on a materialized subgroup."""
     if base is None:
@@ -503,7 +484,7 @@ def obstruction_conditions(
     invariant_arf0 = sorted(invariant_arf0_vectors(group, base))
     cond1 = not invariant_arf0
 
-    witnesses: Optional[Dict[int, int]] = {} if group.order <= witness_cap else None
+    witnesses: Optional[Dict[int, int]] = {} if group.order <= _WITNESS_CAP else None
     cond2 = True
     failing: Optional[F2Matrix] = None
     for p in group.elements:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from sdrkit import localglobal as lg
 from sdrkit.cli import main
 from sdrkit.constructions import demo_certificate
 from sdrkit.f2core import standard_symplectic
@@ -23,18 +24,20 @@ def run_json(capsys, argv):
     return code, json.loads(out), err
 
 
-def run_process(argv, timeout):
+def run_process(argv, timeout, **streams):
     """The CLI in a fresh interpreter, killed after `timeout` seconds, so a
-    hang fails the test (subprocess.TimeoutExpired) instead of the suite."""
+    hang fails the test (subprocess.TimeoutExpired) instead of the suite.
+    Output is captured unless `streams` gives stdout and stderr."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     return subprocess.run(
         [sys.executable, "-m", "sdrkit.cli", *argv],
-        capture_output=True,
+        capture_output=not streams,
         text=True,
         timeout=timeout,
         env=env,
+        **streams,
     )
 
 
@@ -328,6 +331,21 @@ def test_conic_over_the_limits_is_usage_error(diag, limit):
     assert limit in proc.stderr
 
 
+@pytest.mark.parametrize("diag", [["997", "1009", "-1013"], ["998", "1001", "-1003"]])
+def test_conic_diagonalizes_once(capsys, monkeypatch, diag):
+    calls = []
+    real = lg.diagonalize_symmetric
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(lg, "diagonalize_symmetric", counted)
+    code, payload, _ = run_json(capsys, ["conic", "--diag", *diag])
+    assert code in (0, 1) and payload["degenerate"] is False
+    assert len(calls) == 1
+
+
 def test_cubic(capsys):
     code, payload, _ = run_json(capsys, ["cubic", "0", "-2", "--bound", "2000"])
     assert code == 0
@@ -476,6 +494,27 @@ def test_text_format_has_timings(capsys):
     assert "elapsed-seconds:" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conic", "--diag", "1", "1", "-1"],
+        ["reproduce", "--format", "text", "--only", "quartic-points"],
+    ],
+)
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the read end is closed before the child starts, so its first write
+    # to stdout meets a pipe without a reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process(argv, timeout=60, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import pytest
 
@@ -16,7 +15,6 @@ from sdrkit.constructions import (
     m_for_degree,
     verify_dihedral_pair,
 )
-from sdrkit import matgroups
 from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import close, transvection
 from sdrkit.quadforms import act, standard_base_form
@@ -204,15 +202,11 @@ def test_certify_flags_noncyclic_local_image():
     assert not verdict.certified
 
 
-def test_row_table_cache_is_bounded_in_bytes(monkeypatch):
-    """m = 8 row tables have 2^16 entries, each a separate int object; 80
-    cyclic local images would hold about 190 MB if the cache counted tables
-    or entries instead of bytes."""
-    monkeypatch.setattr(matgroups, "_ROW_TABLE_CACHE", {})
-    monkeypatch.setattr(matgroups, "_row_table_cached_bytes", 0)
+def test_certify_checks_eighty_m8_local_images():
+    """80 cyclic local images at m = 8, each closed with its own 2^16-entry
+    row tables; no degree has 2m = 16, so the dimension check fails."""
     space = standard_symplectic(8)
     images = [[transvection(v, space).to_text()] for v in range(1, 81)]
-    assert len(images) * matgroups._row_table_bytes(16) > matgroups.ROW_TABLE_CACHE_BYTES
     cert = ObstructionCertificate.from_json(
         {
             "m": 8,
@@ -226,13 +220,4 @@ def test_row_table_cache_is_bounded_in_bytes(monkeypatch):
         }
     )
     verdict = certify_counterexample(cert)
-    assert not verdict.checks["dimension_matches"]  # no degree has 2m = 16
-    cached = [dim for dim, _ in matgroups._ROW_TABLE_CACHE]
-    charged = sum(matgroups._row_table_bytes(dim) for dim in cached)
-    assert charged == matgroups._row_table_cached_bytes
-    assert 0 < charged <= matgroups.ROW_TABLE_CACHE_BYTES
-    # an entry of a dim-16 table is a pointer to its own int object
-    assert sys.getsizeof(1 << 15) + 8 <= matgroups._row_table_bytes(16) >> 16
-    # at dim <= 8 the budget is 2^22 entries, so Sp6 (dim 6) caches 65536 tables
-    assert matgroups.ROW_TABLE_CACHE_BYTES // matgroups._row_table_bytes(6) == 1 << 16
-    assert matgroups.ROW_TABLE_CACHE_BYTES // matgroups._row_table_bytes(8) == 1 << 14
+    assert not verdict.checks["dimension_matches"]

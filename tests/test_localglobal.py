@@ -29,9 +29,11 @@ from sdrkit.localglobal import (
     HOLZER_CANDIDATE_LIMIT,
     HOLZER_OUTER_LIMIT,
     MILLER_RABIN_LIMIT,
+    _conic_point_and_places,
     _cubic_has_root_mod,
     _factor,
     _holzer_search,
+    _invert3,
 )
 
 
@@ -282,6 +284,79 @@ def test_conic_sdr_with_the_callers_point_gives_the_same_pencil():
         conic_sdr(m, (1, 1, 1))
     with pytest.raises(ValueError, match="nonzero integer"):
         conic_sdr(m, (0, 0, 0))
+
+
+def _solve3(mat, rhs):
+    """Gauss-Jordan solve of mat x = rhs: the reference for the adjugate
+    inverse."""
+    a = [list(row) + [rhs[i]] for i, row in enumerate(mat)]
+    for k in range(3):
+        piv = next((r for r in range(k, 3) if a[r][k] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for r in range(3):
+            if r != k and a[r][k]:
+                f = a[r][k]
+                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return tuple(a[r][3] for r in range(3))
+
+
+def test_invert3_matches_gauss_jordan():
+    rng = random.Random(11)
+    entries = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
+    inverted = singular = 0
+    while inverted < 300 or singular < 20:
+        a = tuple(tuple(Fraction(rng.choice(entries)) for _ in range(3)) for _ in range(3))
+        try:
+            cols = [_solve3(a, identity[j]) for j in range(3)]
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                _invert3(a)
+            singular += 1
+            continue
+        inv = _invert3(a)
+        assert inv == tuple(tuple(col[i] for col in cols) for i in range(3))
+        product = tuple(
+            tuple(sum(a[i][k] * inv[k][j] for k in range(3)) for j in range(3))
+            for i in range(3)
+        )
+        assert product == identity
+        inverted += 1
+
+
+def test_conic_places_match_the_diagonal_symbols():
+    # c10's signed squarefree values without the coprimality filter, and
+    # off-diagonal rational matrices with every pivot branch
+    rng = random.Random(2024)
+    square_free = [v for v in range(1, 21) if all(e == 1 for e in _factor(v).values())]
+    signed = [s * v for v in square_free for s in (1, -1)]
+    cases = [
+        [[a, 0, 0], [0, b, 0], [0, 0, c]]
+        for a, b, c in (tuple(rng.choice(signed) for _ in range(3)) for _ in range(400))
+    ]
+    entries = [0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(300):
+        u = [[rng.choice(entries) for _ in range(3)] for _ in range(3)]
+        cases.append([[u[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)])
+    degenerate = 0
+    for m in cases:
+        point, places = _conic_point_and_places(m)
+        _, diag = diagonalize_symmetric(m)
+        if 0 in diag:
+            assert places is None and point is not None
+            degenerate += 1
+        else:
+            assert places == local_obstructions(*diag), m
+            assert (point is None) == bool(places), m
+    assert 0 < degenerate < len(cases)
+    # the places come from the reduced form: a common factor past the
+    # factoring limit is divided out before anything is factored
+    n = 2 * FACTOR_LIMIT + 6
+    assert _conic_point_and_places([[n, 0, 0], [0, -n, 0], [0, 0, 2 * n]])[1] == []
 
 
 def test_conic_sdr_refuses_pointless_or_degenerate():

@@ -267,17 +267,10 @@ def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
     assert (og.element_set, og.core) == _grow_core_by_rows(sorted(elements), 6)
 
 
-def test_sp6_closure_charges_the_row_table_cache_for_row_tables_only(
-    sp3, chunk_builds, monkeypatch
-):
-    monkeypatch.setattr(matgroups, "_ROW_TABLE_CACHE", {})
-    monkeypatch.setattr(matgroups, "_row_table_cached_bytes", 0)
+def test_sp6_closure_builds_chunk_tables_once_per_generator(sp3, chunk_builds):
     got = matgroups._mulclose(sp3.core, 6, sp3.element_set, matgroups.DEFAULT_CAP)
     assert got == sp3.element_set
     assert chunk_builds == [6, 6]
-    assert sorted(matgroups._ROW_TABLE_CACHE) == sorted((6, g) for g in sp3.core)
-    assert all(len(t) == 64 for t in matgroups._ROW_TABLE_CACHE.values())
-    assert matgroups._row_table_cached_bytes == 2 * matgroups._row_table_bytes(6)
 
 
 def test_handle_json_roundtrip():

@@ -43,7 +43,7 @@ CASES = {
     "o-group-m3": (["o-group", "--m", "3"], 0),
     "lemma51": (["lemma51"], 0),
     "lemma51-gen": (["lemma51", "--gen", "11;01"], 0),
-    **{f"lemma52-m{m}": (["lemma52", "--m", str(m)], 0) for m in range(1, 6)},
+    **{f"lemma52-m{m}": (["lemma52", "--m", str(m)], 0) for m in range(1, 7)},
     "certify-demo-m3": (["certify", "--demo", "--m", "3"], 0),
     "certify-demo-m6": (["certify", "--demo", "--m", "6"], 0),
     "quartic-check": (["quartic-check"], 0),

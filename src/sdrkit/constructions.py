@@ -22,6 +22,7 @@ from .matgroups import (
     ObstructionReport,
     SubgroupHandle,
     close,
+    has_nonzero_fixed_vector,
     invariant_arf0_vectors,
     obstruction_conditions,
     smallest_fixed_vector,
@@ -195,10 +196,10 @@ def verify_dihedral_pair(pair: DihedralPair) -> Dict[str, bool]:
     power = ident
     for i in range(1, target):
         power = power * pair.sigma
-        fixed = [x for x in range(1, 1 << (2 * m)) if power.apply(x) == x]
-        if fixed:
+        fixed = has_nonzero_fixed_vector(power)
+        if fixed is not None:
             raise DihedralConditionError(
-                "d", f"sigma^{i} fixes the nonzero vector {fixed[0]}"
+                "d", f"sigma^{i} fixes the nonzero vector {fixed}"
             )
     power = ident
     for i in range(target):

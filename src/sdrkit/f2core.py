@@ -63,13 +63,8 @@ class F2Matrix:
         cols = tuple(cols)
         if dim is None:
             dim = len(cols)
-        rows = []
-        for i in range(dim):
-            r = 0
-            for j, c in enumerate(cols):
-                r |= ((c >> i) & 1) << j
-            rows.append(r)
-        return cls(rows, dim)
+        mask = (1 << dim) - 1
+        return cls(_transpose([c & mask for c in cols], dim), dim)
 
     @classmethod
     def from_text(cls, text: str) -> "F2Matrix":
@@ -103,6 +98,10 @@ class F2Matrix:
         for i in range(self.dim):
             c |= ((self.rows[i] >> j) & 1) << i
         return c
+
+    def cols(self) -> List[int]:
+        """Every column, in one pass over the rows."""
+        return _transpose(self.rows, self.dim)
 
     @property
     def packed(self) -> int:
@@ -156,7 +155,7 @@ class F2Matrix:
         return acc
 
     def transpose(self) -> "F2Matrix":
-        return F2Matrix.from_cols(self.rows, self.dim)
+        return F2Matrix(self.cols(), self.dim)
 
     def rank(self) -> int:
         return len(_rref(self.rows, self.dim)[1])
@@ -197,6 +196,19 @@ class F2Matrix:
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.to_text()!r})"
+
+
+def _transpose(vecs: Sequence[int], dim: int) -> List[int]:
+    """The dim ints whose bit j is bit i of vecs[j], for vectors below
+    2^dim: rows become columns and back, one step per set bit."""
+    out = [0] * dim
+    for j, v in enumerate(vecs):
+        bit = 1 << j
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
 
 
 def _rref(rows: Sequence[int], dim: int) -> Tuple[List[int], List[int]]:
@@ -331,11 +343,31 @@ def standard_symplectic(m: int) -> SymplecticSpace:
     return SymplecticSpace(_standard_gram(m))
 
 
+def _congruent_rows(rows: Sequence[int], gram_rows: Sequence[int]) -> Tuple[int, ...]:
+    """Rows of t^T * gram * t, where t has the given rows, in one pass over
+    them: row k of gram * t is the XOR of t's rows over the set bits of
+    gram's row k, and it is added to row i of the result for every set bit
+    i of t's row k."""
+    out = [0] * len(rows)
+    for k, jrow in enumerate(gram_rows):
+        acc = 0
+        while jrow:
+            low = jrow & -jrow
+            acc ^= rows[low.bit_length() - 1]
+            jrow ^= low
+        r = rows[k]
+        while r:
+            low = r & -r
+            out[low.bit_length() - 1] ^= acc
+            r ^= low
+    return tuple(out)
+
+
 def is_symplectic(g: F2Matrix, space: SymplecticSpace) -> bool:
     """True when g preserves the pairing: g^T * gram * g == gram."""
     if g.dim != space.dim:
         return False
-    return g.transpose() * space.gram * g == space.gram
+    return _congruent_rows(g.rows, space.gram.rows) == space.gram.rows
 
 
 def symplectic_complement(
@@ -382,7 +414,6 @@ def symplectic_basis(space: SymplecticSpace) -> F2Matrix:
         fs.append(w)
         basis = symplectic_complement(space, basis, u, w)
     t = F2Matrix.from_cols(es + fs, d)
-    check = t.transpose() * space.gram * t
-    if check != _standard_gram(space.m):
+    if _congruent_rows(t.rows, space.gram.rows) != _standard_gram(space.m).rows:
         raise AssertionError("symplectic basis construction failed its contract")
     return t

@@ -198,7 +198,15 @@ def _mulclose(
 # subgroup handles
 
 class SubgroupHandle:
-    """A fully materialized subgroup with its declared generator list."""
+    """A fully materialized subgroup with its declared generator list.
+
+    `element_set` is always the closure of `core` (of the declared
+    generators when no core is given): `_grow_core` returns the two
+    together, `symplectic_group` and `orthogonal_group` keep the core it
+    found, and the census and `lemma51_scan` pass each subgroup's join
+    generators (empty for the trivial group). A subgroup test therefore
+    needs only the core.
+    """
 
     __slots__ = ("space", "dim", "generators", "elements", "element_set", "order", "core")
 
@@ -227,7 +235,8 @@ class SubgroupHandle:
             yield F2Matrix.from_packed(p, self.dim)
 
     def is_subgroup_of(self, other: "SubgroupHandle") -> bool:
-        return self.element_set <= other.element_set
+        # the core generates this group and `other` is a group
+        return all(p in other.element_set for p in self.core)
 
     def to_json(self) -> Dict[str, object]:
         return {

@@ -213,9 +213,10 @@ def arf_by_basis(form: QuadraticForm, basis: F2Matrix) -> int:
     if not is_symplectic(basis, space):
         raise ValueError("columns are not a symplectic basis")
     m = form.m
+    cols = basis.cols()
     acc = 0
     for i in range(m):
-        acc ^= form.value(basis.col(i)) & form.value(basis.col(m + i))
+        acc ^= form.value(cols[i]) & form.value(cols[m + i])
     return acc
 
 

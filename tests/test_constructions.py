@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from sdrkit.constructions import (
     verify_dihedral_pair,
 )
 from sdrkit.f2core import F2Matrix, standard_symplectic
-from sdrkit.matgroups import close, transvection
+from sdrkit.matgroups import close, has_nonzero_fixed_vector, transvection
 from sdrkit.quadforms import act, standard_base_form
 
 
@@ -39,6 +40,35 @@ def test_dihedral_pair_powers_act_freely():
             assert g.apply(x) != x
         g = g * pair.sigma
     assert g.is_identity()
+
+
+def _smallest_fixed_by_scan(g):
+    return next((x for x in range(1, 1 << g.dim) if g.apply(x) == x), None)
+
+
+def test_fixed_vector_solve_matches_a_full_scan():
+    """Condition (d) solves (g + I) x = 0 instead of scanning every vector;
+    both must name the same smallest fixed vector."""
+    space = standard_symplectic(3)
+    rng = random.Random(103)
+    fixing = 0
+    for _ in range(500):
+        g = F2Matrix.identity(6)
+        for _ in range(rng.randrange(1, 12)):
+            g = g * transvection(rng.randrange(1, 64), space)
+        want = _smallest_fixed_by_scan(g)
+        assert has_nonzero_fixed_vector(g) == want
+        fixing += want is not None
+    assert 0 < fixing < 500
+    for m in range(1, 6):
+        pair = build_dihedral_pair(m)
+        power = pair.sigma
+        for _ in range(1, (1 << m) + 1):
+            assert has_nonzero_fixed_vector(power) == _smallest_fixed_by_scan(power)
+            refl = pair.tau * power
+            assert has_nonzero_fixed_vector(refl) == _smallest_fixed_by_scan(refl)
+            power = power * pair.sigma
+        assert power.is_identity()
 
 
 def test_dihedral_pair_json_roundtrip():

@@ -12,6 +12,7 @@ from sdrkit.f2core import (
     standard_symplectic,
     symplectic_basis,
 )
+from sdrkit.matgroups import transvection
 
 
 def _random_invertible(rng, dim):
@@ -213,6 +214,60 @@ def test_is_symplectic_detects_violations():
     # swapping e1 with e2 only is fine; swapping e1 with f2 breaks pairing
     bad = F2Matrix([0b1000, 0b0010, 0b0100, 0b0001], 4)
     assert not is_symplectic(bad, sp)
+
+
+def test_transpose_cols_and_from_cols_match_entries():
+    rng = random.Random(89)
+    for _ in range(200):
+        dim = rng.randrange(1, 10)
+        g = F2Matrix([rng.randrange(1 << dim) for _ in range(dim)], dim)
+        cols = [sum(g.entry(i, j) << i for i in range(dim)) for j in range(dim)]
+        assert g.cols() == cols == [g.col(j) for j in range(dim)]
+        assert g.transpose().rows == tuple(cols)
+        assert F2Matrix.from_cols(cols, dim) == g
+        assert F2Matrix.from_cols([c | (1 << dim) for c in cols], dim) == g
+
+
+def _is_symplectic_by_products(g, space):
+    """The defining formula, the reference for is_symplectic."""
+    return g.dim == space.dim and g.transpose() * space.gram * g == space.gram
+
+
+def _flip_one_bit(g, rng):
+    rows = list(g.rows)
+    rows[rng.randrange(g.dim)] ^= 1 << rng.randrange(g.dim)
+    return F2Matrix(rows, g.dim)
+
+
+def test_is_symplectic_matches_the_product_formula():
+    rng = random.Random(97)
+    spaces = [standard_symplectic(m) for m in (1, 2, 3, 4)]
+    spaces += [space for _, space in _scrambled_spaces()]
+    verdicts = set()
+    for space in spaces:
+        d = space.dim
+        mats = [F2Matrix.identity(d), space.gram]
+        for _ in range(6):
+            g = F2Matrix.identity(d)
+            for _ in range(rng.randrange(1, 10)):
+                g = g * transvection(rng.randrange(1, 1 << d), space)
+            assert is_symplectic(g, space)
+            mats += [g, _flip_one_bit(g, rng)]
+            # singular: one row repeated, or one row cleared
+            i, j = rng.sample(range(d), 2)
+            rows = list(g.rows)
+            rows[i] = rows[j]
+            mats.append(F2Matrix(rows, d))
+            rows[i] = 0
+            mats.append(F2Matrix(rows, d))
+            mats.append(F2Matrix([rng.randrange(1 << d) for _ in range(d)], d))
+        for g in mats:
+            want = _is_symplectic_by_products(g, space)
+            assert is_symplectic(g, space) == want
+            verdicts.add(want)
+        for other in (d - 1, d + 1, d + 2):
+            assert not is_symplectic(F2Matrix.identity(other), space)
+    assert verdicts == {True, False}
 
 
 def _scrambled_spaces():

@@ -16,6 +16,7 @@ from sdrkit.matgroups import (
     fixed_forms,
     gl22_common_fixed_vector,
     has_nonzero_fixed_vector,
+    lemma51_scan,
     obstruction_conditions,
     orthogonal_group,
     subgroup_census,
@@ -291,6 +292,57 @@ def test_contains_and_subgroup_relation():
     assert small.contains(t)
     assert small.contains(t.packed)
     assert not small.contains(_order3_element(sp))
+
+
+def _assert_subgroup_test_matches_inclusion(handles):
+    verdicts = set()
+    for a in handles:
+        for b in handles:
+            want = a.element_set <= b.element_set
+            assert a.is_subgroup_of(b) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_is_subgroup_of_matches_inclusion_on_every_sp2_subgroup():
+    handles = [h for h, _ in lemma51_scan()]
+    assert len(handles) == 6
+    assert handles[0].order == 1 and handles[0].core == ()
+    _assert_subgroup_test_matches_inclusion(handles)
+
+
+def test_is_subgroup_of_matches_inclusion_on_seeded_sp4_subgroups():
+    sp4 = symplectic_group(2)
+    space = sp4.space
+    rng = random.Random(101)
+    for _ in range(40):
+        x, y, z = (F2Matrix.from_packed(p, 4) for p in rng.sample(sp4.elements, 3))
+        handles = [
+            close([x, y], space),
+            close([x], space),
+            close([x * y], space),
+            close([z], space),
+            close([y, z], space),
+            close([], space),
+            sp4,
+        ]
+        _assert_subgroup_test_matches_inclusion(handles)
+
+
+def test_is_subgroup_of_rejects_a_foreign_cyclic_closure():
+    from sdrkit.constructions import demo_certificate
+
+    cert = demo_certificate(3)
+    group = cert.group
+    foreign = next(
+        close([g]) for g in all_transvections(group.space) if not group.contains(g)
+    )
+    assert not foreign.element_set <= group.element_set
+    assert not foreign.is_subgroup_of(group)
+    assert not group.is_subgroup_of(foreign)
+    for img in cert.local_images:
+        assert img.group.is_subgroup_of(group)
+        assert img.group.is_subgroup_of(foreign) == (img.group.element_set <= foreign.element_set)
 
 
 def test_has_nonzero_fixed_vector():

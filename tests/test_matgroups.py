@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sdrkit import matgroups
+from sdrkit.constructions import demo_certificate
 from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import (
     ClosureCapExceeded,
@@ -330,8 +331,6 @@ def test_is_subgroup_of_matches_inclusion_on_seeded_sp4_subgroups():
 
 
 def test_is_subgroup_of_rejects_a_foreign_cyclic_closure():
-    from sdrkit.constructions import demo_certificate
-
     cert = demo_certificate(3)
     group = cert.group
     foreign = next(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .f2core import F2Matrix, SymplecticSpace, is_symplectic, standard_symplectic
-from .gf2k import as_f2_linear, make_field, norm_one_generator
+from .gf2k import BinaryFieldCtx, as_f2_linear, make_field, norm_one_generator
 from .matgroups import (
     ObstructionReport,
     SubgroupHandle,
@@ -104,6 +104,50 @@ class DihedralPair:
         return pair
 
 
+def _field_space(ctx: BinaryFieldCtx) -> SymplecticSpace:
+    """F(2^2m) with the pairing <x,y> = Tr(x conj(y)) on its polynomial basis."""
+    k = ctx.k
+    gram_rows = []
+    for i in range(k):
+        row = 0
+        for j in range(k):
+            row |= ctx.trace(ctx.mul(1 << i, ctx.conjugate(1 << j))) << j
+        gram_rows.append(row)
+    return SymplecticSpace(F2Matrix(gram_rows, k))
+
+
+def _field_q_value(ctx: BinaryFieldCtx, x: int) -> int:
+    """Q(x) = Tr_{F(m)/F(1)}(norm(x)) on F(2^2m), evaluated in the field."""
+    return ctx.subfield_trace(ctx.norm(x), ctx.k // 2, 1)
+
+
+def _field_form_table(ctx: BinaryFieldCtx, space0: SymplecticSpace) -> int:
+    """Value table of Q over the field, from Q evaluated on the basis vectors
+    and on every pair e_i + e_j.
+
+    Those direct values must polarize to the pairing; the rest of the table
+    follows from Q(y + e_i) = Q(y) + Q(e_i) + <y, e_i>, the low set bit e_i
+    of each vector taken off in turn.
+    """
+    k = ctx.k
+    basis = [_field_q_value(ctx, 1 << i) for i in range(k)]
+    # sanity: the form's polar form is exactly the pairing
+    for i in range(k):
+        for j in range(k):
+            q_ij = _field_q_value(ctx, (1 << i) ^ (1 << j))
+            if q_ij ^ basis[i] ^ basis[j] != space0.pairing(1 << i, 1 << j):
+                raise AssertionError("field form does not polarize to the pairing")
+    values = [0] * (1 << k)
+    table = 0
+    for x in range(1, 1 << k):
+        low = x & -x
+        y = x ^ low
+        i = low.bit_length() - 1
+        values[x] = values[y] ^ basis[i] ^ space0.pairing(y, low)
+        table |= values[x] << x
+    return table
+
+
 def build_dihedral_pair(m: int) -> DihedralPair:
     """Construct the pair on F(2^2m) and transport it to standard coordinates.
 
@@ -118,36 +162,13 @@ def build_dihedral_pair(m: int) -> DihedralPair:
     k = 2 * m
     ctx = make_field(k)
     s = norm_one_generator(ctx)
-
-    def q_value(x: int) -> int:
-        return ctx.subfield_trace(ctx.norm(x), m, 1)
-
-    gram_rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            row |= ctx.trace(ctx.mul(1 << i, ctx.conjugate(1 << j))) << j
-        gram_rows.append(row)
-    space0 = SymplecticSpace(F2Matrix(gram_rows, k))
-
-    table0 = 0
-    for x in range(1 << k):
-        table0 |= q_value(x) << x
-    # sanity: the form's polar form is exactly the pairing
-    for i in range(k):
-        for j in range(k):
-            polar = (
-                ((table0 >> ((1 << i) ^ (1 << j))) & 1)
-                ^ ((table0 >> (1 << i)) & 1)
-                ^ ((table0 >> (1 << j)) & 1)
-            )
-            if polar != space0.pairing(1 << i, 1 << j):
-                raise AssertionError("field form does not polarize to the pairing")
+    space0 = _field_space(ctx)
+    table0 = _field_form_table(ctx, space0)
 
     t1 = symplectic_basis(space0)
     table1 = 0
-    for y in range(1 << k):
-        table1 |= ((table0 >> t1.apply(y)) & 1) << y
+    for y, t1y in enumerate(t1.images()):
+        table1 |= ((table0 >> t1y) & 1) << y
     std = standard_symplectic(m)
     t2 = adapted_symplectic_basis(std, table1)
     w = t1 * t2
@@ -162,8 +183,8 @@ def build_dihedral_pair(m: int) -> DihedralPair:
     for g in (sigma, tau):
         if not is_symplectic(g, std):
             raise AssertionError("transported map is not symplectic")
-        for z in range(1 << k):
-            if base.value(g.apply(z)) != base.value(z):
+        for z, gz in enumerate(g.images()):
+            if base.value(gz) != base.value(z):
                 raise AssertionError("transported map does not preserve the form")
 
     pair = DihedralPair(m=m, sigma=sigma, tau=tau, transport=w, field_k=k)

@@ -119,6 +119,16 @@ class F2Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
+    def images(self) -> List[int]:
+        """M v for every v in 0 .. 2^dim - 1, in that order: each image is
+        an earlier one plus the column of v's low set bit."""
+        cols = self.cols()
+        out = [0] * (1 << self.dim)
+        for v in range(1, 1 << self.dim):
+            low = v & -v
+            out[v] = out[v ^ low] ^ cols[low.bit_length() - 1]
+        return out
+
     def apply(self, v: int) -> int:
         """Matrix-vector product over GF(2)."""
         out = 0

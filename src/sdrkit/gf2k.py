@@ -36,9 +36,11 @@ def _pmul(a: int, b: int) -> int:
 
 
 def _pmod(a: int, m: int) -> int:
-    dm = _pdeg(m)
-    while _pdeg(a) >= dm and a:
-        a ^= m << (_pdeg(a) - dm)
+    dm = m.bit_length()
+    n = a.bit_length()
+    while n >= dm:
+        a ^= m << (n - dm)
+        n = a.bit_length()
     return a
 
 
@@ -221,8 +223,8 @@ def as_f2_linear(fn: Callable[[int], int], ctx: BinaryFieldCtx) -> F2Matrix:
     cols = [fn(1 << j) for j in range(k)]
     mat = F2Matrix.from_cols(cols, k)
     if k <= 12:
-        for x in range(1 << k):
-            if mat.apply(x) != fn(x):
+        for x, image in enumerate(mat.images()):
+            if image != fn(x):
                 raise ValueError("function is not F2-linear on this field")
     else:
         for j in range(k):

@@ -4,9 +4,9 @@ Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim), which makes sets of a million elements practical. Per-generator row
 tables turn a matrix product into dim table lookups; in a large closure at
 dim <= 6 they are regrouped into chunk tables of ceil(dim/3) rows, so a
-product is three lookups and breadth-first closure of Sp6(F2) from two
-generators finishes in seconds; the stabilizer O(Q) of a form is closed
-from its own transvections.
+product is three lookups. Sp6(F2) is built as the cosets of its last-row
+stabilizer, one product per element and already in sorted order; the
+stabilizer O(Q) of a form is closed from its own transvections.
 """
 from __future__ import annotations
 
@@ -202,10 +202,12 @@ class SubgroupHandle:
 
     `element_set` is always the closure of `core` (of the declared
     generators when no core is given): `_grow_core` returns the two
-    together, `symplectic_group` and `orthogonal_group` keep the core it
-    found, and the census and `lemma51_scan` pass each subgroup's join
-    generators (empty for the trivial group). A subgroup test therefore
-    needs only the core.
+    together and `orthogonal_group` keeps the core it found;
+    `symplectic_group` builds the set as cosets, counts it against
+    |Sp_2m(F2)| and proves that its core generates the group by the orbit
+    of a transvection's vector; the census and `lemma51_scan` pass each
+    subgroup's join generators (empty for the trivial group). A subgroup
+    test therefore needs only the core.
     """
 
     __slots__ = ("space", "dim", "generators", "elements", "element_set", "order", "core")
@@ -217,11 +219,36 @@ class SubgroupHandle:
         element_set: FrozenSet[int],
         core: Optional[Tuple[int, ...]] = None,
     ):
+        self._fill(space, generators, element_set, tuple(sorted(element_set)), core)
+
+    @classmethod
+    def _presorted(
+        cls,
+        space: SymplecticSpace,
+        generators: Sequence[F2Matrix],
+        element_set: FrozenSet[int],
+        elements: Tuple[int, ...],
+        core: Tuple[int, ...],
+    ) -> "SubgroupHandle":
+        """A handle whose caller already holds `element_set` as an ascending
+        tuple, so it is not sorted a second time."""
+        handle = cls.__new__(cls)
+        handle._fill(space, generators, element_set, elements, core)
+        return handle
+
+    def _fill(
+        self,
+        space: SymplecticSpace,
+        generators: Sequence[F2Matrix],
+        element_set: FrozenSet[int],
+        elements: Tuple[int, ...],
+        core: Optional[Tuple[int, ...]],
+    ) -> None:
         self.space = space
         self.dim = space.dim
         self.generators = tuple(generators)
         self.element_set = element_set
-        self.elements = tuple(sorted(element_set))
+        self.elements = elements
         self.order = len(element_set)
         # a small internal generating subset, kept for cheap conjugation work
         self.core = core if core is not None else tuple(g.packed for g in self.generators)
@@ -310,33 +337,110 @@ def _orthogonal_order_formula(m: int, arf: int) -> int:
     return n
 
 
+def _last_row_cosets(
+    stabilizer: Sequence[int], moves: Sequence[int], dim: int, order: int
+) -> Tuple[int, ...]:
+    """The `order` elements of a group of symplectic matrices, ascending,
+    as the right cosets H t_w of the last-row stabilizer H = <stabilizer>.
+
+    Every generator of H has last packed row e = 1 << (dim - 1), so every
+    element of H does. Breadth-first search of e under right multiplication
+    by `moves` gives one t_w for each last row w = e t_w it reaches, and
+    every element of H t_w has last row w, so the |H| products of different
+    cosets never meet. Once |H| times the number of rows is `order`, the
+    products are `order` distinct symplectic matrices: the whole group
+    when it has that order. Cosets come out in ascending w, each sorted on
+    its low (dim - 1) * dim bits only, with w put back on top.
+    """
+    top = (dim - 1) * dim
+    mask = (1 << dim) - 1
+    e_last = 1 << (dim - 1)
+    stab, _ = _grow_core(stabilizer, dim, DEFAULT_CAP)
+    tables = [_row_table(g, dim) for g in moves]
+    reps = {e_last: F2Matrix.identity(dim).packed}
+    queue = deque([e_last])
+    while queue:
+        w = queue.popleft()
+        for tab in tables:
+            u = tab[w]
+            if u not in reps:
+                reps[u] = _mul_table(reps[w], tab, dim, mask)
+                queue.append(u)
+    if len(stab) * len(reps) != order:
+        raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
+    lows = [h ^ (e_last << top) for h in stab]
+    width = -(-dim // 3) * dim if dim <= 6 else 0
+    w2 = 2 * width
+    cmask = (1 << width) - 1
+    out: List[int] = []
+    for w in sorted(reps):
+        tab = _row_table(reps[w], dim)
+        if width and len(lows) > cmask + 1:
+            t0, t1, t2 = _chunk_tables(tab, dim)
+            coset = [t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> w2] for a in lows]
+        else:
+            coset = [_mul_table(a, tab, dim, mask) for a in lows]
+        coset.sort()
+        hi = w << top
+        out.extend([x | hi for x in coset])
+    return tuple(out)
+
+
+def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
+    """Whether <gens> carries v to every nonzero vector. When T_v lies in
+    <gens>, so does T_(gv) = g T_v g^-1 for each g in it: a full orbit
+    puts every transvection, and so all of Sp_2m(F2), in <gens>."""
+    mats = [F2Matrix.from_packed(g, dim) for g in gens]
+    seen = {v}
+    queue = [v]
+    for x in queue:
+        for g in mats:
+            y = g.apply(x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == (1 << dim) - 1
+
+
 @lru_cache(maxsize=None)
 def symplectic_group(m: int) -> SubgroupHandle:
-    """Sp_2m(F2) (m <= 3 materializes), closed from two elements.
+    """Sp_2m(F2) (m <= 3 materializes), built as cosets of a stabilizer.
 
-    c is the product of a chain of plane-linking transvections
-    T_e1, T_f1, T_(e1+e2), T_f2, ...; the closure of <c, T_e2> (<c, T_e1>
-    for m = 1) multiplies each element by two generators only. Every
-    transvection is checked to lie in the closure, so the closure is the
-    group they generate, Sp_2m(F2); the declared generators are all
-    transvections and the core is (c, T).
+    The stabilizer H of the last packed row is generated by the
+    transvections that fix that row; the transvections carry the row to
+    every nonzero row, and `_last_row_cosets` emits H times one
+    representative per row, in ascending order, checking that the count is
+    |Sp_2m(F2)|. The declared generators are all transvections. The core
+    is (c, T): c is the product of a chain of plane-linking transvections
+    T_e1, T_f1, T_(e1+e2), T_f2, ... and T = T_v for v = e2 (e1 for
+    m = 1); the orbit of v under c and T is every nonzero vector, which
+    proves that they generate the group.
     """
-    if symplectic_order_formula(m) > DEFAULT_CAP:
+    order = symplectic_order_formula(m)
+    if order > DEFAULT_CAP:
         raise ClosureCapExceeded(DEFAULT_CAP)
     space = standard_symplectic(m)
+    dim = space.dim
     chain = [1, 1 << m]  # e_1, f_1
     for i in range(1, m):
         chain.append((1 << (i - 1)) | (1 << i))  # e_i + e_(i+1)
         chain.append(1 << (m + i))  # f_(i+1)
-    c = F2Matrix.identity(space.dim)
+    c = F2Matrix.identity(dim)
     for v in chain:
         c = c * transvection(v, space)
-    t = transvection(1 if m == 1 else 0b10, space)
-    elements, core = _grow_core((c.packed, t.packed), space.dim, DEFAULT_CAP)
+    v = 1 if m == 1 else 0b10
+    core = (c.packed, transvection(v, space).packed)
+    if not _orbit_is_every_vector(core, v, dim):
+        raise AssertionError("the core does not generate Sp_2m(F2)")
     generators = all_transvections(space)
-    if any(g.packed not in elements for g in generators):
+    packed = [g.packed for g in generators]
+    top = (dim - 1) * dim
+    stabilizer = [p for p in packed if p >> top == 1 << (dim - 1)]
+    elements = _last_row_cosets(stabilizer, packed, dim, order)
+    element_set = frozenset(elements)
+    if any(p not in element_set for p in packed):
         raise AssertionError("a transvection escaped the closure")
-    return SubgroupHandle(space, generators, elements, core=core)
+    return SubgroupHandle._presorted(space, generators, element_set, elements, core)
 
 
 def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -> SubgroupHandle:
@@ -375,9 +479,10 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
     elements, _ = _grow_core(gens, dim, DEFAULT_CAP)
     if len(elements) != want:
         raise AssertionError("transvection closure disagrees with |O(Q)|")
-    elements, core = _grow_core(sorted(elements), dim, DEFAULT_CAP)
-    return SubgroupHandle(
-        space, [F2Matrix.from_packed(p, dim) for p in core], elements, core=core
+    ordered = tuple(sorted(elements))
+    _, core = _grow_core(ordered, dim, DEFAULT_CAP)
+    return SubgroupHandle._presorted(
+        space, [F2Matrix.from_packed(p, dim) for p in core], elements, ordered, core
     )
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sdrkit import constructions
 from sdrkit.constructions import (
     DihedralConditionError,
     LocalImage,
@@ -17,6 +18,7 @@ from sdrkit.constructions import (
     verify_dihedral_pair,
 )
 from sdrkit.f2core import F2Matrix, standard_symplectic
+from sdrkit.gf2k import make_field
 from sdrkit.matgroups import close, has_nonzero_fixed_vector, transvection
 from sdrkit.quadforms import act, standard_base_form
 
@@ -69,6 +71,15 @@ def test_fixed_vector_solve_matches_a_full_scan():
             assert has_nonzero_fixed_vector(refl) == _smallest_fixed_by_scan(refl)
             power = power * pair.sigma
         assert power.is_identity()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_field_form_table_matches_direct_evaluation(m):
+    ctx = make_field(2 * m)
+    table = constructions._field_form_table(ctx, constructions._field_space(ctx))
+    direct = [constructions._field_q_value(ctx, x) for x in range(1 << (2 * m))]
+    assert [(table >> x) & 1 for x in range(1 << (2 * m))] == direct
+    assert table >> (1 << (2 * m)) == 0
 
 
 def test_dihedral_pair_json_roundtrip():

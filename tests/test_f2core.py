@@ -43,6 +43,14 @@ def test_apply_matches_column_picture():
         assert g.apply(v) == expect
 
 
+def test_images_match_apply_at_every_vector():
+    rng = random.Random(17)
+    for dim in range(1, 9):
+        for _ in range(6):
+            g = F2Matrix([rng.randrange(1 << dim) for _ in range(dim)], dim)
+            assert g.images() == [g.apply(v) for v in range(1 << dim)]
+
+
 def test_mul_associative_and_apply_compatible():
     rng = random.Random(11)
     for _ in range(100):

@@ -158,6 +158,59 @@ def test_symplectic_group_orders_match_formula(sp3):
             assert group.contains(t)
 
 
+def _sp_core_by_definition(m):
+    """(c, T) as the symplectic_group docstring defines them: c the product
+    of T_e1, T_f1, T_(e1+e2), T_f2, ..., T = T_e2 (T_e1 for m = 1)."""
+    sp = standard_symplectic(m)
+    chain = [1, 1 << m]
+    for i in range(1, m):
+        chain += [(1 << (i - 1)) | (1 << i), 1 << (m + i)]
+    c = F2Matrix.identity(2 * m)
+    for v in chain:
+        c = c * transvection(v, sp)
+    return c.packed, transvection(1 if m == 1 else 0b10, sp).packed
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_symplectic_group_matches_the_breadth_first_closure(m):
+    core = _sp_core_by_definition(m)
+    elements, grown = matgroups._grow_core(core, 2 * m, matgroups.DEFAULT_CAP)
+    sp = symplectic_group(m)
+    assert sp.core == grown == core
+    assert sp.element_set == elements
+    assert sp.elements == tuple(sorted(elements))
+
+
+def test_sp6_cosets_come_out_sorted(sp3):
+    assert sp3.core == _sp_core_by_definition(3)
+    assert sp3.elements == tuple(sorted(sp3.element_set))
+
+
+def test_orbit_check_refuses_a_core_that_does_not_generate():
+    for m in (1, 2, 3):
+        c, t = _sp_core_by_definition(m)
+        v = 1 if m == 1 else 0b10
+        assert matgroups._orbit_is_every_vector((c, t), v, 2 * m)
+        # T_v alone fixes v; at m = 1 the order-3 element c is transitive
+        assert not matgroups._orbit_is_every_vector((t, t), v, 2 * m)
+        if m > 1:
+            assert not matgroups._orbit_is_every_vector((c, c), v, 2 * m)
+
+
+def test_coset_build_refuses_a_stabilizer_short_of_the_group():
+    sp = standard_symplectic(2)
+    moves = [g.packed for g in all_transvections(sp)]
+    stabilizer = [p for p in moves if p >> 12 == 0b1000]
+    assert len(stabilizer) == 7
+    got = matgroups._last_row_cosets(stabilizer, moves, 4, 720)
+    assert got == symplectic_group(2).elements
+    with pytest.raises(AssertionError, match="cosets"):
+        matgroups._last_row_cosets(stabilizer[:2], moves, 4, 720)
+    # every row is reached, so a wrong group order is caught as well
+    with pytest.raises(AssertionError, match="cosets"):
+        matgroups._last_row_cosets(stabilizer, moves, 4, 1440)
+
+
 def test_groups_past_the_cap_are_refused_up_front():
     with pytest.raises(ClosureCapExceeded):
         symplectic_group(4)

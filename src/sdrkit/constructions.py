@@ -544,12 +544,12 @@ def demo_certificate(m: int = 3) -> ObstructionCertificate:
     for p in group.elements:
         mat = F2Matrix.from_packed(p, group.dim)
         handle = close([mat], space)
-        key = handle.element_set
+        key = handle.elements
         if key not in seen:
             seen[key] = mat
     images = []
     for idx, (key, mat) in enumerate(
-        sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ):
         images.append(
             LocalImage(label=f"frobenius-{idx}", group=close([mat], space))

@@ -87,6 +87,11 @@ class BinaryFieldCtx:
     def mul(self, a: int, b: int) -> int:
         return _pmod(_pmul(a, b), self.modulus)
 
+    def square(self, a: int) -> int:
+        """a * a with no product: over GF(2) squaring sends x^i to x^(2i),
+        so read a's binary digits as base-4 digits and reduce once."""
+        return _pmod(int(format(a, "b"), 4), self.modulus)
+
     @staticmethod
     def add(a: int, b: int) -> int:
         return a ^ b
@@ -100,7 +105,7 @@ class BinaryFieldCtx:
         while e:
             if e & 1:
                 acc = self.mul(acc, base)
-            base = self.mul(base, base)
+            base = self.square(base)
             e >>= 1
         return acc
 
@@ -112,7 +117,7 @@ class BinaryFieldCtx:
     def frobenius(self, a: int, d: int = 1) -> int:
         """a ** (2**d)."""
         for _ in range(d):
-            a = self.mul(a, a)
+            a = self.square(a)
         return a
 
     # -- multiplicative structure ----------------------------------------

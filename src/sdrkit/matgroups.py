@@ -1,8 +1,9 @@
 """Materialized subgroups of Sp_2m(F2): closure, fixed forms, and the census.
 
 Group elements are packed ints (rows concatenated, row i at bit offset
-i*dim), which makes sets of a million elements practical. Per-generator row
-tables turn a matrix product into dim table lookups; in a large closure at
+i*dim). A subgroup stores them once, as an ascending tuple searched by
+bisection, so even Sp6(F2) needs no hash table. Per-generator row tables
+turn a matrix product into dim table lookups; in a large closure at
 dim <= 6 they are regrouped into chunk tables of ceil(dim/3) rows, so a
 product is three lookups. Sp6(F2) is built as the cosets of its last-row
 stabilizer, one product per element and already in sorted order; the
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from collections import Counter, deque
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -197,61 +200,89 @@ def _mulclose(
 # ---------------------------------------------------------------------------
 # subgroup handles
 
+class _SortedView(Set):
+    """Read-only, unhashable set view of an ascending tuple of elements.
+
+    Membership bisects the tuple; `<=`, `==` and the other comparisons come
+    from `collections.abc.Set`, so the view compares with frozensets in
+    either order.
+    """
+
+    __slots__ = ("_items",)
+
+    def __init__(self, items: Tuple[int, ...]):
+        self._items = items
+
+    def __contains__(self, x: object) -> bool:
+        items = self._items
+        i = bisect_left(items, x)
+        return i < len(items) and items[i] == x
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 class SubgroupHandle:
     """A fully materialized subgroup with its declared generator list.
 
-    `element_set` is always the closure of `core` (of the declared
+    The elements are stored once, as the ascending tuple `elements`;
+    `element_set` is a bisection view of that tuple (`_SortedView`).
+    The elements are always the closure of `core` (of the declared
     generators when no core is given): `_grow_core` returns the two
     together and `orthogonal_group` keeps the core it found;
-    `symplectic_group` builds the set as cosets, counts it against
+    `symplectic_group` builds the tuple as cosets, counts it against
     |Sp_2m(F2)| and proves that its core generates the group by the orbit
     of a transvection's vector; the census and `lemma51_scan` pass each
     subgroup's join generators (empty for the trivial group). A subgroup
     test therefore needs only the core.
     """
 
-    __slots__ = ("space", "dim", "generators", "elements", "element_set", "order", "core")
+    __slots__ = ("space", "dim", "generators", "elements", "order", "core")
 
     def __init__(
         self,
         space: SymplecticSpace,
         generators: Sequence[F2Matrix],
-        element_set: FrozenSet[int],
+        elements: Iterable[int],
         core: Optional[Tuple[int, ...]] = None,
     ):
-        self._fill(space, generators, element_set, tuple(sorted(element_set)), core)
+        self._fill(space, generators, tuple(sorted(elements)), core)
 
     @classmethod
     def _presorted(
         cls,
         space: SymplecticSpace,
         generators: Sequence[F2Matrix],
-        element_set: FrozenSet[int],
         elements: Tuple[int, ...],
         core: Tuple[int, ...],
     ) -> "SubgroupHandle":
-        """A handle whose caller already holds `element_set` as an ascending
-        tuple, so it is not sorted a second time."""
+        """A handle whose caller already holds its elements as an ascending
+        tuple, so they are not sorted a second time."""
         handle = cls.__new__(cls)
-        handle._fill(space, generators, element_set, elements, core)
+        handle._fill(space, generators, elements, core)
         return handle
 
     def _fill(
         self,
         space: SymplecticSpace,
         generators: Sequence[F2Matrix],
-        element_set: FrozenSet[int],
         elements: Tuple[int, ...],
         core: Optional[Tuple[int, ...]],
     ) -> None:
         self.space = space
         self.dim = space.dim
         self.generators = tuple(generators)
-        self.element_set = element_set
         self.elements = elements
-        self.order = len(element_set)
+        self.order = len(elements)
         # a small internal generating subset, kept for cheap conjugation work
         self.core = core if core is not None else tuple(g.packed for g in self.generators)
+
+    @property
+    def element_set(self) -> _SortedView:
+        return _SortedView(self.elements)
 
     def contains(self, g) -> bool:
         packed = g.packed if isinstance(g, F2Matrix) else g
@@ -437,10 +468,10 @@ def symplectic_group(m: int) -> SubgroupHandle:
     top = (dim - 1) * dim
     stabilizer = [p for p in packed if p >> top == 1 << (dim - 1)]
     elements = _last_row_cosets(stabilizer, packed, dim, order)
-    element_set = frozenset(elements)
-    if any(p not in element_set for p in packed):
+    handle = SubgroupHandle._presorted(space, generators, elements, core)
+    if not all(handle.contains(p) for p in packed):
         raise AssertionError("a transvection escaped the closure")
-    return SubgroupHandle._presorted(space, generators, element_set, elements, core)
+    return handle
 
 
 def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -> SubgroupHandle:
@@ -482,7 +513,7 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
     ordered = tuple(sorted(elements))
     _, core = _grow_core(ordered, dim, DEFAULT_CAP)
     return SubgroupHandle._presorted(
-        space, [F2Matrix.from_packed(p, dim) for p in core], elements, ordered, core
+        space, [F2Matrix.from_packed(p, dim) for p in core], ordered, core
     )
 
 
@@ -682,7 +713,7 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     mask = (1 << dim) - 1
     ident = F2Matrix.identity(dim).packed
     cap = ambient.order + 1
-    everything = ambient.element_set
+    everything = ambient.elements
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset({ident}): ()}
     queue = deque(subs.keys())
     while queue:
@@ -1096,7 +1127,8 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     subgroup classes (plus the trivial class) that seed the join phase."""
     dim, mask = 6, 63
     ident = F2Matrix.identity(dim).packed
-    element_classes = _conjugation_orbits(sp6.element_set, sp6)
+    # a hashed copy: the orbit walk tests membership about 2.9M times
+    element_classes = _conjugation_orbits(frozenset(sp6.elements), sp6)
     reps = [orbit[0] for orbit in element_classes]
     class_of = {x: cid for cid, orbit in enumerate(element_classes) for x in orbit}
     del element_classes

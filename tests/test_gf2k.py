@@ -51,6 +51,13 @@ def test_frobenius_is_squaring_homomorphism():
             assert ctx.frobenius(a, k) == a  # full tower returns home
 
 
+def test_square_matches_mul_everywhere():
+    for k in range(1, 13):
+        ctx = make_field(k)
+        for a in range(1 << k):
+            assert ctx.square(a) == ctx.mul(a, a)
+
+
 def test_trace_linear_and_balanced():
     for k in (1, 2, 3, 4, 6):
         ctx = make_field(k)

@@ -30,6 +30,7 @@ GROUP_CRITERIA = [
 CASES = {
     "order-m1": (["order", "--m", "1"], 0),
     "order-m2": (["order", "--m", "2"], 0),
+    "order-m3": (["order", "--m", "3"], 0),
     "census-m1": (["census", "--m", "1"], 0),
     "forms-census-m3": (["forms-census", "--m", "3"], 0),
     "orbits-m2": (["orbits", "--m", "2"], 0),

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +338,66 @@ def test_handle_json_roundtrip():
     back = SubgroupHandle.from_json(group.to_json())
     assert back.element_set == group.element_set
     assert back.space == group.space
+
+
+def test_element_view_matches_the_closure_set_on_every_dim4_int():
+    sp4 = symplectic_group(2)
+    oracle, _ = matgroups._grow_core(sp4.core, 4, matgroups.DEFAULT_CAP)
+    view = sp4.element_set
+    assert len(view) == len(oracle) == 720
+    assert [p for p in range(1 << 16) if p in view] == sorted(oracle)
+
+
+def test_element_view_matches_a_frozenset_of_sp6(sp3):
+    oracle = frozenset(sp3.elements)
+    view = sp3.element_set
+    rng = random.Random(12)
+    for _ in range(100_000):
+        p = rng.getrandbits(36)
+        assert (p in view) == (p in oracle)
+    og = orthogonal_group(standard_base_form(3), sp3)
+    for p in og.elements:
+        assert p in view
+        # the next int up probes the bisection just past a member
+        assert (p + 1 in view) == (p + 1 in oracle)
+    assert og.element_set <= view
+
+
+def test_element_view_compares_with_frozensets_and_is_read_only():
+    sp4 = symplectic_group(2)
+    small = close([transvection(0b0011, sp4.space)])
+    fs = frozenset(sp4.elements)
+    assert sp4.element_set == fs and fs == sp4.element_set
+    assert small.element_set != fs and fs != small.element_set
+    assert small.element_set <= sp4.element_set and not sp4.element_set <= small.element_set
+    assert small.element_set <= fs and frozenset(small.elements) <= sp4.element_set
+    assert not hasattr(sp4.element_set, "add")
+    with pytest.raises(TypeError):
+        hash(sp4.element_set)
+
+
+def test_sp6_build_peak_memory_stays_under_one_copy():
+    # one 1.45M-element tuple peaks near 91 MB; a second container (a
+    # frozenset of Sp6 is about 64 MB) would pass 140 MB
+    pytest.importorskip("resource")
+    build = (
+        "import resource\n"
+        "from sdrkit.matgroups import symplectic_group\n"
+        "symplectic_group(3)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # Linux hands a parent's peak RSS on to the children it starts, so the
+    # build runs under a small launcher instead of this test process
+    launch = f"import subprocess, sys; subprocess.run([sys.executable, '-c', {build!r}], check=True)"
+    src = str(Path(matgroups.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True
+    )
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    peak_mb = int(out.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    assert peak_mb < 140, peak_mb
 
 
 def test_contains_and_subgroup_relation():

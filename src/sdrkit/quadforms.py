@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 MAX_FORM_DIM = 16  # value tables are 2**dim bits
+_COLUMNS_MEMO = 64  # bases whose check and columns arf_by_basis remembers
 
 
 def _swap_halves(v: int, m: int) -> int:
@@ -203,21 +204,30 @@ def arf_by_count(table_or_form: Union[int, QuadraticForm, BaseForm], m: Optional
     raise ValueError("value counts do not match any Arf class")
 
 
+@lru_cache(maxsize=_COLUMNS_MEMO)
+def _symplectic_columns(basis: F2Matrix, space: SymplecticSpace) -> Optional[Tuple[int, ...]]:
+    """The columns of `basis` when it is symplectic on `space`, else None."""
+    return tuple(basis.cols()) if is_symplectic(basis, space) else None
+
+
 def arf_by_basis(form: QuadraticForm, basis: F2Matrix) -> int:
     """Arf invariant as sum of Q(e_i) Q(f_i) over a symplectic basis.
 
     `basis` holds the basis vectors as columns, e-block then f-block; it must
-    satisfy the symplectic condition for the standard pairing.
+    satisfy the symplectic condition for the standard pairing. Each distinct
+    basis is checked and transposed once, in a bounded memo, so evaluating
+    every form on one basis pays for the check once; a rejected basis is
+    rejected on every call.
     """
-    space = form.space
-    if not is_symplectic(basis, space):
+    cols = _symplectic_columns(basis, form.space)
+    if cols is None:
         raise ValueError("columns are not a symplectic basis")
     m = form.m
-    cols = basis.cols()
+    table = form.table
     acc = 0
     for i in range(m):
-        acc ^= form.value(cols[i]) & form.value(cols[m + i])
-    return acc
+        acc ^= (table >> cols[i]) & (table >> cols[m + i])
+    return acc & 1
 
 
 def arf_from_vector(base: BaseForm, v: int) -> int:
@@ -231,13 +241,11 @@ def action_shift(g: F2Matrix, base: BaseForm) -> int:
     w is determined by <x, w> = Q0(gx) + Q0(x); the right side is linear in x
     whenever g is symplectic, so reading it off the basis vectors suffices.
     """
-    d = base.space.dim
-    m = base.m
+    table = base.table
     delta = 0
-    for i in range(d):
-        e = 1 << i
-        delta |= (base.value(g.apply(e)) ^ base.value(e)) << i
-    return _swap_halves(delta, m)  # standard Gram matrix is its own inverse
+    for i, c in enumerate(g.cols()):  # column i is g(e_i)
+        delta |= (((table >> c) ^ (table >> (1 << i))) & 1) << i
+    return _swap_halves(delta, base.m)  # standard Gram matrix is its own inverse
 
 
 def act(g: F2Matrix, form: QuadraticForm, check: bool = True) -> QuadraticForm:

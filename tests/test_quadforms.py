@@ -6,6 +6,8 @@ from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import close, symplectic_group, transvection
 from sdrkit.quadforms import (
     QuadraticForm,
+    _COLUMNS_MEMO,
+    _symplectic_columns,
     act,
     action_shift,
     adapted_symplectic_basis,
@@ -75,13 +77,18 @@ def test_arf_from_vector_shortcut():
 
 
 def test_arf_by_basis_identity_and_random():
+    """Each basis is evaluated as is and through an equal but distinct copy,
+    so the second call of each pair reads the memoized columns."""
     rng = random.Random(17)
-    for m in (1, 2):
+    for m in (1, 2, 3, 4):
         base = standard_base_form(m)
-        ident = F2Matrix.identity(2 * m)
-        for f in all_forms(base):
-            assert arf_by_basis(f, ident) == f.arf
-            assert arf_by_basis(f, _rand_symplectic(base.space, rng)) == f.arf
+        dim = 2 * m
+        bases = [F2Matrix.identity(dim)] + [_rand_symplectic(base.space, rng) for _ in range(3)]
+        for basis in bases:
+            copy = F2Matrix(basis.rows, dim)
+            for f in all_forms(base):
+                assert arf_by_basis(f, basis) == f.arf
+                assert arf_by_basis(f, copy) == f.arf
 
 
 def test_arf_by_basis_rejects_non_symplectic():
@@ -90,18 +97,43 @@ def test_arf_by_basis_rejects_non_symplectic():
     squash = F2Matrix([0b1111, 0, 0, 0], 4)
     with pytest.raises(ValueError):
         arf_by_basis(form, squash)
+    # a symplectic basis of the same dimension in the memo changes nothing
+    assert arf_by_basis(form, F2Matrix.identity(4)) == form.arf
+    with pytest.raises(ValueError):
+        arf_by_basis(form, squash)
+    with pytest.raises(ValueError):
+        arf_by_basis(form, F2Matrix(squash.rows, 4))
+    # a basis of the wrong dimension, even one accepted for another m
+    ident6 = F2Matrix.identity(6)
+    form3 = form_from_vector(standard_base_form(3), 0)
+    assert arf_by_basis(form3, ident6) == form3.arf
+    for basis, f in ((ident6, form), (F2Matrix.identity(4), form3), (F2Matrix.identity(2), form)):
+        with pytest.raises(ValueError):
+            arf_by_basis(f, basis)
+
+
+def test_arf_by_basis_memo_is_bounded():
+    form = form_from_vector(standard_base_form(2), 5)
+    for p in symplectic_group(2).elements[: _COLUMNS_MEMO + 10]:
+        assert arf_by_basis(form, F2Matrix.from_packed(p, 4)) == form.arf
+    assert _symplectic_columns.cache_info().currsize <= _COLUMNS_MEMO
 
 
 def test_action_shift_defining_identity():
-    rng = random.Random(19)
-    for m in (1, 2, 3):
-        base = standard_base_form(m)
+    def check(g, base):
+        w = action_shift(g, base)
         sp = base.space
+        for x in range(1 << sp.dim):
+            assert sp.pairing(x, w) == base.value(g.apply(x)) ^ base.value(x)
+
+    rng = random.Random(19)
+    for m in (1, 2, 3, 4):
+        base = standard_base_form(m)
         for _ in range(25):
-            g = _rand_symplectic(sp, rng)
-            w = action_shift(g, base)
-            for x in range(1 << sp.dim):
-                assert sp.pairing(x, w) == base.value(g.apply(x)) ^ base.value(x)
+            check(_rand_symplectic(base.space, rng), base)
+    base = standard_base_form(2)
+    for p in symplectic_group(2).elements:
+        check(F2Matrix.from_packed(p, 4), base)
 
 
 def test_act_transforms_values():

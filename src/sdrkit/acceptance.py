@@ -139,8 +139,11 @@ def _c02_form_census_and_orbits(ctx: AcceptanceContext) -> Tuple[bool, str]:
 
 
 def _random_symplectic(space, rng: random.Random, word: int = 10) -> F2Matrix:
+    """A product of `word` or `word + 1` random transvections. Transvections
+    are odd permutations in Sp2(F2) = S3 and Sp4(F2) = S6, so a word of one
+    fixed length stays in one coset of the index-2 subgroup there."""
     g = F2Matrix.identity(space.dim)
-    for _ in range(word):
+    for _ in range(word + rng.randrange(2)):
         v = rng.randrange(1, 1 << space.dim)
         g = g * transvection(v, space)
     return g

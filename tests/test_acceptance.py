@@ -5,10 +5,13 @@ asserts the criterion's verdict, so `pytest -v tests/test_acceptance.py`
 reads as the acceptance table.
 """
 import functools
+import random
 import time
 
 from sdrkit import acceptance
 from sdrkit.acceptance import AcceptanceContext, run_one
+from sdrkit.f2core import standard_symplectic
+from sdrkit.matgroups import symplectic_group
 
 
 def _check(name, actx):
@@ -88,3 +91,12 @@ def test_sp3_budget_times_a_closure_not_a_cache_hit(monkeypatch):
     assert ctx.sp3() == "Sp6"
     assert ctx.time_sp3_build() == ctx.sp3_build_seconds
     assert built == [3, 3]
+
+
+def test_arf_coherence_bases_reach_all_of_sp2():
+    # arf-coherence draws 25 bases at m = 1 from this generator
+    space = standard_symplectic(1)
+    for seed in (0, 1, 2020):
+        rng = random.Random(seed + 2)
+        drawn = {acceptance._random_symplectic(space, rng).packed for _ in range(25)}
+        assert drawn == set(symplectic_group(1).elements), seed

@@ -31,9 +31,11 @@ from sdrkit.localglobal import (
     MILLER_RABIN_LIMIT,
     _conic_point_and_places,
     _cubic_has_root_mod,
+    _cubic_square_disc_has_root,
     _factor,
     _holzer_search,
     _invert3,
+    _squarefree_split,
 )
 
 
@@ -460,6 +462,8 @@ def test_cubic_root_mod_matches_enumeration():
                 brute = -b % p in values
                 assert _cubic_has_root_mod(p, a % p, b % p) == brute, (a, b, p)
                 assert _cubic_has_root_reference(p, a % p, b % p) == brute, (a, b, p)
+                if legendre(d, p) == 1:
+                    assert _cubic_square_disc_has_root(p, a % p, b % p) == brute, (a, b, p)
                 seen.add((a % p == 0, legendre(d, p), brute))
     # a = 0 mod p and a != 0 mod p, under both characters of D, with and
     # without a root (a non-square D always gives exactly one root)
@@ -468,11 +472,26 @@ def test_cubic_root_mod_matches_enumeration():
     }
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [(0, -2), (-3, 1), (Fraction(1, 2), Fraction(-3, 5)), (Fraction(-7, 4), Fraction(5, 3))],
-)
+# each fixture's squarefree discriminant kernel d. 4|d| <= isqrt(10^5) = 316
+# reads (d|p) from one Euler test per residue class mod 4|d|: d = -3, 1,
+# and d = -5 for D = -1296/125, whose 5 sits in the denominator and whose
+# (-5|p) needs p mod 20, not p mod 10. Larger |d| take Euler's criterion at
+# every prime.
+_DENSITY_KERNELS = {
+    (0, -2): -3,
+    (-3, 1): 1,
+    (Fraction(1, 2), Fraction(-3, 5)): -1022,
+    (Fraction(-7, 4), Fraction(5, 3)): -857,
+    (Fraction(-6, 5), Fraction(-4, 5)): -5,
+    (7, 11): -4639,
+}
+
+
+@pytest.mark.parametrize("a, b", list(_DENSITY_KERNELS))
 def test_density_matches_the_polynomial_reference(a, b):
+    disc = cubic_discriminant(a, b)
+    kernel = _squarefree_split(disc.numerator * disc.denominator)[0]
+    assert kernel == _DENSITY_KERNELS[a, b]
     report = cubic_local_root_density(a, b, 10 ** 5)
     a, b = Fraction(a), Fraction(b)
     counted = with_root = 0

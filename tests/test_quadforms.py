@@ -24,10 +24,18 @@ from sdrkit.quadforms import (
 
 
 def _rand_symplectic(space, rng, word=8):
+    # words of both parities: at m <= 2 transvections are odd permutations
     g = F2Matrix.identity(space.dim)
-    for _ in range(word):
+    for _ in range(word + rng.randrange(2)):
         g = g * transvection(rng.randrange(1, 1 << space.dim), space)
     return g
+
+
+def test_rand_symplectic_reaches_all_of_sp2():
+    space = standard_symplectic(1)
+    rng = random.Random(0)
+    drawn = {_rand_symplectic(space, rng).packed for _ in range(40)}
+    assert drawn == set(symplectic_group(1).elements)
 
 
 def test_base_form_polarizes_to_pairing():

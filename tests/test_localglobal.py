@@ -472,11 +472,11 @@ def test_cubic_root_mod_matches_enumeration():
     }
 
 
-# each fixture's squarefree discriminant kernel d. 4|d| <= isqrt(10^5) = 316
-# reads (d|p) from one Euler test per residue class mod 4|d|: d = -3, 1,
-# and d = -5 for D = -1296/125, whose 5 sits in the denominator and whose
-# (-5|p) needs p mod 20, not p mod 10. Larger |d| take Euler's criterion at
-# every prime.
+# The squarefree kernel d of each fixture's discriminant. With 4|d| <=
+# isqrt(10^5) = 316 the density reads (d|p) from one Euler test per residue
+# class mod 4|d|: d = -3, d = 1, and d = -5 for D = -1296/125, whose 5 sits
+# in the denominator and whose (-5|p) needs p mod 20, not p mod 10. The
+# larger kernels take Euler's criterion at every prime.
 _DENSITY_KERNELS = {
     (0, -2): -3,
     (-3, 1): 1,

@@ -413,19 +413,29 @@ class ObstructionCertificate:
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "ObstructionCertificate":
         """Parse and close the groups. m, degree_n and every generator's
-        dimension are validated first, raising ValueError, so no closure
-        runs on an input the certifier cannot check."""
-        m = int(data["m"])
+        type and dimension are validated first, raising ValueError, so no
+        closure runs on an input the certifier cannot check."""
+
+        def integer(key: str) -> int:
+            # JSON gives 3.7 and 1e400 as floats and true as a bool (an int)
+            value = data[key]
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            return value
+
+        m = integer("m")
         if not 1 <= m <= MAX_FORM_DIM // 2:
             raise ValueError(
                 f"m = {m} is out of range: certificates are checked for "
                 f"1 <= m <= {MAX_FORM_DIM // 2}"
             )
-        degree_n = int(data["degree_n"])
+        degree_n = integer("degree_n")
         if degree_n < 3:
             raise ValueError(f"degree_n = {degree_n}: plane curves need degree >= 3")
 
         def generators(texts) -> List[F2Matrix]:
+            if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                raise ValueError(f"generators must be a list of matrix strings, got {texts!r}")
             gens = [F2Matrix.from_text(t) for t in texts]
             for g in gens:
                 if g.dim != 2 * m:

@@ -8,7 +8,7 @@ every row inside one machine word on CPython.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "MAX_DIM",
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 MAX_DIM = 64
+_SPAN_BLOCK = 8  # kernel vectors per `_span_table` block in `affine_span`
 
 
 def _parity(x: int) -> int:
@@ -120,14 +121,9 @@ class F2Matrix:
     # -- arithmetic ----------------------------------------------------
 
     def images(self) -> List[int]:
-        """M v for every v in 0 .. 2^dim - 1, in that order: each image is
-        an earlier one plus the column of v's low set bit."""
-        cols = self.cols()
-        out = [0] * (1 << self.dim)
-        for v in range(1, 1 << self.dim):
-            low = v & -v
-            out[v] = out[v ^ low] ^ cols[low.bit_length() - 1]
-        return out
+        """M v for every v in 0 .. 2^dim - 1, in that order: the subset
+        XORs of the columns."""
+        return _span_table(self.cols())
 
     def apply(self, v: int) -> int:
         """Matrix-vector product over GF(2)."""
@@ -140,16 +136,7 @@ class F2Matrix:
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         orows = other.rows
-        new_rows = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= orows[low.bit_length() - 1]
-                rr ^= low
-            new_rows.append(acc)
-        return F2Matrix(new_rows, self.dim)
+        return F2Matrix([_combine(r, orows) for r in self.rows], self.dim)
 
     def __pow__(self, e: int) -> "F2Matrix":
         base = self
@@ -206,6 +193,43 @@ class F2Matrix:
 
     def __repr__(self) -> str:
         return f"F2Matrix({self.to_text()!r})"
+
+
+def _combine(r: int, vecs: Sequence[int]) -> int:
+    """XOR of vecs[i] over the set bits i of r: row r times the matrix with
+    rows vecs. The one row-combination loop; every product goes through it
+    or through a table of its values."""
+    acc = 0
+    while r:
+        low = r & -r
+        acc ^= vecs[low.bit_length() - 1]
+        r ^= low
+    return acc
+
+
+def _span_table(vecs: Sequence[int]) -> List[int]:
+    """_combine(r, vecs) for every r in 0 .. 2^len(vecs) - 1, in that order:
+    each entry is an earlier one plus the vector of r's low set bit."""
+    out = [0] * (1 << len(vecs))
+    for r in range(1, len(out)):
+        low = r & -r
+        out[r] = out[r ^ low] ^ vecs[low.bit_length() - 1]
+    return out
+
+
+def _orbit(seed, moves: Sequence[Callable]) -> list:
+    """The orbit of seed under the maps in `moves`, breadth first: seed,
+    then each new image in the order it is met. For bijections of a finite
+    set this is the orbit under the group they generate."""
+    seen = {seed}
+    orbit = [seed]
+    for x in orbit:
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return orbit
 
 
 def _transpose(vecs: Sequence[int], dim: int) -> List[int]:
@@ -287,17 +311,16 @@ def solve_affine(
 
 def affine_span(particular: int, kernel: Sequence[int]) -> Iterator[int]:
     """Every point of particular + span(kernel), one per mask in increasing
-    order: bit i of the mask picks kernel[i], so mask 0 gives `particular`."""
-    for mask in range(1 << len(kernel)):
-        x = particular
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                x ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        yield x
+    order: bit i of the mask picks kernel[i], so mask 0 gives `particular`.
+
+    The first `_SPAN_BLOCK` kernel vectors are read from one `_span_table`,
+    the low bits of the mask; the rest count up above them, lazily, so the
+    first points come at once even for a long kernel."""
+    low = _span_table(kernel[:_SPAN_BLOCK])
+    rest = kernel[_SPAN_BLOCK:]
+    for h in affine_span(particular, rest) if rest else (particular,):
+        for x in low:
+            yield h ^ x
 
 
 class SymplecticSpace:
@@ -355,16 +378,12 @@ def standard_symplectic(m: int) -> SymplecticSpace:
 
 def _congruent_rows(rows: Sequence[int], gram_rows: Sequence[int]) -> Tuple[int, ...]:
     """Rows of t^T * gram * t, where t has the given rows, in one pass over
-    them: row k of gram * t is the XOR of t's rows over the set bits of
-    gram's row k, and it is added to row i of the result for every set bit
-    i of t's row k."""
+    them: row k of gram * t combines t's rows over the set bits of gram's
+    row k, and it is added to row i of the result for every set bit i of
+    t's row k."""
     out = [0] * len(rows)
     for k, jrow in enumerate(gram_rows):
-        acc = 0
-        while jrow:
-            low = jrow & -jrow
-            acc ^= rows[low.bit_length() - 1]
-            jrow ^= low
+        acc = _combine(jrow, rows)
         r = rows[k]
         while r:
             low = r & -r

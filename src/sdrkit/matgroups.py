@@ -2,27 +2,35 @@
 
 Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim). A subgroup stores them once, as an ascending tuple searched by
-bisection, so even Sp6(F2) needs no hash table. Per-generator row tables
-turn a matrix product into dim table lookups; in a large closure at
-dim <= 6 they are regrouped into chunk tables of ceil(dim/3) rows, so a
-product is three lookups. Sp6(F2) is built as the cosets of its last-row
-stabilizer, one product per element and already in sorted order; the
-stabilizer O(Q) of a form is closed from its own transvections.
+bisection, so even Sp6(F2) needs no hash table. Products go through two
+routines: `_product` multiplies one pair, row by row through f2core's
+`_combine`; `_RightMul` multiplies a batch on the right by one element,
+through that element's row table (dim lookups a product), regrouped at
+dim <= 6 into chunk tables of ceil(dim/3) rows (three lookups) once a
+batch outgrows one table. Closures, cosets, coset removal and
+conjugation all use `_RightMul`. Sp6(F2) is built as the cosets of its
+last-row stabilizer, one product per element and already in sorted
+order; the stabilizer O(Q) of a form is closed from its own transvections.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .f2core import (
     F2Matrix,
     SymplecticSpace,
+    _combine,
+    _orbit,
+    _span_table,
     affine_span,
     is_symplectic,
     solve_affine,
@@ -74,26 +82,24 @@ class ClosureCapExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # packed-matrix engine
 
-def _row_table(packed: int, dim: int) -> Tuple[int, ...]:
+def _rows(packed: int, dim: int) -> List[int]:
+    mask = (1 << dim) - 1
+    return [(packed >> (i * dim)) & mask for i in range(dim)]
+
+
+def _row_table(packed: int, dim: int) -> List[int]:
     """Table over all 2^dim row vectors r of the product r * M. Built on
     every call: 2^dim XORs, far less than the closure that uses it."""
+    return _span_table(_rows(packed, dim))
+
+
+def _product(a: int, b: int, dim: int) -> int:
+    """The single product a * b: each row of a combines the rows of b."""
     mask = (1 << dim) - 1
-    rows = [(packed >> (i * dim)) & mask for i in range(dim)]
-    size = 1 << dim
-    tab = [0] * size
-    for r in range(1, size):
-        low = r & -r
-        tab[r] = tab[r ^ low] ^ rows[low.bit_length() - 1]
-    return tuple(tab)
-
-
-def _mul_table(a: int, table: Sequence[int], dim: int, mask: int) -> int:
+    brows = _rows(b, dim)
     out = 0
-    shift = 0
-    top = dim * dim
-    while shift < top:
-        out |= table[(a >> shift) & mask] << shift
-        shift += dim
+    for shift in range(0, dim * dim, dim):
+        out |= _combine((a >> shift) & mask, brows) << shift
     return out
 
 
@@ -116,17 +122,43 @@ def _chunk_tables(
     return t0, t1, t2
 
 
-def _mul_generic(a: int, b: int, dim: int, mask: int) -> int:
-    out = 0
-    for i in range(dim):
-        rr = (a >> (i * dim)) & mask
-        acc = 0
-        while rr:
-            low = rr & -rr
-            acc ^= (b >> ((low.bit_length() - 1) * dim)) & mask
-            rr ^= low
-        out |= acc << (i * dim)
-    return out
+class _RightMul:
+    """x -> x * b over a batch of packed elements x: the one batched
+    product. It holds b's row table, so a product is dim lookups. At
+    dim <= 6, once a batch outgrows one chunk table, it builds the chunk
+    tables of `_chunk_tables` and keeps them, and from then on a product is
+    three lookups; small batches never pay for them."""
+
+    __slots__ = ("dim", "table", "width", "chunks")
+
+    def __init__(self, b: int, dim: int):
+        self.dim = dim
+        self.table = _row_table(b, dim)
+        self.width = -(-dim // 3) * dim if dim <= 6 else 0
+        self.chunks: Optional[Tuple[List[int], List[int], List[int]]] = None
+
+    def __call__(self, xs: Collection[int]) -> List[int]:
+        width = self.width
+        if self.chunks is None and width and len(xs) > 1 << width:
+            self.chunks = _chunk_tables(self.table, self.dim)
+        if self.chunks is not None:
+            t0, t1, t2 = self.chunks
+            cmask = (1 << width) - 1
+            w2 = 2 * width
+            return [t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> w2] for a in xs]
+        dim = self.dim
+        tab = self.table
+        mask = (1 << dim) - 1
+        top = dim * dim
+        out = []
+        for a in xs:
+            p = 0
+            shift = 0
+            while shift < top:
+                p |= tab[(a >> shift) & mask] << shift
+                shift += dim
+            out.append(p)
+        return out
 
 
 def _inv_packed(a: int, dim: int) -> int:
@@ -156,41 +188,21 @@ def _mulclose(
 ) -> FrozenSet[int]:
     """Closure of <gens> containing seed; seed must sit inside <gens>.
 
-    At dim <= 6 the chunk tables of `_chunk_tables` replace the row loop
-    once a round's frontier outgrows one table, so small closures pay
-    nothing to build them.
+    Each round multiplies the frontier on the right by every generator
+    through one `_RightMul` per generator, which switches to chunk tables
+    once a frontier outgrows one table, so small closures pay nothing to
+    build them.
     """
-    mask = (1 << dim) - 1
-    tables = [_row_table(g, dim) for g in gens]
+    rights = [_RightMul(g, dim) for g in gens]
     seen = set(seed)
     frontier = list(seen)
-    top = dim * dim
-    chunks = None
-    width = -(-dim // 3) * dim if dim <= 6 else 0
-    w2 = 2 * width
-    cmask = (1 << width) - 1
     while frontier:
         fresh = []
-        if chunks is None and width and len(frontier) > cmask + 1:
-            chunks = [_chunk_tables(t, dim) for t in tables]
-        if chunks is not None:
-            for t0, t1, t2 in chunks:
-                for a in frontier:
-                    out = t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> w2]
-                    if out not in seen:
-                        seen.add(out)
-                        fresh.append(out)
-        else:
-            for t in tables:
-                for a in frontier:
-                    out = 0
-                    shift = 0
-                    while shift < top:
-                        out |= t[(a >> shift) & mask] << shift
-                        shift += dim
-                    if out not in seen:
-                        seen.add(out)
-                        fresh.append(out)
+        for right in rights:
+            for out in right(frontier):
+                if out not in seen:
+                    seen.add(out)
+                    fresh.append(out)
         if len(seen) > cap:
             raise ClosureCapExceeded(cap)
         frontier = fresh
@@ -384,33 +396,24 @@ def _last_row_cosets(
     its low (dim - 1) * dim bits only, with w put back on top.
     """
     top = (dim - 1) * dim
-    mask = (1 << dim) - 1
     e_last = 1 << (dim - 1)
     stab, _ = _grow_core(stabilizer, dim, DEFAULT_CAP)
-    tables = [_row_table(g, dim) for g in moves]
+    rights = [_RightMul(g, dim) for g in moves]
     reps = {e_last: F2Matrix.identity(dim).packed}
     queue = deque([e_last])
     while queue:
         w = queue.popleft()
-        for tab in tables:
-            u = tab[w]
+        for right in rights:
+            u = right.table[w]
             if u not in reps:
-                reps[u] = _mul_table(reps[w], tab, dim, mask)
+                reps[u] = right([reps[w]])[0]
                 queue.append(u)
     if len(stab) * len(reps) != order:
         raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
     lows = [h ^ (e_last << top) for h in stab]
-    width = -(-dim // 3) * dim if dim <= 6 else 0
-    w2 = 2 * width
-    cmask = (1 << width) - 1
     out: List[int] = []
     for w in sorted(reps):
-        tab = _row_table(reps[w], dim)
-        if width and len(lows) > cmask + 1:
-            t0, t1, t2 = _chunk_tables(tab, dim)
-            coset = [t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> w2] for a in lows]
-        else:
-            coset = [_mul_table(a, tab, dim, mask) for a in lows]
+        coset = _RightMul(reps[w], dim)(lows)
         coset.sort()
         hi = w << top
         out.extend([x | hi for x in coset])
@@ -421,16 +424,8 @@ def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
     """Whether <gens> carries v to every nonzero vector. When T_v lies in
     <gens>, so does T_(gv) = g T_v g^-1 for each g in it: a full orbit
     puts every transvection, and so all of Sp_2m(F2), in <gens>."""
-    mats = [F2Matrix.from_packed(g, dim) for g in gens]
-    seen = {v}
-    queue = [v]
-    for x in queue:
-        for g in mats:
-            y = g.apply(x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == (1 << dim) - 1
+    moves = [F2Matrix.from_packed(g, dim).apply for g in gens]
+    return len(_orbit(v, moves)) == (1 << dim) - 1
 
 
 @lru_cache(maxsize=None)
@@ -710,7 +705,6 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     coset H g is enough because <H, hg> = <H, g>.
     """
     dim = ambient.dim
-    mask = (1 << dim) - 1
     ident = F2Matrix.identity(dim).packed
     cap = ambient.order + 1
     everything = ambient.elements
@@ -727,9 +721,7 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
             if jset not in subs:
                 subs[jset] = jgens
                 queue.append(jset)
-            gt = _row_table(g, dim)
-            coset = {_mul_table(h, gt, dim, mask) for h in hset}
-            remaining -= coset
+            remaining.difference_update(_RightMul(g, dim)(hset))
     return subs
 
 
@@ -743,39 +735,31 @@ def _conjugation_orbits(family, ambient: SubgroupHandle) -> List[list]:
     family is an error.
     """
     dim = ambient.dim
-    mask = (1 << dim) - 1
-    # (g, right-table of g^-1): h -> (g h) g^-1
-    conjugators = [(p, _row_table(_inv_packed(p, dim), dim)) for p in ambient.core]
 
-    def conj(h: int, g: int, t_ginv: Sequence[int]) -> int:
-        return _mul_table(_mul_generic(g, h, dim, mask), t_ginv, dim, mask)
+    def conjugation(g: int) -> Callable:
+        """x -> g x g^-1, as (g h) g^-1 for each element h of x."""
+        right = _RightMul(_inv_packed(g, dim), dim)
+
+        def move(x):
+            if isinstance(x, frozenset):
+                return frozenset(right([_product(g, h, dim) for h in x]))
+            return right([_product(g, x, dim)])[0]
+
+        return move
 
     def key(x):
         return tuple(sorted(x)) if isinstance(x, frozenset) else x
 
+    moves = [conjugation(g) for g in ambient.core]
     seen = set()
     orbits = []
     for seed in sorted(family, key=key):
         if seed in seen:
             continue
-        seen.add(seed)
-        orbit = [seed]
-        frontier = [seed]
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g, t_ginv in conjugators:
-                    if isinstance(x, frozenset):
-                        y = frozenset(conj(h, g, t_ginv) for h in x)
-                    else:
-                        y = conj(x, g, t_ginv)
-                    if y not in seen:
-                        if y not in family:
-                            raise AssertionError("conjugate left the family")
-                        seen.add(y)
-                        orbit.append(y)
-                        fresh.append(y)
-            frontier = fresh
+        orbit = _orbit(seed, moves)
+        if not all(y in family for y in orbit):
+            raise AssertionError("conjugate left the family")
+        seen.update(orbit)
         orbit.sort(key=key)
         orbits.append(orbit)
     return orbits
@@ -793,14 +777,13 @@ def _transporters(
     1024 elements, can cut it short: it then yields None, meaning "ran out
     of time", and stops."""
     dim = ambient.dim
-    mask = (1 << dim) - 1
     for i, a in enumerate(ambient.elements):
         if deadline is not None and not i & 0x3FF and time.monotonic() >= deadline:
             yield None
             return
         ainv = _inv_packed(a, dim)
         for h in gens:
-            if _mul_generic(_mul_generic(a, h, dim, mask), ainv, dim, mask) not in target:
+            if _product(_product(a, h, dim), ainv, dim) not in target:
                 break
         else:
             yield a
@@ -908,7 +891,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
 
     sp6 = symplectic_group(3)
     base = standard_base_form(3)
-    dim, mask = 6, 63
+    dim = 6
     ident = F2Matrix.identity(dim).packed
 
     say("bucketing elements by order")
@@ -918,14 +901,14 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     for p in sp6.elements:
         if p == ident:
             continue
-        p2 = _mul_generic(p, p, dim, mask)
+        p2 = _product(p, p, dim)
         if p2 == ident:
             ord2.append(p)
             continue
-        p3 = _mul_generic(p2, p, dim, mask)
+        p3 = _product(p2, p, dim)
         if p3 == ident:
             ord3.append(p)
-        elif _mul_generic(p3, p3, dim, mask) == ident:
+        elif _product(p3, p3, dim) == ident:
             ord6.append(p)
 
     say(f"orders bucketed: {len(ord2)} involutions, {len(ord3)} of order 3, "
@@ -942,14 +925,14 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
 
     say("scanning cyclic candidates")
     for g in ord6:
-        g2 = _mul_generic(g, g, dim, mask)
-        g3 = _mul_generic(g2, g, dim, mask)
+        g2 = _product(g, g, dim)
+        g3 = _product(g2, g, dim)
         if g2 not in qual3 or g3 not in qual2:
             continue
         if not _fixes_some_arf0(g, base):
             continue
-        g4 = _mul_generic(g3, g, dim, mask)
-        g5 = _mul_generic(g4, g, dim, mask)
+        g4 = _product(g3, g, dim)
+        g5 = _product(g4, g, dim)
         key = frozenset({ident, g, g2, g3, g4, g5})
         if key not in survivors and group_no_common_arf0((g,)):
             survivors[key] = ("cyclic", (g,))
@@ -958,20 +941,21 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     c3_reps: List[Tuple[int, int]] = []  # (r, r^2), deduped per subgroup
     seen_c3 = set()
     for r in qual3:
-        r2 = _mul_generic(r, r, dim, mask)
+        r2 = _product(r, r, dim)
         key = min(r, r2)
         if key not in seen_c3:
             seen_c3.add(key)
             c3_reps.append((key, max(r, r2)))
     say(f"qualified order-3 subgroups: {len(c3_reps)}")
+    involutions = list(qual2)  # the iteration order of qual2, which the golden pins
     for idx, (r, r2) in enumerate(c3_reps):
         if progress is not None and idx % 200 == 0:
             say(f"dihedral scan {idx}/{len(c3_reps)}, {len(survivors)} candidates")
-        for t in qual2:
-            if _mul_generic(_mul_generic(t, r, dim, mask), t, dim, mask) != r2:
+        for t, tr in zip(involutions, _RightMul(r, dim)(involutions)):
+            if _product(tr, t, dim) != r2:
                 continue
-            rt = _mul_generic(r, t, dim, mask)
-            r2t = _mul_generic(r2, t, dim, mask)
+            rt = _product(r, t, dim)
+            r2t = _product(r2, t, dim)
             if rt not in qual2 or r2t not in qual2:
                 continue
             key = frozenset({ident, r, r2, t, rt, r2t})
@@ -1125,7 +1109,7 @@ def _order_fingerprint(elems: Iterable[int], dim: int) -> List[int]:
 def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
     """Element conjugacy classes, merged over coprime powers, give the cyclic
     subgroup classes (plus the trivial class) that seed the join phase."""
-    dim, mask = 6, 63
+    dim = 6
     ident = F2Matrix.identity(dim).packed
     # a hashed copy: the orbit walk tests membership about 2.9M times
     element_classes = _conjugation_orbits(frozenset(sp6.elements), sp6)
@@ -1147,13 +1131,11 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    import math
-
     for cid, x in enumerate(reps):
         o = F2Matrix.from_packed(x, dim).order()
         y = x
         for k in range(2, o):
-            y = _mul_generic(y, x, dim, mask)
+            y = _product(y, x, dim)
             if math.gcd(k, o) == 1:
                 union(cid, class_of[y])
     roots = sorted({find(cid) for cid in range(len(reps))})
@@ -1164,7 +1146,7 @@ def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
         o = F2Matrix.from_packed(x, dim).order()
         powers = [ident]
         for _ in range(o - 1):
-            powers.append(_mul_generic(powers[-1], x, dim, mask))
+            powers.append(_product(powers[-1], x, dim))
         classes.append(
             {
                 "order": o,
@@ -1182,6 +1164,4 @@ def _census_m3_save(path: str, state: Dict[str, object]) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(state, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    import os
-
     os.replace(tmp, path)

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from .f2core import (
     F2Matrix,
     SymplecticSpace,
+    _orbit,
     affine_span,
     is_symplectic,
     solve_affine,
@@ -302,27 +303,20 @@ def orbits(group, forms: Iterable[QuadraticForm]) -> List[List[QuadraticForm]]:
     for f in forms:
         if f.base != base:
             raise ValueError("forms must share one base form")
-    maps = [(g, action_shift(g, base)) for g in generator_matrices(group, base.space)]
+    # Q_v -> Q_g(v + w), with w the generator's action shift
+    moves = [
+        lambda v, apply=g.apply, w=action_shift(g, base): apply(v ^ w)
+        for g in generator_matrices(group, base.space)
+    ]
     todo = {f.v for f in forms}
     out: List[List[QuadraticForm]] = []
     while todo:
-        seed = min(todo)
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g, w in maps:
-                    u = g.apply(v ^ w)
-                    if u not in orbit:
-                        orbit.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        if not orbit <= todo:
+        # seeded at the smallest form left, so orbits come in that order
+        orbit = _orbit(min(todo), moves)
+        if not todo.issuperset(orbit):
             raise ValueError("forms are not closed under the group action")
-        todo -= orbit
+        todo.difference_update(orbit)
         out.append([QuadraticForm(base, v) for v in sorted(orbit)])
-    out.sort(key=lambda orb: orb[0].v)
     return out
 
 

@@ -253,6 +253,26 @@ def test_certify_validates_before_closing(capsys, tmp_path):
         assert reason in err
 
 
+@pytest.mark.parametrize(
+    "field, raw, reason",
+    [
+        ("G", '{"m": 3, "generators": [5]}', "list of matrix strings"),
+        ("m", "1e400", "m must be an integer, got inf"),
+        ("m", "3.7", "m must be an integer, got 3.7"),
+        ("degree_n", "true", "degree_n must be an integer, got True"),
+    ],
+)
+def test_certify_rejects_mistyped_fields_without_traceback(tmp_path, field, raw, reason):
+    # the raw JSON text goes in as written: json.dumps cannot write 1e400
+    data = dict(demo_certificate(3).to_json(), **{field: "@"})
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(data).replace('"@"', raw))
+    proc = run_process(["certify", "--in", str(path)], timeout=15)
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_certify_usage(capsys, tmp_path):
     assert run(capsys, ["certify"])[0] == 2
     p = tmp_path / "x.json"

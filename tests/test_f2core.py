@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from sdrkit.f2core import (
     F2Matrix,
     SymplecticSpace,
+    affine_span,
     is_symplectic,
     nullspace,
     solve,
@@ -166,6 +168,32 @@ def test_solve_affine_stacked_rows():
             assert bin(r & part).count("1") & 1 == want
             for k in kernel:
                 assert bin(r & k).count("1") & 1 == 0
+
+
+def _affine_point(particular, kernel, mask):
+    """The definition: particular plus kernel[i] for every set bit i of mask."""
+    x = particular
+    for i, k in enumerate(kernel):
+        if (mask >> i) & 1:
+            x ^= k
+    return x
+
+
+def test_affine_span_lists_every_mask_in_increasing_order():
+    rng = random.Random(67)
+    # up to 11 vectors: the whole span, so past one 8-vector table block
+    for size in range(12):
+        kernel = [rng.getrandbits(16) for _ in range(size)]
+        particular = rng.getrandbits(16)
+        want = [_affine_point(particular, kernel, mask) for mask in range(1 << size)]
+        assert list(affine_span(particular, kernel)) == want
+    # a 60-vector kernel: the first points come at once, in mask order
+    # across the block boundaries at masks 256 and 65536
+    kernel = [rng.getrandbits(64) for _ in range(60)]
+    got = affine_span(5, kernel)
+    assert list(itertools.islice(got, 600)) == [_affine_point(5, kernel, m) for m in range(600)]
+    got = itertools.islice(affine_span(5, kernel), 65530, 65542)
+    assert list(got) == [_affine_point(5, kernel, m) for m in range(65530, 65542)]
 
 
 def test_text_roundtrip():

@@ -52,18 +52,45 @@ def _orthogonal_by_filter(base, ambient):
     return frozenset(kept)
 
 
-def _mulclose_by_rows(gens, dim, seed):
-    """Reference closure: every product is the dim row-table lookups of
-    `_mul_table`, whatever the frontier size."""
+def _entry_product(a, b, dim):
+    """a * b for packed elements from the definition: entry (i, j) is the
+    parity of row i of a AND column j of b. It shares no code with the
+    packed engine (`_combine`, `_span_table`, `_RightMul`) it referees."""
     mask = (1 << dim) - 1
-    tables = [matgroups._row_table(g, dim) for g in gens]
+    rows = [(a >> (i * dim)) & mask for i in range(dim)]
+    cols = [sum(((b >> (k * dim + j)) & 1) << k for k in range(dim)) for j in range(dim)]
+    out = 0
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            out |= ((r & c).bit_count() & 1) << (i * dim + j)
+    return out
+
+
+def _entry_right_table(b, dim):
+    """r * b for every row vector r, as the first row of `_entry_product`."""
+    return [_entry_product(r, b, dim) for r in range(1 << dim)]
+
+
+def _by_rows(a, table, dim):
+    """a * b from b's `_entry_right_table`, one lookup per row of a."""
+    mask = (1 << dim) - 1
+    out = 0
+    for shift in range(0, dim * dim, dim):
+        out |= table[(a >> shift) & mask] << shift
+    return out
+
+
+def _mulclose_by_rows(gens, dim, seed):
+    """Reference closure: every product goes row by row through
+    `_by_rows`, whatever the frontier size."""
+    tables = [_entry_right_table(g, dim) for g in gens]
     seen = set(seed)
     frontier = list(seen)
     while frontier:
         fresh = []
         for t in tables:
             for a in frontier:
-                out = matgroups._mul_table(a, t, dim, mask)
+                out = _by_rows(a, t, dim)
                 if out not in seen:
                     seen.add(out)
                     fresh.append(out)
@@ -201,6 +228,22 @@ def test_orbit_check_refuses_a_core_that_does_not_generate():
             assert not matgroups._orbit_is_every_vector((c, c), v, 2 * m)
 
 
+def test_conjugation_orbits_are_the_sorted_classes_and_refuse_an_open_family():
+    sp4 = symplectic_group(2)
+    family = set(sp4.elements)
+    mats = list(sp4.matrices())
+    orbits = matgroups._conjugation_orbits(family, sp4)
+    for orbit in orbits:
+        x = F2Matrix.from_packed(orbit[0], 4)
+        assert orbit == sorted({(g * x * g.inverse()).packed for g in mats})
+    assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+    assert sum(len(o) for o in orbits) == 720
+    # a conjugacy class with one member missing leaves the family
+    missing = next(o for o in orbits if len(o) > 1)[-1]
+    with pytest.raises(AssertionError, match="left the family"):
+        matgroups._conjugation_orbits(family - {missing}, sp4)
+
+
 def test_coset_build_refuses_a_stabilizer_short_of_the_group():
     sp = standard_symplectic(2)
     moves = [g.packed for g in all_transvections(sp)]
@@ -289,7 +332,6 @@ def test_orthogonal_group_rejects_a_partial_ambient():
 def test_chunk_table_product_matches_generic_product():
     rng = random.Random(8)
     for dim in range(1, 7):
-        mask = (1 << dim) - 1
         width = -(-dim // 3) * dim
         cmask = (1 << width) - 1
         for _ in range(200):
@@ -298,7 +340,29 @@ def test_chunk_table_product_matches_generic_product():
             t0, t1, t2 = matgroups._chunk_tables(matgroups._row_table(b, dim), dim)
             assert len(t0) == len(t1) == cmask + 1
             got = t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> (2 * width)]
-            assert got == matgroups._mul_generic(a, b, dim, mask)
+            assert got == _entry_product(a, b, dim)
+            assert matgroups._product(a, b, dim) == got
+
+
+def test_batched_right_multiply_is_exhaustively_right_on_both_paths():
+    # every (a, b) at dims 1-3: batches no larger than one chunk table take
+    # the row loop; the whole list twice over (at dim 1 the list is only as
+    # long as one table) builds and uses the chunk tables
+    for dim in range(1, 4):
+        everything = list(range(1 << (dim * dim)))
+        for b in everything:
+            table = _entry_right_table(b, dim)
+            want = [_by_rows(a, table, dim) for a in everything]
+            rows = matgroups._RightMul(b, dim)
+            step = 1 << rows.width
+            got = [p for i in range(0, len(everything), step) for p in rows(everything[i : i + step])]
+            assert rows.chunks is None
+            assert got == want
+            chunked = matgroups._RightMul(b, dim)
+            assert chunked(everything * 2) == want * 2
+            assert chunked.chunks is not None
+            # once built, the chunk tables serve small batches too
+            assert chunked(everything[:1]) == want[:1]
 
 
 def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):

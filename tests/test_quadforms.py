@@ -222,6 +222,17 @@ def test_full_group_orbit_sizes_small_m():
         assert sorted(len(p) for p in parts) == sizes
 
 
+def test_orbits_come_sorted_and_refuse_forms_not_closed_under_the_group():
+    base = standard_base_form(2)
+    parts = orbits(symplectic_group(2), all_forms(base))
+    assert all([f.v for f in p] == sorted(f.v for f in p) for p in parts)
+    assert [p[0].v for p in parts] == sorted(p[0].v for p in parts)
+    # drop one Arf-0 form: the walk from the others reaches it
+    dropped = next(p for p in parts if len(p) == 10)[3]
+    with pytest.raises(ValueError, match="not closed"):
+        orbits(symplectic_group(2), [f for f in all_forms(base) if f != dropped])
+
+
 def test_adapted_basis_transports_table_to_standard():
     """For an arf-1 form with the standard polar pairing, the adapted basis
     pulls its value table back onto the reference form's."""

@@ -417,8 +417,7 @@ class ObstructionCertificate:
         closure runs on an input the certifier cannot check."""
 
         def integer(key: str) -> int:
-            # JSON gives 3.7 and 1e400 as floats and true as a bool (an int)
-            value = data[key]
+            value = data[key]  # JSON reads 3.7 and 1e400 as floats, true as a bool
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             return value

@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 MAX_DIM = 64
-_SPAN_BLOCK = 8  # kernel vectors per `_span_table` block in `affine_span`
 
 
 def _parity(x: int) -> int:
@@ -313,11 +312,11 @@ def affine_span(particular: int, kernel: Sequence[int]) -> Iterator[int]:
     """Every point of particular + span(kernel), one per mask in increasing
     order: bit i of the mask picks kernel[i], so mask 0 gives `particular`.
 
-    The first `_SPAN_BLOCK` kernel vectors are read from one `_span_table`,
-    the low bits of the mask; the rest count up above them, lazily, so the
-    first points come at once even for a long kernel."""
-    low = _span_table(kernel[:_SPAN_BLOCK])
-    rest = kernel[_SPAN_BLOCK:]
+    The first 8 kernel vectors, the low bits of the mask, are read from one
+    `_span_table`; the rest count up above them, lazily, so the first
+    points come at once even for a long kernel."""
+    low = _span_table(kernel[:8])
+    rest = kernel[8:]
     for h in affine_span(particular, rest) if rest else (particular,):
         for x in low:
             yield h ^ x

@@ -2,13 +2,10 @@
 
 Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim). A subgroup stores them once, as an ascending tuple searched by
-bisection, so even Sp6(F2) needs no hash table. Products go through two
-routines: `_product` multiplies one pair, row by row through f2core's
-`_combine`; `_RightMul` multiplies a batch on the right by one element,
-through that element's row table (dim lookups a product), regrouped at
-dim <= 6 into chunk tables of ceil(dim/3) rows (three lookups) once a
-batch outgrows one table. Closures, cosets, coset removal and
-conjugation all use `_RightMul`. Sp6(F2) is built as the cosets of its
+bisection, so even Sp6(F2) needs no hash table. `_product` multiplies one
+pair; `_RightMul` multiplies a batch on the right by one element, in dim
+row-table lookups a product, or at dim <= 6 in three chunk-table lookups
+once the batch outgrows one table. Sp6(F2) is built as the cosets of its
 last-row stabilizer, one product per element and already in sorted
 order; the stabilizer O(Q) of a form is closed from its own transvections.
 """
@@ -87,12 +84,6 @@ def _rows(packed: int, dim: int) -> List[int]:
     return [(packed >> (i * dim)) & mask for i in range(dim)]
 
 
-def _row_table(packed: int, dim: int) -> List[int]:
-    """Table over all 2^dim row vectors r of the product r * M. Built on
-    every call: 2^dim XORs, far less than the closure that uses it."""
-    return _span_table(_rows(packed, dim))
-
-
 def _product(a: int, b: int, dim: int) -> int:
     """The single product a * b: each row of a combines the rows of b."""
     mask = (1 << dim) - 1
@@ -124,16 +115,16 @@ def _chunk_tables(
 
 class _RightMul:
     """x -> x * b over a batch of packed elements x: the one batched
-    product. It holds b's row table, so a product is dim lookups. At
-    dim <= 6, once a batch outgrows one chunk table, it builds the chunk
-    tables of `_chunk_tables` and keeps them, and from then on a product is
-    three lookups; small batches never pay for them."""
+    product. It holds b's row table, r * b for all 2^dim row vectors r
+    (2^dim XORs), so a product is dim lookups. At dim <= 6, once a batch
+    outgrows one chunk table, it builds the chunk tables of `_chunk_tables`
+    and keeps them, and from then on a product is three lookups."""
 
     __slots__ = ("dim", "table", "width", "chunks")
 
     def __init__(self, b: int, dim: int):
         self.dim = dim
-        self.table = _row_table(b, dim)
+        self.table = _span_table(_rows(b, dim))
         self.width = -(-dim // 3) * dim if dim <= 6 else 0
         self.chunks: Optional[Tuple[List[int], List[int], List[int]]] = None
 
@@ -188,10 +179,8 @@ def _mulclose(
 ) -> FrozenSet[int]:
     """Closure of <gens> containing seed; seed must sit inside <gens>.
 
-    Each round multiplies the frontier on the right by every generator
-    through one `_RightMul` per generator, which switches to chunk tables
-    once a frontier outgrows one table, so small closures pay nothing to
-    build them.
+    Each round multiplies the frontier on the right by every generator,
+    through one `_RightMul` each: small closures never build chunk tables.
     """
     rights = [_RightMul(g, dim) for g in gens]
     seen = set(seed)

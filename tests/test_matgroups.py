@@ -337,7 +337,7 @@ def test_chunk_table_product_matches_generic_product():
         for _ in range(200):
             a = rng.getrandbits(dim * dim)
             b = rng.getrandbits(dim * dim)
-            t0, t1, t2 = matgroups._chunk_tables(matgroups._row_table(b, dim), dim)
+            t0, t1, t2 = matgroups._chunk_tables(matgroups._RightMul(b, dim).table, dim)
             assert len(t0) == len(t1) == cmask + 1
             got = t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> (2 * width)]
             assert got == _entry_product(a, b, dim)

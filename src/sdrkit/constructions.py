@@ -24,6 +24,7 @@ from .matgroups import (
     close,
     has_nonzero_fixed_vector,
     invariant_arf0_vectors,
+    json_int,
     obstruction_conditions,
     smallest_fixed_vector,
 )
@@ -94,11 +95,11 @@ class DihedralPair:
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "DihedralPair":
         pair = cls(
-            m=int(data["m"]),
+            m=json_int(data, "m"),
             sigma=F2Matrix.from_text(data["sigma"]),
             tau=F2Matrix.from_text(data["tau"]),
             transport=F2Matrix.from_text(data["transport"]),
-            field_k=int(data["field_k"]),
+            field_k=json_int(data, "field_k"),
         )
         verify_dihedral_pair(pair)
         return pair
@@ -415,20 +416,13 @@ class ObstructionCertificate:
         """Parse and close the groups. m, degree_n and every generator's
         type and dimension are validated first, raising ValueError, so no
         closure runs on an input the certifier cannot check."""
-
-        def integer(key: str) -> int:
-            value = data[key]  # JSON reads 3.7 and 1e400 as floats, true as a bool
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            return value
-
-        m = integer("m")
+        m = json_int(data, "m")
         if not 1 <= m <= MAX_FORM_DIM // 2:
             raise ValueError(
                 f"m = {m} is out of range: certificates are checked for "
                 f"1 <= m <= {MAX_FORM_DIM // 2}"
             )
-        degree_n = integer("degree_n")
+        degree_n = json_int(data, "degree_n")
         if degree_n < 3:
             raise ValueError(f"degree_n = {degree_n}: plane curves need degree >= 3")
 

@@ -69,6 +69,8 @@ class F2Matrix:
     @classmethod
     def from_text(cls, text: str) -> "F2Matrix":
         """Parse 'rows of 0/1 chars joined by ;', e.g. '10;01'."""
+        if not isinstance(text, str):
+            raise ValueError(f"a matrix must be a string of 0/1 rows, got {text!r}")
         parts = text.strip().split(";")
         dim = len(parts)
         rows = []

@@ -900,9 +900,11 @@ def _cubic_square_disc_has_root(p: int, a: int, b: int) -> bool:
 
 
 # The sieve holds one byte per integer up to the bound, and the primes are
-# read off it without a list. At this size a density takes 1-4 s and 32 MB
-# (2 vCPU Xeon, Python 3.11): x^3 - 2 about 1 s, x^3 - 3x + 1 (square
-# discriminant, so the Lucas ladder runs at every prime) about 4 s.
+# read off it without a list. At this size a density takes 0.06-0.6 s and
+# 32 MB (2 vCPU Xeon, Python 3.11): x^3 - 2 about 0.6 s, since the Lucas
+# ladder still runs at each prime of the classes where (-3|p) = 1, and
+# x^3 - 3x + 1 (square discriminant, period 9: nine ladders and nine slice
+# counts) about 0.06 s, most of it the sieve.
 DENSITY_BOUND_LIMIT = 10 ** 7
 
 
@@ -939,17 +941,32 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
     proportion of the splitting group with a fixed point: 1 for a rational
     root, 1/3 for 'C3', 2/3 for 'S3'.
 
-    The discriminant's character is periodic in p. Write D = d s^2 with d
-    the squarefree kernel of D's square class and s rational. At a counted
-    p both are p-units, so (D|p) = (d|p). Write d = (+-1) 2^e q_1 ... q_r
-    with e in {0, 1} and odd primes q_i. Then (-1|p) depends on p mod 4,
-    (2|p) = (-1)^((p^2 - 1)/8) on p mod 8, and by quadratic reciprocity
-    (q_i|p) = (p|q_i) (-1)^((p - 1)/2 (q_i - 1)/2) on p mod 4 q_i. So (d|p)
-    is fixed by p mod 4|d| (8 |d/2| = 4|d| when e = 1). When there are at
-    most isqrt(bound) classes, Euler's criterion runs once per class, at its
-    first counted prime, and the class memo answers every later prime; with
-    more classes it runs at each prime. Where (D|p) = -1 there is exactly
-    one root; elsewhere _cubic_square_disc_has_root decides between 0 and 3.
+    The primes are taken one residue class at a time, mod a period that
+    fixes what the class's primes do. Write D = d s^2 with d the squarefree
+    kernel of D's square class and s rational.
+
+    If d != 1, the period is 4|d|. At a counted p, (D|p) = (d|p). Write
+    d = (+-1) 2^e q_1 ... q_r with e in {0, 1} and odd primes q_i. Then
+    (-1|p) depends on p mod 4, (2|p) = (-1)^((p^2 - 1)/8) on p mod 8, and by
+    quadratic reciprocity (q_i|p) = (p|q_i) (-1)^((p - 1)/2 (q_i - 1)/2) on
+    p mod 4 q_i. So (d|p) is fixed by p mod 4|d| (8 |d/2| = 4|d| when
+    e = 1). Where (d|p) = -1 there is exactly one root; in the other classes
+    _cubic_square_disc_has_root decides between 0 and 3 at each prime.
+
+    If d = 1 (square discriminant), the splitting field K is abelian, of
+    degree 3 or 1. By Kronecker-Weber K lies in a cyclotomic field Q(zeta_f),
+    f the conductor, so Frobenius at p, and with it whether X^3 + a X + b
+    has a root mod p, depends only on p mod f. Put x = y/t, t the least positive integer
+    with a t^2 and b t^3 integral: y^3 + a t^2 y + b t^3 is a monic integral
+    model with discriminant t^6 D = F^2. By the conductor-discriminant
+    formula the discriminant of K is f^2 (1 when K = Q), and the model's
+    discriminant is the square of its index in the ring of integers times
+    disc(K). So F = index * f is a multiple of f, and F is the period: one
+    ladder at the first counted prime of a class decides all of its primes.
+
+    With a period of at most isqrt(bound), each class is read as a slice
+    sieve[c::period], whose primes are counted at once; larger periods
+    take Euler's criterion and the ladder at each prime.
     """
     if prime_bound > DENSITY_BOUND_LIMIT:
         raise ValueError(
@@ -972,33 +989,46 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
     sieve = _prime_sieve(prime_bound)
     for q in skipped:
         sieve[q] = 0
-    period = 4 * abs(d)
-    memo: Optional[List[Optional[bool]]] = (
-        [None] * period if period <= math.isqrt(prime_bound) else None
-    )
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    counted = 0
-    with_root = 0
-    for p in itertools.compress(range(prime_bound + 1), sieve):
-        counted += 1
-        if memo is None:
-            square = pow(d, (p - 1) // 2, p) == 1
-        else:
-            square = memo[p % period]
-            if square is None:
-                square = memo[p % period] = pow(d, (p - 1) // 2, p) == 1
-        if not square:
-            with_root += 1
-            continue
+
+    def has_root(p: int) -> bool:
         ai = an * pow(ad, -1, p) % p if ad != 1 else an % p
         bi = bn * pow(bd, -1, p) % p if bd != 1 else bn % p
-        if _cubic_square_disc_has_root(p, ai, bi):
-            with_root += 1
+        return _cubic_square_disc_has_root(p, ai, bi)
+
+    if d == 1:
+        t = 1
+        for q in den_primes:
+            t *= q ** max(
+                -(-_split_valuation(ad, q)[0] // 2), -(-_split_valuation(bd, q)[0] // 3)
+            )
+        period = math.isqrt(int(cubic_discriminant(a * t * t, b * t ** 3)))
+    else:
+        period = 4 * abs(d)
+    with_root = 0
+    if period > math.isqrt(prime_bound):
+        for p in itertools.compress(range(prime_bound + 1), sieve):
+            if pow(d, (p - 1) // 2, p) != 1 or has_root(p):
+                with_root += 1
+    else:
+        for c in range(period):
+            primes = sieve[c::period]
+            first = primes.find(1)
+            if first < 0:
+                continue
+            p = c + first * period
+            if pow(d, (p - 1) // 2, p) != 1:
+                with_root += primes.count(1)
+            elif d == 1:
+                with_root += primes.count(1) if has_root(p) else 0
+            else:
+                walk = itertools.compress(range(c, prime_bound + 1, period), primes)
+                with_root += sum(map(has_root, walk))
     return DensityReport(
         a=a,
         b=b,
         prime_bound=prime_bound,
-        primes_counted=counted,
+        primes_counted=sieve.count(1),
         primes_with_root=with_root,
         skipped=tuple(skipped),
     )

@@ -305,9 +305,18 @@ class SubgroupHandle:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "SubgroupHandle":
-        m = int(data["m"])
+        m = json_int(data, "m")
         gens = [F2Matrix.from_text(t) for t in data["generators"]]
         return close(gens, standard_symplectic(m))
+
+
+def json_int(data: Dict[str, object], key: str) -> int:
+    """data[key], which must be a JSON integer: ValueError for the floats
+    that JSON reads 2.7 and 1e400 as, and for true and false."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
     def __repr__(self) -> str:
         return f"SubgroupHandle(m={self.space.m}, order={self.order})"
@@ -870,9 +879,9 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
 
     Classifies every candidate up to conjugacy. An order-6 group is cyclic
     or dihedral; both kinds are built from their order-2 and order-3
-    elements, so the sweep buckets elements by order first. Takes a few
-    minutes of CPU; run it through the `extended` test marker or the
-    dedicated CLI subcommand.
+    elements, so the sweep buckets elements by order first. Takes about
+    a minute and a half of CPU; run it through the `extended` test marker
+    or the dedicated CLI subcommand.
     """
     def say(msg: str) -> None:
         if progress is not None:
@@ -937,11 +946,14 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
             c3_reps.append((key, max(r, r2)))
     say(f"qualified order-3 subgroups: {len(c3_reps)}")
     involutions = list(qual2)  # the iteration order of qual2, which the golden pins
+    # for r of order 3 and an involution t, t r t = r^2 exactly when
+    # (t r)^2 = 1, that is, when t r is an involution
+    all_involutions = set(ord2)
     for idx, (r, r2) in enumerate(c3_reps):
         if progress is not None and idx % 200 == 0:
             say(f"dihedral scan {idx}/{len(c3_reps)}, {len(survivors)} candidates")
         for t, tr in zip(involutions, _RightMul(r, dim)(involutions)):
-            if _product(tr, t, dim) != r2:
+            if tr not in all_involutions:
                 continue
             rt = _product(r, t, dim)
             r2t = _product(r2, t, dim)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sdrkit import constructions
 from sdrkit.constructions import (
     DihedralConditionError,
+    DihedralPair,
     LocalImage,
     ObstructionCertificate,
     build_dihedral_pair,
@@ -89,6 +91,22 @@ def test_dihedral_pair_json_roundtrip():
     assert back.tau == pair.tau
     assert back.transport == pair.transport
     assert back.field_k == pair.field_k
+
+
+@pytest.mark.parametrize(
+    "field, raw, reason",
+    [
+        ("sigma", "5", "a matrix must be a string"),
+        ("m", "1e400", "m must be an integer, got inf"),
+        ("m", "2.7", "m must be an integer, got 2.7"),
+        ("field_k", "4.0", "field_k must be an integer, got 4.0"),
+    ],
+)
+def test_dihedral_pair_from_json_rejects_mistyped_fields(field, raw, reason):
+    good = build_dihedral_pair(2).to_json()
+    text = json.dumps(dict(good, **{field: "@"})).replace('"@"', raw)
+    with pytest.raises(ValueError, match=reason):
+        DihedralPair.from_json(json.loads(text))
 
 
 def test_dihedral_pair_rejects_tampering():
@@ -196,6 +214,22 @@ def test_certificate_json_roundtrip():
         assert a.label == b.label
         assert a.group.element_set == b.group.element_set
     assert certify_counterexample(back).certified
+
+
+@pytest.mark.parametrize(
+    "field, raw, reason",
+    [
+        ("G", '{"m": 3, "generators": [5]}', "list of matrix strings"),
+        ("m", "1e400", "m must be an integer, got inf"),
+        ("m", "2.7", "m must be an integer, got 2.7"),
+        ("degree_n", "true", "degree_n must be an integer, got True"),
+    ],
+)
+def test_certificate_from_json_rejects_mistyped_fields(field, raw, reason):
+    good = demo_certificate(3).to_json()
+    text = json.dumps(dict(good, **{field: "@"})).replace('"@"', raw)
+    with pytest.raises(ValueError, match=reason):
+        ObstructionCertificate.from_json(json.loads(text))
 
 
 def test_certify_rejects_dimension_mismatch():

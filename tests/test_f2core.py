@@ -202,8 +202,9 @@ def test_text_roundtrip():
         dim = rng.randrange(1, 11)
         g = F2Matrix([rng.randrange(1 << dim) for _ in range(dim)], dim)
         assert F2Matrix.from_text(g.to_text()).rows == g.rows
-    with pytest.raises(ValueError):
-        F2Matrix.from_text("01;0")
+    for bad in ("01;0", 5, None, ["10", "01"]):
+        with pytest.raises(ValueError):
+            F2Matrix.from_text(bad)
 
 
 def test_packed_roundtrip():

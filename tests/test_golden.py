@@ -57,6 +57,8 @@ CASES = {
     "cubic-split": (["cubic", "-7", "6"], 0),
     # frozen with "--"; test_cli checks that "1/2 -3/5" without it agrees
     "cubic-rational": (["cubic", "--bound", "20000", "--", "1/2", "-3/5"], 0),
+    # square discriminant with denominators: the integral model y^3 - 3y + 1
+    "cubic-c3-rational": (["cubic", "--bound", "100000", "--", "-3/4", "1/8"], 0),
     "reproduce-cubic-densities": (["reproduce", "--only", "cubic-densities"], 0),
     # the 2-adic search oracle: a +1 pair, a -1 pair and fraction arguments
     "hilbert-2-plus": (["hilbert", "2", "7", "2", "--verify-search"], 0),

@@ -472,11 +472,15 @@ def test_cubic_root_mod_matches_enumeration():
     }
 
 
-# The squarefree kernel d of each fixture's discriminant. With 4|d| <=
-# isqrt(10^5) = 316 the density reads (d|p) from one Euler test per residue
-# class mod 4|d|: d = -3, d = 1, and d = -5 for D = -1296/125, whose 5 sits
-# in the denominator and whose (-5|p) needs p mod 20, not p mod 10. The
-# larger kernels take Euler's criterion at every prime.
+# The squarefree kernel d of each fixture's discriminant. With a period of
+# at most isqrt(10^5) = 316 the density decides each residue class once. For
+# d != 1 the period is 4|d|: d = -3, and d = -5 for D = -1296/125, whose 5
+# sits in the denominator and whose (-5|p) needs p mod 20, not p mod 10. The
+# larger kernels take Euler's criterion at every prime. For d = 1 the period
+# is F = sqrt of the integral model's discriminant: 9 for x^3 - 3x + 1 and
+# for (-3/4, 1/8), whose model is y^3 - 3y + 1; 7 for (-7, 7); 20 for
+# (-7, 6), which has three rational roots; and 468 > 316 for (-39, 26),
+# which takes the ladder at every prime.
 _DENSITY_KERNELS = {
     (0, -2): -3,
     (-3, 1): 1,
@@ -484,6 +488,10 @@ _DENSITY_KERNELS = {
     (Fraction(-7, 4), Fraction(5, 3)): -857,
     (Fraction(-6, 5), Fraction(-4, 5)): -5,
     (7, 11): -4639,
+    (-7, 7): 1,
+    (Fraction(-3, 4), Fraction(1, 8)): 1,
+    (-39, 26): 1,
+    (-7, 6): 1,
 }
 
 

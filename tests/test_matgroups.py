@@ -404,6 +404,23 @@ def test_handle_json_roundtrip():
     assert back.space == group.space
 
 
+@pytest.mark.parametrize(
+    "field, raw, reason",
+    [
+        ("generators", "[5]", "a matrix must be a string"),
+        ("m", "1e400", "m must be an integer, got inf"),
+        ("m", "2.7", "m must be an integer, got 2.7"),
+        ("m", "true", "m must be an integer, got True"),
+    ],
+)
+def test_handle_from_json_rejects_mistyped_fields(field, raw, reason):
+    # raw JSON text, as a file holds it: json.dumps cannot write 1e400
+    good = {"m": 1, "generators": ["11;01"]}
+    text = json.dumps(dict(good, **{field: "@"})).replace('"@"', raw)
+    with pytest.raises(ValueError, match=reason):
+        SubgroupHandle.from_json(json.loads(text))
+
+
 def test_element_view_matches_the_closure_set_on_every_dim4_int():
     sp4 = symplectic_group(2)
     oracle, _ = matgroups._grow_core(sp4.core, 4, matgroups.DEFAULT_CAP)

@@ -900,11 +900,11 @@ def _cubic_square_disc_has_root(p: int, a: int, b: int) -> bool:
 
 
 # The sieve holds one byte per integer up to the bound, and the primes are
-# read off it without a list. At this size a density takes 0.06-0.6 s and
-# 32 MB (2 vCPU Xeon, Python 3.11): x^3 - 2 about 0.6 s, since the Lucas
-# ladder still runs at each prime of the classes where (-3|p) = 1, and
+# read off it without a list. At this size a density takes 0.06-1 s and
+# 32 MB (2 vCPU Xeon, Python 3.11): x^3 - 2 0.6-1 s, since the Lucas ladder
+# still runs at each prime of the classes where (-3|p) = 1, and
 # x^3 - 3x + 1 (square discriminant, period 9: nine ladders and nine slice
-# counts) about 0.06 s, most of it the sieve.
+# counts) 0.06-0.15 s, most of it the sieve.
 DENSITY_BOUND_LIMIT = 10 ** 7
 
 
@@ -954,11 +954,12 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
     _cubic_square_disc_has_root decides between 0 and 3 at each prime.
 
     If d = 1 (square discriminant), the splitting field K is abelian, of
-    degree 3 or 1. By Kronecker-Weber K lies in a cyclotomic field Q(zeta_f),
-    f the conductor, so Frobenius at p, and with it whether X^3 + a X + b
-    has a root mod p, depends only on p mod f. Put x = y/t, t the least positive integer
-    with a t^2 and b t^3 integral: y^3 + a t^2 y + b t^3 is a monic integral
-    model with discriminant t^6 D = F^2. By the conductor-discriminant
+    degree 3 or 1. By Kronecker-Weber K lies in a cyclotomic field
+    Q(zeta_f), f the conductor, so Frobenius at p, and with it whether
+    X^3 + a X + b has a root mod p, depends only on p mod f. Put x = y/t,
+    t the least positive integer with a t^2 and b t^3 integral:
+    y^3 + a t^2 y + b t^3 is a monic integral model with discriminant
+    t^6 D = F^2. By the conductor-discriminant
     formula the discriminant of K is f^2 (1 when K = Q), and the model's
     discriminant is the square of its index in the ring of integers times
     disc(K). So F = index * f is a multiple of f, and F is the period: one

@@ -309,6 +309,9 @@ class SubgroupHandle:
         gens = [F2Matrix.from_text(t) for t in data["generators"]]
         return close(gens, standard_symplectic(m))
 
+    def __repr__(self) -> str:
+        return f"SubgroupHandle(m={self.space.m}, order={self.order})"
+
 
 def json_int(data: Dict[str, object], key: str) -> int:
     """data[key], which must be a JSON integer: ValueError for the floats
@@ -317,9 +320,6 @@ def json_int(data: Dict[str, object], key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
-
-    def __repr__(self) -> str:
-        return f"SubgroupHandle(m={self.space.m}, order={self.order})"
 
 
 def transvection(v: int, space: SymplecticSpace) -> F2Matrix:

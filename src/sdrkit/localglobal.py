@@ -998,7 +998,7 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
         return _cubic_square_disc_has_root(p, ai, bi)
 
     if d == 1:
-        t = 1
+        t = 1  # the least t with ad | t^2 and bd | t^3
         for q in den_primes:
             t *= q ** max(
                 -(-_split_valuation(ad, q)[0] // 2), -(-_split_valuation(bd, q)[0] // 3)
@@ -1018,11 +1018,11 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
             if first < 0:
                 continue
             p = c + first * period
-            if pow(d, (p - 1) // 2, p) != 1:
+            if pow(d, (p - 1) // 2, p) != 1:  # one root at each prime
                 with_root += primes.count(1)
-            elif d == 1:
+            elif d == 1:  # abelian: the first prime decides the class
                 with_root += primes.count(1) if has_root(p) else 0
-            else:
+            else:  # S3: Frobenius is not read off p mod the period
                 walk = itertools.compress(range(c, prime_bound + 1, period), primes)
                 with_root += sum(map(has_root, walk))
     return DensityReport(

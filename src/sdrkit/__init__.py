@@ -45,7 +45,6 @@ from .matgroups import (
     ObstructionReport,
     SubgroupHandle,
     all_transvections,
-    census_m3_incremental,
     close,
     common_fixed_form_vectors,
     fixed_forms,

@@ -33,7 +33,6 @@ from .constructions import (
 from .f2core import MAX_DIM, F2Matrix, standard_symplectic
 from .matgroups import (
     ClosureCapExceeded,
-    census_m3_incremental,
     close,
     gl22_common_fixed_vector,
     has_nonzero_fixed_vector,
@@ -144,38 +143,8 @@ def _cmd_order(args) -> Tuple[Dict[str, object], int]:
 
 
 def _cmd_census(args) -> Tuple[Dict[str, object], int]:
-    m = args.m
-    if m in (1, 2):
-        census = subgroup_census(m)
-        payload = {"schema": _schema("census"), **census.to_json()}
-        return payload, 0
-    if m == 3:
-        if not args.i_have_hours:
-            raise UsageError(
-                "the m=3 census is far beyond desk scale; pass --i-have-hours "
-                "to grind a checkpointed slice anyway"
-            )
-        progress = None
-        if args.format == "text":
-            progress = lambda msg: print(f"# {msg}", file=sys.stderr)
-        state = census_m3_incremental(
-            args.checkpoint, max_seconds=args.max_seconds, progress=progress
-        )
-        orders: Dict[str, int] = {}
-        for cls in state["classes"]:
-            key = str(cls["order"])
-            orders[key] = orders.get(key, 0) + 1
-        payload = {
-            "schema": _schema("census-m3-partial"),
-            "m": 3,
-            "checkpoint": args.checkpoint,
-            "done": bool(state["done"]),
-            "classes_so_far": len(state["classes"]),
-            "cursor": list(state["cursor"]),
-            "class_orders": orders,
-        }
-        return payload, 0
-    raise UsageError("--m must be 1, 2 or 3")
+    census = subgroup_census(args.m)
+    return {"schema": _schema("census"), **census.to_json()}, 0
 
 
 def _cmd_forms_census(args) -> Tuple[Dict[str, object], int]:
@@ -610,22 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "census", parents=[common], help="subgroup census up to conjugacy"
     )
-    p.add_argument("--m", type=int, required=True, choices=(1, 2, 3))
     p.add_argument(
-        "--i-have-hours",
-        action="store_true",
-        help="acknowledge that m=3 only grinds a checkpointed slice",
-    )
-    p.add_argument(
-        "--checkpoint",
-        default="sp6-census-checkpoint.json",
-        help="checkpoint path for the m=3 grind",
-    )
-    p.add_argument(
-        "--max-seconds",
-        type=float,
-        default=60.0,
-        help="time budget per m=3 invocation",
+        "--m",
+        type=int,
+        required=True,
+        choices=(1, 2),
+        help="half the dimension; scan-order6 covers the order-6 slice at m=3",
     )
     p.set_defaults(fn=_cmd_census)
 

@@ -853,21 +853,6 @@ EXPECTED_ROOT_DENSITY: Dict[str, Fraction] = {
 }
 
 
-def _cubic_has_root_mod(p: int, a: int, b: int) -> bool:
-    """Does X^3 + aX + b have a root mod p (p > 3, not dividing the
-    discriminant D = -4a^3 - 27b^2)?
-
-    Stickelberger: (D|p) = (-1)^(3-r), r the number of irreducible factors
-    of f mod p. If D is a non-square, Frobenius is a transposition and f has
-    exactly one root. Otherwise f has 0 or 3 roots, which
-    _cubic_square_disc_has_root decides.
-    """
-    d = (-4 * a * a * a - 27 * b * b) % p
-    if pow(d, (p - 1) // 2, p) != 1:
-        return True
-    return _cubic_square_disc_has_root(p, a, b)
-
-
 def _cubic_square_disc_has_root(p: int, a: int, b: int) -> bool:
     """Does X^3 + aX + b have a root mod p, given that its discriminant
     D = -4a^3 - 27b^2 is a nonzero square mod p (p > 3)? Then it has 0 or 3.
@@ -950,8 +935,10 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
     (-1|p) depends on p mod 4, (2|p) = (-1)^((p^2 - 1)/8) on p mod 8, and by
     quadratic reciprocity (q_i|p) = (p|q_i) (-1)^((p - 1)/2 (q_i - 1)/2) on
     p mod 4 q_i. So (d|p) is fixed by p mod 4|d| (8 |d/2| = 4|d| when
-    e = 1). Where (d|p) = -1 there is exactly one root; in the other classes
-    _cubic_square_disc_has_root decides between 0 and 3 at each prime.
+    e = 1). Where (d|p) = -1 there is exactly one root, since by
+    Stickelberger (D|p) = (-1)^(3-r), r the number of irreducible factors of
+    X^3 + a X + b mod p; in the other classes _cubic_square_disc_has_root
+    decides between 0 and 3 at each prime.
 
     If d = 1 (square discriminant), the splitting field K is abelian, of
     degree 3 or 1. By Kronecker-Weber K lies in a cyclotomic field

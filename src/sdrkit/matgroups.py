@@ -11,12 +11,8 @@ order; the stabilizer O(Q) of a form is closed from its own transvections.
 """
 from __future__ import annotations
 
-import json
-import math
-import os
-import time
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,7 +60,6 @@ __all__ = [
     "gl22_common_fixed_vector",
     "lemma51_scan",
     "order6_uniqueness_scan",
-    "census_m3_incremental",
 ]
 
 DEFAULT_CAP = 2_000_000
@@ -726,39 +721,30 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
 def _conjugation_orbits(family, ambient: SubgroupHandle) -> List[list]:
     """Partition `family` into orbits under conjugation by the ambient group.
 
-    Members are packed elements, or frozensets of them (subgroups) ordered
-    by their sorted elements; `family` is any container of them (a set, or
-    a dict keyed by them). Each orbit is sorted and the orbits come in
+    Members are subgroups, as frozensets of packed elements, ordered by
+    their sorted elements; `family` is any container of them (a set, or a
+    dict keyed by them). Each orbit is sorted and the orbits come in
     increasing order of their smallest member. A conjugate outside the
     family is an error.
     """
     dim = ambient.dim
 
-    def conjugation(g: int) -> Callable:
-        """x -> g x g^-1, as (g h) g^-1 for each element h of x."""
+    def conjugation(g: int) -> Callable[[FrozenSet[int]], FrozenSet[int]]:
+        """X -> g X g^-1, as (g h) g^-1 for each element h of X."""
         right = _RightMul(_inv_packed(g, dim), dim)
-
-        def move(x):
-            if isinstance(x, frozenset):
-                return frozenset(right([_product(g, h, dim) for h in x]))
-            return right([_product(g, x, dim)])[0]
-
-        return move
-
-    def key(x):
-        return tuple(sorted(x)) if isinstance(x, frozenset) else x
+        return lambda x: frozenset(right([_product(g, h, dim) for h in x]))
 
     moves = [conjugation(g) for g in ambient.core]
     seen = set()
     orbits = []
-    for seed in sorted(family, key=key):
+    for seed in sorted(family, key=sorted):
         if seed in seen:
             continue
         orbit = _orbit(seed, moves)
         if not all(y in family for y in orbit):
             raise AssertionError("conjugate left the family")
         seen.update(orbit)
-        orbit.sort(key=key)
+        orbit.sort(key=sorted)
         orbits.append(orbit)
     return orbits
 
@@ -767,18 +753,11 @@ def _transporters(
     gens: Sequence[int],
     target: FrozenSet[int],
     ambient: SubgroupHandle,
-    deadline: Optional[float] = None,
-) -> Iterator[Optional[int]]:
+) -> Iterator[int]:
     """Every ambient a with a g a^-1 in target for each g in gens, in
-    element order; with target = <gens> these are the normalizer. The scan
-    touches every ambient element, so an optional deadline, checked every
-    1024 elements, can cut it short: it then yields None, meaning "ran out
-    of time", and stops."""
+    element order; with target = <gens> these are the normalizer."""
     dim = ambient.dim
-    for i, a in enumerate(ambient.elements):
-        if deadline is not None and not i & 0x3FF and time.monotonic() >= deadline:
-            yield None
-            return
+    for a in ambient.elements:
         ainv = _inv_packed(a, dim)
         for h in gens:
             if _product(_product(a, h, dim), ainv, dim) not in target:
@@ -895,7 +874,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     say("bucketing elements by order")
     ord2: List[int] = []
     ord3: List[int] = []
-    ord6: List[int] = []
+    ord6: List[Tuple[int, int, int]] = []  # (g, g^2, g^3)
     for p in sp6.elements:
         if p == ident:
             continue
@@ -907,7 +886,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
         if p3 == ident:
             ord3.append(p)
         elif _product(p3, p3, dim) == ident:
-            ord6.append(p)
+            ord6.append((p, p2, p3))
 
     say(f"orders bucketed: {len(ord2)} involutions, {len(ord3)} of order 3, "
         f"{len(ord6)} of order 6")
@@ -922,9 +901,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     survivors: Dict[FrozenSet[int], Tuple[str, Tuple[int, ...]]] = {}
 
     say("scanning cyclic candidates")
-    for g in ord6:
-        g2 = _product(g, g, dim)
-        g3 = _product(g2, g, dim)
+    for g, g2, g3 in ord6:
         if g2 not in qual3 or g3 not in qual2:
             continue
         if not _fixes_some_arf0(g, base):
@@ -982,187 +959,3 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
         "class_details": classes,
     }
 
-
-def census_m3_incremental(
-    checkpoint_path: str,
-    max_seconds: float = 60.0,
-    progress=None,
-) -> Dict[str, object]:
-    """Resumable class-level subgroup census of Sp_6(F2).
-
-    The ambient group has 1451520 elements; joining every class
-    representative with every ambient element is complete in the limit but
-    far beyond desk-scale in pure Python (think CPU-years, not hours). This
-    function exists so the attempt is honest: it seeds with the cyclic
-    subgroup classes (a few minutes), then grinds joins under a time budget,
-    checkpointing to `checkpoint_path` so later runs resume where it left
-    off. The returned state reports how far it got.
-    """
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
-    sp6 = symplectic_group(3)
-    dim = 6
-    ident = F2Matrix.identity(dim).packed
-    deadline = time.monotonic() + max_seconds
-
-    try:
-        with open(checkpoint_path, "r", encoding="utf-8") as fh:
-            state = json.load(fh)
-        say(f"resumed checkpoint with {len(state['classes'])} classes")
-    except FileNotFoundError:
-        say("no checkpoint; seeding with cyclic subgroup classes")
-        state = _census_m3_seed(sp6, say)
-        _census_m3_save(checkpoint_path, state)
-
-    classes = state["classes"]
-    materialized: Dict[int, FrozenSet[int]] = {}
-
-    def class_set(idx: int) -> FrozenSet[int]:
-        got = materialized.get(idx)
-        if got is None:
-            gens = [F2Matrix.from_text(t).packed for t in classes[idx]["generators"]]
-            got = _mulclose(gens, dim, {ident, *gens}, sp6.order + 1) if gens else frozenset({ident})
-            if len(materialized) > 6:  # big classes can hold ~1.4M ints each
-                materialized.clear()
-            materialized[idx] = got
-        return got
-
-    ambient_sorted = sp6.elements
-    joins = 0
-    while not state["done"] and time.monotonic() < deadline:
-        ci, ei = state["cursor"]
-        if ci >= len(classes):
-            state["done"] = True
-            break
-        rep = class_set(ci)
-        repgens = tuple(F2Matrix.from_text(t).packed for t in classes[ci]["generators"])
-        advanced = False
-        timed_out = False
-        while ei < len(ambient_sorted):
-            if time.monotonic() >= deadline:
-                break
-            g = ambient_sorted[ei]
-            ei += 1
-            if g in rep:
-                state["cursor"] = [ci, ei]
-                advanced = True
-                continue
-            jset = _mulclose(repgens + (g,), dim, rep | {g}, sp6.order + 1)
-            joins += 1
-            fp = _order_fingerprint(jset, dim)
-            known = False
-            for idx, cls in enumerate(classes):
-                if cls["order"] != len(jset) or cls["fingerprint"] != fp:
-                    continue
-                # equal orders, so a conjugate inside the class is the class
-                verdict = next(
-                    _transporters(repgens + (g,), class_set(idx), sp6, deadline), False
-                )
-                if verdict is None:
-                    # out of budget mid-scan; this join is redone on resume
-                    timed_out = True
-                    break
-                if verdict:
-                    known = True
-                    break
-            if timed_out:
-                ei -= 1
-                state["cursor"] = [ci, ei]
-                break
-            if not known:
-                classes.append(
-                    {
-                        "order": len(jset),
-                        "generators": [
-                            F2Matrix.from_packed(p, dim).to_text() for p in repgens + (g,)
-                        ],
-                        "fingerprint": fp,
-                        "seed": False,
-                    }
-                )
-                say(f"new class of order {len(jset)} (total {len(classes)})")
-            state["cursor"] = [ci, ei]
-            advanced = True
-            if joins % 8 == 0:
-                _census_m3_save(checkpoint_path, state)
-        if ei >= len(ambient_sorted):
-            state["cursor"] = [ci + 1, 0]
-            advanced = True
-        if not advanced:
-            break
-    _census_m3_save(checkpoint_path, state)
-    say(
-        f"checkpointed at cursor {state['cursor']} with {len(classes)} classes; "
-        f"done={state['done']}"
-    )
-    return state
-
-
-def _order_fingerprint(elems: Iterable[int], dim: int) -> List[int]:
-    """Element orders and how often each occurs, as a flat sorted list
-    [order, count, order, count, ...]; conjugate subgroups share it."""
-    counts = Counter(F2Matrix.from_packed(p, dim).order() for p in elems)
-    return [x for pair in sorted(counts.items()) for x in pair]
-
-
-def _census_m3_seed(sp6: SubgroupHandle, say) -> Dict[str, object]:
-    """Element conjugacy classes, merged over coprime powers, give the cyclic
-    subgroup classes (plus the trivial class) that seed the join phase."""
-    dim = 6
-    ident = F2Matrix.identity(dim).packed
-    # a hashed copy: the orbit walk tests membership about 2.9M times
-    element_classes = _conjugation_orbits(frozenset(sp6.elements), sp6)
-    reps = [orbit[0] for orbit in element_classes]
-    class_of = {x: cid for cid, orbit in enumerate(element_classes) for x in orbit}
-    del element_classes
-    say(f"{len(reps)} element conjugacy classes")
-
-    parent = list(range(len(reps)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for cid, x in enumerate(reps):
-        o = F2Matrix.from_packed(x, dim).order()
-        y = x
-        for k in range(2, o):
-            y = _product(y, x, dim)
-            if math.gcd(k, o) == 1:
-                union(cid, class_of[y])
-    roots = sorted({find(cid) for cid in range(len(reps))})
-    say(f"{len(roots)} cyclic subgroup classes (including trivial)")
-    classes = []
-    for root in roots:
-        x = reps[root]
-        o = F2Matrix.from_packed(x, dim).order()
-        powers = [ident]
-        for _ in range(o - 1):
-            powers.append(_product(powers[-1], x, dim))
-        classes.append(
-            {
-                "order": o,
-                "generators": [] if x == ident else [F2Matrix.from_packed(x, dim).to_text()],
-                "fingerprint": _order_fingerprint(powers, dim),
-                "seed": True,
-            }
-        )
-    classes.sort(key=lambda c: (c["order"], c["generators"]))
-    return {"m": 3, "classes": classes, "cursor": [0, 0], "done": False}
-
-
-def _census_m3_save(path: str, state: Dict[str, object]) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)

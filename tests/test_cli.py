@@ -109,10 +109,19 @@ def test_census_m1(capsys):
     assert len(payload["class_details"]) == 4
 
 
-def test_census_m3_needs_explicit_optin(capsys):
-    code, _, err = run(capsys, ["census", "--m", "3"])
-    assert code == 2
-    assert "--i-have-hours" in err
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["census", "--m", "3"], "argument --m: invalid choice: 3"),
+        (["census", "--m", "2", "--i-have-hours"], "unrecognized arguments: --i-have-hours"),
+    ],
+    ids=["m3", "i-have-hours"],
+)
+def test_census_takes_only_m_1_and_2(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
 
 
 def test_orbits_full_group(capsys):

@@ -5,7 +5,7 @@ Each case runs `main(argv)` in process and compares stdout with
 the group kernels or of the arithmetic kernels must leave every one of these
 unchanged. The m = 2 census
 is compared through the session's shared census instead of a second
-100-second run, and the two long scans are compared under `-m extended`.
+100-second run, and the long order-6 scan is compared under `-m extended`.
 """
 import json
 from pathlib import Path
@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from sdrkit.cli import main
-from sdrkit.matgroups import census_m3_incremental
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -102,11 +101,3 @@ def test_census_m2_matches_golden(actx):
 @pytest.mark.extended
 def test_scan_order6_matches_golden(order6_scan):
     assert cli_payload_text("scan-order6", order6_scan) == golden_text("scan-order6")
-
-
-@pytest.mark.extended
-def test_census_m3_seed_checkpoint_matches_golden(tmp_path):
-    path = tmp_path / "census3.json"
-    state = census_m3_incremental(str(path), max_seconds=0.0)
-    assert state["cursor"] == [0, 0]
-    assert path.read_text(encoding="utf-8") == golden_text("census-m3-seed")

@@ -30,7 +30,6 @@ from sdrkit.localglobal import (
     HOLZER_OUTER_LIMIT,
     MILLER_RABIN_LIMIT,
     _conic_point_and_places,
-    _cubic_has_root_mod,
     _cubic_square_disc_has_root,
     _factor,
     _holzer_search,
@@ -460,7 +459,6 @@ def test_cubic_root_mod_matches_enumeration():
                 if d == 0:
                     continue
                 brute = -b % p in values
-                assert _cubic_has_root_mod(p, a % p, b % p) == brute, (a, b, p)
                 assert _cubic_has_root_reference(p, a % p, b % p) == brute, (a, b, p)
                 if legendre(d, p) == 1:
                     assert _cubic_square_disc_has_root(p, a % p, b % p) == brute, (a, b, p)

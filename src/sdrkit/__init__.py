@@ -78,7 +78,6 @@ from .localglobal import (
     COUNTEREXAMPLE_QUARTICS,
     ConicSDR,
     DensityReport,
-    Poly3,
     conic_rational_point,
     conic_sdr,
     cubic_discriminant,

@@ -551,12 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="json",
         help="json (stable, the contract) or text (human, with timings)",
     )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="seed for randomized sweeps; fully determines them",
-    )
 
     parser = argparse.ArgumentParser(
         prog="sdrkit",
@@ -687,6 +681,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "reproduce", parents=[common], help="run the thirteen acceptance checks"
+    )
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="seed for the randomized criteria; fully determines them",
     )
     p.add_argument(
         "--only",

@@ -545,18 +545,12 @@ def demo_certificate(m: int = 3) -> ObstructionCertificate:
     space = group.space
     seen = {}
     for p in group.elements:
-        mat = F2Matrix.from_packed(p, group.dim)
-        handle = close([mat], space)
-        key = handle.elements
-        if key not in seen:
-            seen[key] = mat
-    images = []
-    for idx, (key, mat) in enumerate(
-        sorted(seen.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ):
-        images.append(
-            LocalImage(label=f"frobenius-{idx}", group=close([mat], space))
-        )
+        handle = close([F2Matrix.from_packed(p, group.dim)], space)
+        seen.setdefault(handle.elements, handle)
+    images = [
+        LocalImage(label=f"frobenius-{idx}", group=seen[key])
+        for idx, key in enumerate(sorted(seen, key=lambda k: (len(k), k)))
+    ]
     return ObstructionCertificate(
         m=m,
         degree_n=n,

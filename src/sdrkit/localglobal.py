@@ -2,7 +2,7 @@
 cubic root densities, and the quartic fixtures.
 
 Everything here is exact: Fractions throughout, integer searches with proven
-bounds (Holzer) for conic points, and value-table checks for the pencil
+bounds (Holzer) for conic points, and coefficient-matrix checks for the pencil
 identities. Floating point appears only in reported densities.
 """
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "conic_rational_point",
     "ConicSDR",
     "conic_sdr",
-    "Poly3",
     "cubic_discriminant",
     "cubic_rational_roots",
     "galois_image",
@@ -577,77 +576,7 @@ def conic_rational_point(
 
 
 # ---------------------------------------------------------------------------
-# exact trivariate polynomials and the conic pencil
-
-class Poly3:
-    """Polynomials in X0, X1, X2 with Fraction coefficients, exact."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Dict[Tuple[int, int, int], Rat]] = None):
-        clean: Dict[Tuple[int, int, int], Fraction] = {}
-        for k, v in (coeffs or {}).items():
-            f = Fraction(v)
-            if f:
-                clean[tuple(k)] = f
-        self.coeffs = clean
-
-    @classmethod
-    def linear(cls, c0: Rat, c1: Rat, c2: Rat) -> "Poly3":
-        return cls({(1, 0, 0): c0, (0, 1, 0): c1, (0, 0, 1): c2})
-
-    @classmethod
-    def from_symmetric(cls, m: Sequence[Sequence[Rat]]) -> "Poly3":
-        mat = _to_mat3(m)
-        out: Dict[Tuple[int, int, int], Fraction] = {}
-        for i in range(3):
-            for j in range(3):
-                key = tuple(
-                    (1 if t == i else 0) + (1 if t == j else 0) for t in range(3)
-                )
-                out[key] = out.get(key, Fraction(0)) + mat[i][j]
-        return cls(out)
-
-    def __add__(self, other: "Poly3") -> "Poly3":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Poly3(out)
-
-    def __sub__(self, other: "Poly3") -> "Poly3":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return Poly3(out)
-
-    def __mul__(self, other: "Poly3") -> "Poly3":
-        out: Dict[Tuple[int, int, int], Fraction] = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
-                out[key] = out.get(key, Fraction(0)) + va * vb
-        return Poly3(out)
-
-    def scaled(self, factor: Rat) -> "Poly3":
-        f = Fraction(factor)
-        return Poly3({k: v * f for k, v in self.coeffs.items()})
-
-    def evaluate(self, point: Sequence[Rat]) -> Fraction:
-        p = [Fraction(x) for x in point]
-        total = Fraction(0)
-        for (i, j, k), v in self.coeffs.items():
-            total += v * p[0] ** i * p[1] ** j * p[2] ** k
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly3) and self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Poly3({self.coeffs!r})"
-
+# the conic pencil
 
 @dataclass(frozen=True)
 class ConicSDR:
@@ -673,32 +602,30 @@ class ConicSDR:
 def _second_conic_point(
     mat: Mat3, p: Tuple[int, int, int]
 ) -> Tuple[Fraction, ...]:
-    """A rational conic point independent of p with p^t M s != 0, found by
-    sweeping chords through p in a fixed order."""
+    """A rational conic point s independent of p with p^t M s != 0.
+
+    The first direction d in {-1, 0, 1}^3 with d^t M p != 0 gives it: the
+    chord p + t d meets the conic again at s = (d^t M d) p - 2 (d^t M p) d,
+    or at s = d when d^t M d = 0. Then s^t M s = 0, s is no multiple of p
+    (p^t M p = 0 != d^t M p), and p^t M s is -2 (d^t M p)^2 or d^t M p.
+    M is nonsingular, so M p != 0 and some unit vector d qualifies.
+    """
     pf = [Fraction(x) for x in p]
     mp = _matvec3(mat, pf)
-    for span in range(1, 8):
-        for d0 in range(-span, span + 1):
-            for d1 in range(-span, span + 1):
-                for d2 in range(-span, span + 1):
-                    d = [Fraction(d0), Fraction(d1), Fraction(d2)]
-                    if all(x == 0 for x in d):
-                        continue
-                    pmd = _dot3(d, mp)
-                    if pmd == 0:
-                        continue
-                    dmd = _dot3(d, _matvec3(mat, d))
-                    if dmd == 0:
-                        s = tuple(d)
-                    else:
-                        s = tuple(dmd * x - 2 * pmd * y for x, y in zip(pf, d))
-                    # reject multiples of p
-                    if not any(_cross(pf, s)):
-                        continue
-                    ms = _matvec3(mat, s)
-                    if _dot3(s, ms) == 0 and _dot3(pf, ms) != 0:
-                        return s
-    raise AssertionError("no second conic point found in the sweep")
+    for d in itertools.product((-1, 0, 1), repeat=3):
+        pmd = _dot3(d, mp)
+        if pmd != 0:
+            break
+    d = [Fraction(x) for x in d]
+    dmd = _dot3(d, _matvec3(mat, d))
+    if dmd == 0:
+        s = tuple(d)
+    else:
+        s = tuple(dmd * x - 2 * pmd * y for x, y in zip(pf, d))
+    ms = _matvec3(mat, s)
+    if _dot3(s, ms) != 0 or not any(_cross(pf, s)) or _dot3(pf, ms) == 0:
+        raise AssertionError("chord point fails the conic-point checks")
+    return s
 
 
 def _invert3(mat: Mat3) -> Mat3:
@@ -755,15 +682,14 @@ def conic_sdr(
     matrices = [((inv[0][j], inv[1][j]), (inv[1][j], inv[2][j])) for j in range(3)]
     scale = Fraction(-1) / f_r
 
-    entries = [
-        [
-            Poly3.linear(*(matrices[j][r_][c_] for j in range(3)))
-            for c_ in range(2)
-        ]
-        for r_ in range(2)
-    ]
-    det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    if det != Poly3.from_symmetric(mat).scaled(scale):
+    # det(sum x_j M_j) = sum_jk x_j x_k ((X_j Z_k + X_k Z_j) / 2 - Y_j Y_k); a
+    # quadratic form fixes its symmetric matrix, so compare that matrix
+    xs, ys, zs = inv
+    if any(
+        (xs[j] * zs[k] + xs[k] * zs[j]) / 2 - ys[j] * ys[k] != scale * mat[j][k]
+        for j in range(3)
+        for k in range(3)
+    ):
         raise AssertionError("pencil determinant does not match the conic")
     return ConicSDR(matrices=tuple(matrices), scale=scale, point=p)
 

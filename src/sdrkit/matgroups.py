@@ -857,10 +857,12 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     """Sweep Sp_6(F2) for order-6 subgroups satisfying both conditions.
 
     Classifies every candidate up to conjugacy. An order-6 group is cyclic
-    or dihedral; both kinds are built from their order-2 and order-3
-    elements, so the sweep buckets elements by order first. Takes about
-    a minute and a half of CPU; run it through the `extended` test marker
-    or the dedicated CLI subcommand.
+    or dihedral, and no cyclic group qualifies: a form fixed by g is fixed
+    by <g>, so "g fixes an Arf-0 form" (condition 2 on the generator) and
+    "<g> fixes none" (condition 1) exclude each other. The sweep therefore
+    buckets the order-2 and order-3 elements and assembles dihedral groups
+    from them. Takes about a minute of CPU; run it through the
+    `extended` test marker or the dedicated CLI subcommand.
     """
     def say(msg: str) -> None:
         if progress is not None:
@@ -874,22 +876,16 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     say("bucketing elements by order")
     ord2: List[int] = []
     ord3: List[int] = []
-    ord6: List[Tuple[int, int, int]] = []  # (g, g^2, g^3)
     for p in sp6.elements:
         if p == ident:
             continue
         p2 = _product(p, p, dim)
         if p2 == ident:
             ord2.append(p)
-            continue
-        p3 = _product(p2, p, dim)
-        if p3 == ident:
+        elif _product(p2, p, dim) == ident:
             ord3.append(p)
-        elif _product(p3, p3, dim) == ident:
-            ord6.append((p, p2, p3))
 
-    say(f"orders bucketed: {len(ord2)} involutions, {len(ord3)} of order 3, "
-        f"{len(ord6)} of order 6")
+    say(f"orders bucketed: {len(ord2)} involutions, {len(ord3)} of order 3")
     qual2 = {p for p in ord2 if _fixes_some_arf0(p, base)}
     qual3 = {p for p in ord3 if _fixes_some_arf0(p, base)}
     say(f"condition-2 candidates: {len(qual2)} involutions, {len(qual3)} of order 3")
@@ -898,19 +894,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
         gens = [F2Matrix.from_packed(p, dim) for p in gens_packed]
         return next(invariant_arf0_vectors(gens, base), None) is None
 
-    survivors: Dict[FrozenSet[int], Tuple[str, Tuple[int, ...]]] = {}
-
-    say("scanning cyclic candidates")
-    for g, g2, g3 in ord6:
-        if g2 not in qual3 or g3 not in qual2:
-            continue
-        if not _fixes_some_arf0(g, base):
-            continue
-        g4 = _product(g3, g, dim)
-        g5 = _product(g4, g, dim)
-        key = frozenset({ident, g, g2, g3, g4, g5})
-        if key not in survivors and group_no_common_arf0((g,)):
-            survivors[key] = ("cyclic", (g,))
+    survivors: Dict[FrozenSet[int], Tuple[int, int]] = {}
 
     say("scanning dihedral candidates")
     c3_reps: List[Tuple[int, int]] = []  # (r, r^2), deduped per subgroup
@@ -938,20 +922,21 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
                 continue
             key = frozenset({ident, r, r2, t, rt, r2t})
             if key not in survivors and group_no_common_arf0((r, t)):
-                survivors[key] = ("dihedral", (r, t))
+                survivors[key] = (r, t)
 
     say(f"{len(survivors)} candidate subgroups; partitioning into classes")
     classes: List[Dict[str, object]] = []
     for orbit in _conjugation_orbits(survivors, sp6):
-        kind, gens = survivors[orbit[0]]
         classes.append(
             {
-                "kind": kind,
+                "kind": "dihedral",
                 "orbit_size": len(orbit),
-                "generators": [F2Matrix.from_packed(p, dim).to_text() for p in gens],
+                "generators": [
+                    F2Matrix.from_packed(p, dim).to_text() for p in survivors[orbit[0]]
+                ],
             }
         )
-    classes.sort(key=lambda c: (c["kind"], c["orbit_size"]))
+    classes.sort(key=lambda c: c["orbit_size"])
     return {
         "m": 3,
         "candidates": len(survivors),

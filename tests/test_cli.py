@@ -510,6 +510,18 @@ def test_reproduce_subset_is_deterministic(capsys):
     assert out2 == out1  # byte-identical reruns
 
 
+def test_only_reproduce_takes_a_seed(capsys):
+    # reproduce is the one subcommand with randomized criteria
+    with pytest.raises(SystemExit) as exc:
+        main(["order", "--m", "1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    code, payload, _ = run_json(capsys, ["reproduce", "--only", "quartic-points", "--seed", "3"])
+    assert code == 0
+    assert payload["seed"] == 3
+    assert payload["all_passed"] is True
+
+
 def test_reproduce_unknown_criterion(capsys):
     code, _, err = run(capsys, ["reproduce", "--only", "nope"])
     assert code == 2

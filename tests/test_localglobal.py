@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,7 +7,6 @@ import pytest
 
 from sdrkit.localglobal import (
     COUNTEREXAMPLE_QUARTICS,
-    Poly3,
     conic_rational_point,
     conic_sdr,
     cubic_discriminant,
@@ -34,6 +34,7 @@ from sdrkit.localglobal import (
     _factor,
     _holzer_search,
     _invert3,
+    _second_conic_point,
     _squarefree_split,
 )
 
@@ -141,6 +142,11 @@ def test_local_obstructions_known_cases():
         assert len(local_obstructions(*coeffs)) % 2 == 0
 
 
+def _form(m, x):
+    """x^t M x, exactly."""
+    return sum(Fraction(m[i][j]) * x[i] * x[j] for i in range(3) for j in range(3))
+
+
 def test_conic_point_on_solvable_conics():
     cases = [
         [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
@@ -151,7 +157,7 @@ def test_conic_point_on_solvable_conics():
     for m in cases:
         p = conic_rational_point(m)
         assert p is not None
-        assert Poly3.from_symmetric(m).evaluate(p) == 0
+        assert _form(m, p) == 0
         assert p != (0, 0, 0)
 
 
@@ -165,7 +171,7 @@ def test_conic_point_degenerate_cases():
     # rank 2: x^2 - y^2 factors through the line x = y
     p = conic_rational_point([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
     assert p is not None
-    assert Poly3.from_symmetric([[1, 0, 0], [0, -1, 0], [0, 0, 0]]).evaluate(p) == 0
+    assert _form([[1, 0, 0], [0, -1, 0], [0, 0, 0]], p) == 0
     # rank 1: a double line
     q = conic_rational_point([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert q is not None and q[0] == 0
@@ -254,19 +260,29 @@ def test_conic_sdr_det_identity():
     for m in cases:
         sdr = conic_sdr(m)
         assert sdr.scale != 0
-        assert Poly3.from_symmetric(m).evaluate(sdr.point) == 0
-        entries = [
-            [
-                Poly3.linear(*(sdr.matrices[j][r][c] for j in range(3)))
-                for c in range(2)
-            ]
-            for r in range(2)
-        ]
-        det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-        assert det == Poly3.from_symmetric(m).scaled(sdr.scale)
+        assert _form(m, sdr.point) == 0
+        # e_i and e_i + e_j alone fix a ternary quadratic form
+        for x in itertools.product((-1, 0, 1), repeat=3):
+            a, b, c = (
+                sum(x[j] * sdr.matrices[j][r][col] for j in range(3))
+                for r, col in ((0, 0), (0, 1), (1, 1))
+            )
+            assert a * c - b * b == sdr.scale * _form(m, x)
         # symmetric pencil
         for j in range(3):
             assert sdr.matrices[j][0][1] == sdr.matrices[j][1][0]
+
+
+def test_second_conic_point_skips_tangent_directions():
+    # on X^2 - Y^2 - Z^2 at p = (1, 1, 0), M p = (1, -1, 0): the first three
+    # directions of {-1, 0, 1}^3 are tangent, the fourth, (-1, 0, -1), is not
+    m = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+    mat = tuple(tuple(Fraction(x) for x in row) for row in m)
+    p = (1, 1, 0)
+    s = _second_conic_point(mat, p)
+    assert s == (-1, 0, -1)
+    assert _form(m, s) == 0
+    assert p[0] * s[0] - p[1] * s[1] - p[2] * s[2] != 0  # p^t M s
 
 
 def test_conic_sdr_with_the_callers_point_gives_the_same_pencil():
@@ -365,17 +381,6 @@ def test_conic_sdr_refuses_pointless_or_degenerate():
         conic_sdr([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         conic_sdr([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-
-
-def test_poly3_arithmetic():
-    x = Poly3.linear(1, 0, 0)
-    y = Poly3.linear(0, 1, 0)
-    s = x + y
-    assert s * s == x * x + (x * y).scaled(2) + y * y
-    assert (s * s).evaluate((3, 4, 0)) == 49
-    assert not (s - s)
-    f = Poly3.from_symmetric([[1, 2, 0], [2, 0, 0], [0, 0, 0]])
-    assert f == x * x + (x * y).scaled(4)
 
 
 def test_cubic_discriminants():

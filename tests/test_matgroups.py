@@ -20,6 +20,7 @@ from sdrkit.matgroups import (
     fixed_forms,
     gl22_common_fixed_vector,
     has_nonzero_fixed_vector,
+    invariant_arf0_vectors,
     lemma51_scan,
     obstruction_conditions,
     orthogonal_group,
@@ -682,6 +683,27 @@ def test_gl22_common_fixed_vector():
         assert g.apply(v) == v
     with pytest.raises(ValueError):
         gl22_common_fixed_vector(symplectic_group(1))
+
+
+def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
+    """A form fixed by g is fixed by <g>, so condition 2 on g and condition 1
+    on <g> exclude each other; `order6_uniqueness_scan` relies on this to
+    assemble dihedral groups only. All of Sp4(F2), 200 seeded Sp6(F2)."""
+    rng = random.Random(6)
+    outcomes = set()
+    for m, elements in (
+        (2, symplectic_group(2).elements),
+        (3, rng.sample(sp3.elements, 200)),
+    ):
+        space = standard_symplectic(m)
+        base = standard_base_form(m)
+        for p in elements:
+            g = F2Matrix.from_packed(p, space.dim)
+            assert not obstruction_conditions(close([g], space)).satisfied
+            fixes = matgroups._fixes_some_arf0(p, base)
+            assert fixes == (next(invariant_arf0_vectors([g], base), None) is not None)
+            outcomes.add((m, fixes))
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
 @pytest.mark.extended

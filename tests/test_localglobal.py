@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -374,6 +375,127 @@ def test_conic_places_match_the_diagonal_symbols():
     # factoring limit is divided out before anything is factored
     n = 2 * FACTOR_LIMIT + 6
     assert _conic_point_and_places([[n, 0, 0], [0, -n, 0], [0, 0, 2 * n]])[1] == []
+
+
+def _conic_corpus():
+    """About 2000 seeded symmetric matrices over every conic path: c10's
+    diagonals, their unimodular off-diagonal images, rational entries, zero
+    diagonals (the symmetrizing pivot, at the first or the second step) and
+    degenerate conics of rank 2, 1 and 0."""
+    rng = random.Random(4242)
+    square_free = [v for v in range(1, 21) if all(e == 1 for e in _factor(v).values())]
+    signed = [s * v for v in square_free for s in (1, -1)]
+    c10 = [
+        (a, b, c)
+        for a in signed
+        for b in signed
+        for c in signed
+        if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
+    ]
+
+    def diagonal(d):
+        return [[d[0], 0, 0], [0, d[1], 0], [0, 0, d[2]]]
+
+    def unimodular_image(d):
+        u = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(4):
+            i, j = rng.sample(range(3), 2)
+            f = rng.choice((-2, -1, 1, 2))
+            u[i] = [x + f * y for x, y in zip(u[i], u[j])]
+        return [
+            [sum(u[k][i] * d[k] * u[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)
+        ]
+
+    def symmetric(entries, zero_diagonal=False):
+        u = [[rng.choice(entries) for _ in range(3)] for _ in range(3)]
+        if zero_diagonal:
+            for i in range(3):
+                u[i][i] = 0
+        return [[u[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+
+    ints = [0, 1, -1, 2, -3, 5, 7]
+    rationals = [0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(-7, 5)]
+    # c10 is about 85 % obstructed: take half of each sample from either side
+    solvable = [d for d in c10 if not local_obstructions(*d)]
+    obstructed = [d for d in c10 if local_obstructions(*d)]
+    corpus = []
+    for image in (diagonal, unimodular_image):
+        corpus += [image(d) for d in rng.sample(solvable, 250) + rng.sample(obstructed, 250)]
+    corpus += [symmetric(rationals) for _ in range(400)]
+    corpus += [symmetric([0] + ints[1:] + rationals[2:], zero_diagonal=True) for _ in range(200)]
+    for _ in range(100):
+        # the first pivot a leaves the block [[0, b - c e / a], [b - c e / a, 0]],
+        # symmetrized at the second step
+        a, b, c, e = (rng.choice(rationals[2:]) for _ in range(4))
+        corpus.append([[a, c, e], [c, Fraction(c * c) / a, b], [e, b, Fraction(e * e) / a]])
+    for _ in range(280):
+        d = (rng.choice(rationals[2:]), rng.choice(rationals[2:]), 0)
+        if rng.random() < 0.3:
+            d = (d[0], 0, 0)
+        corpus.append(unimodular_image(d))
+    corpus += [symmetric([0]) for _ in range(20)]
+    return corpus
+
+
+def _canonical(x):
+    """A text form that keeps each value's type: Fraction, int, bool, str,
+    None, tuple, list and dict read differently."""
+    if isinstance(x, Fraction):
+        return f"F{x.numerator}/{x.denominator}"
+    if isinstance(x, bool):
+        return f"b{x}"
+    if isinstance(x, int):
+        return f"i{x}"
+    if isinstance(x, str) or x is None:
+        return repr(x)
+    if isinstance(x, tuple):
+        return "t(" + ",".join(_canonical(y) for y in x) + ")"
+    if isinstance(x, list):
+        return "l[" + ",".join(_canonical(y) for y in x) + "]"
+    if isinstance(x, dict):
+        return "d{" + ",".join(f"{k!r}:{_canonical(v)}" for k, v in x.items()) + "}"
+    raise TypeError(f"no canonical form for {type(x).__name__}")
+
+
+def _conic_outputs(m):
+    """diagonalize_symmetric, _conic_point_and_places, conic_rational_point
+    and conic_sdr(m).to_json() of one matrix as text, a ValueError as its
+    message."""
+
+    def run(f):
+        try:
+            return f(m)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    return _canonical(
+        tuple(
+            run(f)
+            for f in (
+                diagonalize_symmetric,
+                _conic_point_and_places,
+                conic_rational_point,
+                lambda m: conic_sdr(m).to_json(),
+            )
+        )
+    )
+
+
+def test_frozen_conic_corpus():
+    # the digest pins every value and every type of the four outputs on each
+    # of these conics
+    corpus = _conic_corpus()
+    assert len(corpus) == 2000
+    assert all(isinstance(x, (int, Fraction)) for m in corpus for row in m for x in row)
+    lines = [_conic_outputs(m) for m in corpus]
+    assert sum("ValueError" in line for line in lines) == 956
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1898b3f60d2a540fd0b8a5dfea041f0c38217e2f6cdcc34e1a0373e7c79dd3ef"
+    # integer entries given as int and as Fraction(n, 1) agree
+    for m, line in zip(corpus[::5], lines[::5]):
+        if all(isinstance(x, int) for row in m for x in row):
+            assert _conic_outputs([[Fraction(x) for x in row] for row in m]) == line
 
 
 def test_conic_sdr_refuses_pointless_or_degenerate():

@@ -1,9 +1,12 @@
 """Local-global arithmetic: Hilbert symbols, conics and their 2x2 pencils,
 cubic root densities, and the quartic fixtures.
 
-Everything here is exact: Fractions throughout, integer searches with proven
-bounds (Holzer) for conic points, and coefficient-matrix checks for the pencil
-identities. Floating point appears only in reported densities.
+Everything here is exact. The conic code clears a matrix's denominators once
+and then works on integers: fraction-free diagonalization, integer searches
+with proven bounds (Holzer) for points, and the pencil from integer adjugates,
+checked on its coefficient matrix; only returned values become Fractions.
+Symbols and cubics use integers and Fractions. Floating point appears only in
+reported densities.
 """
 from __future__ import annotations
 
@@ -242,39 +245,31 @@ def local_obstructions(a: Rat, b: Rat, c: Rat) -> List[Place]:
 # conics: rational points
 
 Mat3 = Tuple[Tuple[Fraction, ...], ...]
+IntMat3 = Sequence[Sequence[int]]
 
 
-def _to_mat3(m: Sequence[Sequence[Rat]]) -> Mat3:
-    rows = tuple(tuple(Fraction(x) for x in row) for row in m)
+def _integer_matrix(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[int]], int]:
+    """(A, delta) with M = A / delta: the conic code clears the denominators
+    of a symmetric 3x3 matrix once and then works on integers."""
+    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 matrix")
-    for i in range(3):
-        for j in range(3):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("matrix is not symmetric")
-    return rows
+    delta = math.lcm(*(x.denominator for row in rows for x in row))
+    a = [[x.numerator * (delta // x.denominator) for x in row] for row in rows]
+    if any(a[i][j] != a[j][i] for i in range(3) for j in range(i)):
+        raise ValueError("matrix is not symmetric")
+    return a, delta
 
 
-def _mat_mul3(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
+def _matvec3(a: IntMat3, v: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in a)
 
 
-def _mat_T(a: Mat3) -> Mat3:
-    return tuple(tuple(a[j][i] for j in range(3)) for i in range(3))
+def _dot3(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _matvec3(a: Mat3, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
-
-
-def _dot3(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum(x * y for x, y in zip(u, v))
-
-
-def _cross(u: Sequence[Fraction], v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+def _cross(u: Sequence[int], v: Sequence[int]) -> Tuple[int, ...]:
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -282,39 +277,51 @@ def _cross(u: Sequence[Fraction], v: Sequence[Fraction]) -> Tuple[Fraction, ...]
     )
 
 
-def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fraction, ...]]:
-    """Congruence transform T with T^t M T diagonal; returns (T, diagonal).
+def _adjugate(
+    c0: Sequence[int], c1: Sequence[int], c2: Sequence[int]
+) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+    """(adj, det) of the matrix with columns c0, c1, c2: row i of the
+    adjugate is c_(i+1) x c_(i+2), so adj times the matrix is det I."""
+    adj = (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
+    return adj, _dot3(c0, adj[0])
+
+
+def _diagonalize(a: IntMat3) -> Tuple[List[List[int]], List[int], List[int]]:
+    """Congruence diagonalization of the integer symmetric A without
+    division: (columns of T_i, scales s, b) with T = T_i diag(1/s) and
+    T^t A T = diag(b_i / s_i^2).
 
     Pivots prefer a nonzero diagonal entry; failing that, a nonzero
     off-diagonal entry is symmetrized by a column addition (characteristic
-    zero, so 2 M_ij lands on the diagonal).
+    zero, so 2 M_ij lands on the diagonal). Clearing entry (k, j) against the
+    pivot is col j <- a col j - b col k with a = B_kk, b = B_kj, which
+    multiplies the scale of column j by a (the fraction-free step of
+    Bareiss, Math. Comp. 22 (1968)).
     """
-    m3 = _to_mat3(m)
-    mm = [list(row) for row in m3]
-    t = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    mm = [list(row) for row in a]  # B = T_i^t A T_i
+    cols = [[int(i == j) for i in range(3)] for j in range(3)]
+    scales = [1, 1, 1]
 
-    def col_op_add(dst: int, src: int, factor: Fraction) -> None:
-        # column dst += factor * column src, applied congruently
+    def combine(dst: int, x: int, src: int, y: int) -> None:
+        # column dst <- x column dst + y column src, applied congruently
         for r in range(3):
-            mm[r][dst] += factor * mm[r][src]
+            mm[r][dst] = x * mm[r][dst] + y * mm[r][src]
         for c in range(3):
-            mm[dst][c] += factor * mm[src][c]
-        for r in range(3):
-            t[r][dst] += factor * t[r][src]
+            mm[dst][c] = x * mm[dst][c] + y * mm[src][c]
+        cols[dst] = [x * u + y * v for u, v in zip(cols[dst], cols[src])]
 
-    def col_swap(i: int, j: int) -> None:
-        for r in range(3):
-            mm[r][i], mm[r][j] = mm[r][j], mm[r][i]
-        for c in range(3):
-            mm[i][c], mm[j][c] = mm[j][c], mm[i][c]
-        for r in range(3):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
+    def swap(i: int, j: int) -> None:
+        for row in mm:
+            row[i], row[j] = row[j], row[i]
+        mm[i], mm[j] = mm[j], mm[i]
+        cols[i], cols[j] = cols[j], cols[i]
+        scales[i], scales[j] = scales[j], scales[i]
 
     for k in range(3):
         if mm[k][k] == 0:
             pivot = next((l for l in range(k + 1, 3) if mm[l][l] != 0), None)
             if pivot is not None:
-                col_swap(k, pivot)
+                swap(k, pivot)
             else:
                 off = next(
                     (
@@ -328,33 +335,34 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
                 if off is None:
                     continue  # the remaining block is zero
                 i, j = off
-                col_op_add(i, j, Fraction(1))
+                # T column i += T column j, on the common scale s_i s_j
+                combine(i, scales[j], j, scales[i])
+                scales[i] *= scales[j]
                 if i != k:
-                    col_swap(k, i)
+                    swap(k, i)
         for j in range(k + 1, 3):
             if mm[k][j] != 0:
-                col_op_add(j, k, -mm[k][j] / mm[k][k])
+                pivot_entry = mm[k][k]
+                combine(j, pivot_entry, k, -mm[k][j])
+                scales[j] *= pivot_entry
 
-    tt = tuple(tuple(row) for row in t)
-    # T^t M T = diag, checked on integers: T_i = d_T T and M_i = d_M M, so
-    # T_i^t M_i T_i = d_T^2 d_M diag
-    d_t, t_int = _clear_denominators(tt)
-    d_m, m_int = _clear_denominators(m3)
-    check = _mat_mul3(_mat_T(t_int), _mat_mul3(m_int, t_int))
-    scale = d_t * d_t * d_m
+    # T_i^t A T_i = diag(b), recomputed apart from the updates above
+    a_cols = [_matvec3(a, col) for col in cols]
     for i in range(3):
-        if any(check[i][j] != 0 for j in range(3) if j != i):
+        if any(_dot3(cols[i], a_cols[j]) != 0 for j in range(3) if j != i):
             raise AssertionError("diagonalization left an off-diagonal entry")
-        d = mm[i][i]
-        if check[i][i] * d.denominator != scale * d.numerator:
+        if _dot3(cols[i], a_cols[i]) != mm[i][i]:
             raise AssertionError("diagonalization bookkeeping mismatch")
-    return tt, tuple(mm[i][i] for i in range(3))
+    return cols, scales, [mm[i][i] for i in range(3)]
 
 
-def _clear_denominators(a: Mat3) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
-    """(d, d a) with d the least common denominator of the entries of a."""
-    d = math.lcm(*(x.denominator for row in a for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a)
+def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fraction, ...]]:
+    """Congruence transform T with T^t M T diagonal; returns (T, diagonal).
+    `_diagonalize` runs on A = delta M; only T and the diagonal are Fractions."""
+    a, delta = _integer_matrix(m)
+    cols, scales, b = _diagonalize(a)
+    t = tuple(tuple(Fraction(cols[j][i], scales[j]) for j in range(3)) for i in range(3))
+    return t, tuple(Fraction(x, s * s * delta) for x, s in zip(b, scales))
 
 
 def _squarefree_split(n: int) -> Tuple[int, int]:
@@ -415,13 +423,32 @@ HOLZER_CANDIDATE_LIMIT = 5 * 10 ** 6
 
 
 def _sqrt_mod_prime(t: int, q: int) -> Tuple[int, ...]:
-    """The square roots of t mod the prime q, for t prime to q. A scan of
-    F_q: q is at most HOLZER_OUTER_LIMIT where this is used."""
+    """The square roots (r, q - r), r < q / 2, of t mod the prime q, for t
+    prime to q; () when t is a non-residue, (1,) at q = 2. Tonelli-Shanks:
+    with q - 1 = odd 2^e and z a non-residue, x = t^((odd + 1) / 2) is a root
+    up to the factor b = t^odd, of order 2^i; multiplying x by the element of
+    order 2^(i + 1) in <z^odd> lowers that order until b = 1."""
     if q == 2:
         return (1,)
     if pow(t, (q - 1) // 2, q) != 1:
         return ()
-    r = next(r for r in range(1, q // 2 + 1) if r * r % q == t)
+    odd, e = q - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        e += 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) == 1:
+        z += 1
+    c, x, b = pow(z, odd, q), pow(t, (odd + 1) // 2, q), pow(t, odd, q)
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % q
+            i += 1
+        g = pow(c, 1 << (e - i - 1), q)
+        x, c, e = x * g % q, g * g % q, i
+        b = b * c % q
+    r = min(x, q - x)
     return (r, q - r)
 
 
@@ -505,17 +532,14 @@ def _holzer_search(a: int, b: int, c: int) -> Optional[Tuple[int, int, int]]:
     return None
 
 
-def _primitive(vec: Sequence[Rat]) -> Tuple[int, int, int]:
-    fracs = [Fraction(x) for x in vec]
-    den = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * den) for f in fracs]
-    g = math.gcd(math.gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _primitive(vec: Sequence[int]) -> Tuple[int, int, int]:
+    """vec divided by the gcd of its entries, with a positive leading entry."""
+    g = math.gcd(*vec)
+    if g == 0:
+        return (0, 0, 0)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
 
 
 def _conic_point_and_places(
@@ -528,18 +552,26 @@ def _conic_point_and_places(
     coordinates and a scaling of the form keep local solvability, so they
     equal `local_obstructions` of any diagonalization of m.
     """
-    mat = _to_mat3(m)
-    t, diag = diagonalize_symmetric(mat)
+    return _point_and_places(*_integer_matrix(m))
+
+
+def _point_and_places(
+    a: IntMat3, delta: int
+) -> Tuple[Optional[Tuple[int, int, int]], Optional[List[Place]]]:
+    """`_conic_point_and_places` of M = A / delta."""
+    cols, scales, b = _diagonalize(a)
 
     places: Optional[List[Place]] = None
-    if 0 in diag:
-        idx = diag.index(0)
-        point_local = [int(i == idx) for i in range(3)]
+    if 0 in b:
+        # T e_idx lies on the conic, and column idx of T_i is a multiple of it
+        out = _primitive(cols[b.index(0)])
     else:
-        # scaling coordinate i by the denominator of diag[i] makes the
-        # diagonal entries integers
-        ints = [d.numerator * d.denominator for d in diag]
-        reduced, back = _legendre_reduce(ints)
+        # diagonal entry i is b_i / q_i (q_i = s_i^2 delta) = num_i / den_i in
+        # lowest terms; scaling coordinate i by den_i makes it the integer
+        # num_i den_i = b_i den_i^2 / q_i
+        qs = [sc * sc * delta for sc in scales]
+        dens = [q // math.gcd(x, q) for x, q in zip(b, qs)]
+        reduced, back = _legendre_reduce([x * d * d // q for x, d, q in zip(b, dens, qs)])
         if all(x > 0 for x in reduced) or all(x < 0 for x in reduced):
             found = None
         else:
@@ -551,10 +583,13 @@ def _conic_point_and_places(
             )
         if found is None:
             return None, places
-        point_local = [d.denominator * f * x for d, f, x in zip(diag, back, found)]
+        # T x = T_i (x_i / s_i): scaled by s_0 s_1 s_2, an integer combination
+        # of the columns of T_i
+        prod = scales[0] * scales[1] * scales[2]
+        coeffs = [d * f * x * (prod // sc) for d, f, x, sc in zip(dens, back, found, scales)]
+        out = _primitive([sum(c * col[r] for c, col in zip(coeffs, cols)) for r in range(3)])
 
-    out = _primitive(_matvec3(t, point_local))
-    if _dot3(out, _matvec3(mat, out)) != 0:
+    if _dot3(out, _matvec3(a, out)) != 0:
         raise AssertionError("computed point does not lie on the conic")
     if out == (0, 0, 0):
         raise AssertionError("point search produced the zero vector")
@@ -599,46 +634,31 @@ class ConicSDR:
         }
 
 
-def _second_conic_point(
-    mat: Mat3, p: Tuple[int, int, int]
-) -> Tuple[Fraction, ...]:
-    """A rational conic point s independent of p with p^t M s != 0.
+def _second_conic_point(a: IntMat3, delta: int, p: Tuple[int, int, int]) -> Tuple[int, ...]:
+    """delta s, for a rational point s of the conic M = A / delta that is
+    independent of p and has p^t M s != 0.
 
     The first direction d in {-1, 0, 1}^3 with d^t M p != 0 gives it: the
     chord p + t d meets the conic again at s = (d^t M d) p - 2 (d^t M p) d,
     or at s = d when d^t M d = 0. Then s^t M s = 0, s is no multiple of p
     (p^t M p = 0 != d^t M p), and p^t M s is -2 (d^t M p)^2 or d^t M p.
-    M is nonsingular, so M p != 0 and some unit vector d qualifies.
+    M is nonsingular, so M p != 0 and some unit vector d qualifies. On A,
+    delta s = (d^t A d) p - 2 (d^t A p) d, or delta d.
     """
-    pf = [Fraction(x) for x in p]
-    mp = _matvec3(mat, pf)
+    ap = _matvec3(a, p)
     for d in itertools.product((-1, 0, 1), repeat=3):
-        pmd = _dot3(d, mp)
-        if pmd != 0:
+        pad = _dot3(d, ap)
+        if pad != 0:
             break
-    d = [Fraction(x) for x in d]
-    dmd = _dot3(d, _matvec3(mat, d))
-    if dmd == 0:
-        s = tuple(d)
+    dad = _dot3(d, _matvec3(a, d))
+    if dad == 0:
+        s = tuple(delta * x for x in d)
     else:
-        s = tuple(dmd * x - 2 * pmd * y for x, y in zip(pf, d))
-    ms = _matvec3(mat, s)
-    if _dot3(s, ms) != 0 or not any(_cross(pf, s)) or _dot3(pf, ms) == 0:
+        s = tuple(dad * x - 2 * pad * y for x, y in zip(p, d))
+    a_s = _matvec3(a, s)
+    if _dot3(s, a_s) != 0 or not any(_cross(p, s)) or _dot3(p, a_s) == 0:
         raise AssertionError("chord point fails the conic-point checks")
     return s
-
-
-def _invert3(mat: Mat3) -> Mat3:
-    """The inverse by the adjugate: with c0, c1, c2 the columns of mat,
-    row i of the inverse is c_(i+1) x c_(i+2) / det."""
-    cols = _mat_T(mat)
-    det = _dot3(cols[0], _cross(cols[1], cols[2]))
-    if det == 0:
-        raise ValueError("singular system")
-    return tuple(
-        tuple(x / det for x in _cross(cols[(i + 1) % 3], cols[(i + 2) % 3]))
-        for i in range(3)
-    )
 
 
 def conic_sdr(
@@ -655,43 +675,54 @@ def conic_sdr(
     P is `point` when given (a caller that already ran
     `conic_rational_point(m)` passes its answer, which is checked to lie on
     the conic), else `conic_rational_point(m)`.
+
+    Everything runs on A = delta M. With D = det A and S_A = delta S, the pole
+    is R = adj(A) (P x S_A) / D; with F = R_A^t A R_A for R_A = D R and
+    Q = P^t A S_A, the frame is (P | R_A | S_A) diag(1, 1/D, -F / (2 D^2 Q))
+    and scale = -D^2 delta / F. Only the returned values become Fractions.
     """
-    mat = _to_mat3(m)
-    if _dot3(mat[0], _cross(mat[1], mat[2])) == 0:
+    a, delta = _integer_matrix(m)
+    adj_a, det_a = _adjugate(*a)  # A is symmetric: its rows are its columns
+    if det_a == 0:
         raise ValueError("conic is degenerate")
     if point is None:
-        p = conic_rational_point(mat)
+        p = _point_and_places(a, delta)[0]
         if p is None:
             raise ValueError("conic has no rational point, so no pencil over Q")
     else:
         p = tuple(point)
-        if len(p) != 3 or not all(isinstance(x, int) for x in p) or p == (0, 0, 0):
+        # bool is an int subclass: (True, False, False) is no integer point
+        if len(p) != 3 or not all(type(x) is int for x in p) or p == (0, 0, 0):
             raise ValueError("point must be a nonzero integer triple")
-        if _dot3(p, _matvec3(mat, p)) != 0:
+        if _dot3(p, _matvec3(a, p)) != 0:
             raise ValueError("point does not lie on the conic")
-    pf = [Fraction(x) for x in p]
-    s = _second_conic_point(mat, p)
-    r = _matvec3(_invert3(mat), _cross(pf, s))
-    f_r = _dot3(r, _matvec3(mat, r))
+    s = _second_conic_point(a, delta, p)
+    r = _matvec3(adj_a, _cross(p, s))
+    f_r = _dot3(r, _matvec3(a, r))
     if f_r == 0:
         raise AssertionError("pole of the chord lies on the conic")
-    pms = _dot3(pf, _matvec3(mat, s))
-    s_scaled = [-f_r / (2 * pms) * x for x in s]
-    # frame (P | R | scaled S); M_j = [[X_j, Y_j], [Y_j, Z_j]] from column j of its inverse
-    inv = _invert3(_mat_T((pf, r, s_scaled)))
-    matrices = [((inv[0][j], inv[1][j]), (inv[1][j], inv[2][j])) for j in range(3)]
-    scale = Fraction(-1) / f_r
+    pms = _dot3(p, _matvec3(a, s))
+    # rows 0, 1, 2 of the inverse frame are adj[0] / e, D adj[1] / e and
+    # -2 D^2 Q adj[2] / (F e); M_j = [[X_j, Y_j], [Y_j, Z_j]] from column j
+    adj, e = _adjugate(p, r, s)
+    if e == 0:
+        raise AssertionError("the pencil frame is singular")
 
     # det(sum x_j M_j) = sum_jk x_j x_k ((X_j Z_k + X_k Z_j) / 2 - Y_j Y_k); a
-    # quadratic form fixes its symmetric matrix, so compare that matrix
-    xs, ys, zs = inv
+    # quadratic form fixes its symmetric matrix, so compare that matrix with
+    # scale M, both multiplied by -F e^2 / D^2
+    g0, g1, g2 = adj
     if any(
-        (xs[j] * zs[k] + xs[k] * zs[j]) / 2 - ys[j] * ys[k] != scale * mat[j][k]
+        pms * (g0[j] * g2[k] + g0[k] * g2[j]) + f_r * g1[j] * g1[k] != e * e * a[j][k]
         for j in range(3)
         for k in range(3)
     ):
         raise AssertionError("pencil determinant does not match the conic")
-    return ConicSDR(matrices=tuple(matrices), scale=scale, point=p)
+    xs = [Fraction(x, e) for x in g0]
+    ys = [Fraction(det_a * x, e) for x in g1]
+    zs = [Fraction(-2 * det_a * det_a * pms * x, f_r * e) for x in g2]
+    matrices = tuple(((xs[j], ys[j]), (ys[j], zs[j])) for j in range(3))
+    return ConicSDR(matrices=matrices, scale=Fraction(-det_a * det_a * delta, f_r), point=p)
 
 
 # ---------------------------------------------------------------------------

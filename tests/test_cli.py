@@ -363,13 +363,13 @@ def test_conic_over_the_limits_is_usage_error(diag, limit):
 @pytest.mark.parametrize("diag", [["997", "1009", "-1013"], ["998", "1001", "-1003"]])
 def test_conic_diagonalizes_once(capsys, monkeypatch, diag):
     calls = []
-    real = lg.diagonalize_symmetric
+    real = lg._diagonalize
 
-    def counted(m):
-        calls.append(m)
-        return real(m)
+    def counted(a):
+        calls.append(a)
+        return real(a)
 
-    monkeypatch.setattr(lg, "diagonalize_symmetric", counted)
+    monkeypatch.setattr(lg, "_diagonalize", counted)
     code, payload, _ = run_json(capsys, ["conic", "--diag", *diag])
     assert code in (0, 1) and payload["degenerate"] is False
     assert len(calls) == 1

@@ -33,9 +33,10 @@ from sdrkit.localglobal import (
     _conic_point_and_places,
     _cubic_square_disc_has_root,
     _factor,
+    _adjugate,
     _holzer_search,
-    _invert3,
     _second_conic_point,
+    _sqrt_mod_prime,
     _squarefree_split,
 )
 
@@ -278,9 +279,8 @@ def test_second_conic_point_skips_tangent_directions():
     # on X^2 - Y^2 - Z^2 at p = (1, 1, 0), M p = (1, -1, 0): the first three
     # directions of {-1, 0, 1}^3 are tangent, the fourth, (-1, 0, -1), is not
     m = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
-    mat = tuple(tuple(Fraction(x) for x in row) for row in m)
     p = (1, 1, 0)
-    s = _second_conic_point(mat, p)
+    s = _second_conic_point(m, 1, p)
     assert s == (-1, 0, -1)
     assert _form(m, s) == 0
     assert p[0] * s[0] - p[1] * s[1] - p[2] * s[2] != 0  # p^t M s
@@ -302,6 +302,9 @@ def test_conic_sdr_with_the_callers_point_gives_the_same_pencil():
         conic_sdr(m, (1, 1, 1))
     with pytest.raises(ValueError, match="nonzero integer"):
         conic_sdr(m, (0, 0, 0))
+    # bool subclasses int, but (True, False, True) is no integer point
+    with pytest.raises(ValueError, match="nonzero integer"):
+        conic_sdr(m, (True, False, True))
 
 
 def _solve3(mat, rhs):
@@ -322,28 +325,44 @@ def _solve3(mat, rhs):
     return tuple(a[r][3] for r in range(3))
 
 
-def test_invert3_matches_gauss_jordan():
+def test_adjugate_matches_gauss_jordan():
     rng = random.Random(11)
-    entries = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    entries = [0, 0, 1, -1, 2, -3, 5, -7, 12]
     identity = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
     inverted = singular = 0
     while inverted < 300 or singular < 20:
-        a = tuple(tuple(Fraction(rng.choice(entries)) for _ in range(3)) for _ in range(3))
-        try:
-            cols = [_solve3(a, identity[j]) for j in range(3)]
-        except ValueError:
-            with pytest.raises(ValueError, match="singular"):
-                _invert3(a)
-            singular += 1
-            continue
-        inv = _invert3(a)
-        assert inv == tuple(tuple(col[i] for col in cols) for i in range(3))
+        a = tuple(tuple(rng.choice(entries) for _ in range(3)) for _ in range(3))
+        adj, det = _adjugate(*zip(*a))
         product = tuple(
-            tuple(sum(a[i][k] * inv[k][j] for k in range(3)) for j in range(3))
+            tuple(sum(adj[i][k] * a[k][j] for k in range(3)) for j in range(3))
             for i in range(3)
         )
-        assert product == identity
+        assert product == tuple(tuple(det * x for x in row) for row in identity)
+        try:
+            fa = tuple(tuple(Fraction(x) for x in row) for row in a)
+            cols = [_solve3(fa, identity[j]) for j in range(3)]
+        except ValueError:
+            assert det == 0
+            singular += 1
+            continue
+        assert tuple(tuple(Fraction(x, det) for x in row) for row in adj) == tuple(
+            tuple(col[i] for col in cols) for i in range(3)
+        )
         inverted += 1
+
+
+def test_sqrt_mod_prime_matches_the_scan():
+    # the scan it replaced: the least r in 1..q/2 with r^2 = t mod q
+    for q in primes_upto(3000):
+        least = {}
+        for r in range(q // 2, 0, -1):
+            least[r * r % q] = r
+        for t in range(1, q):
+            if q == 2:
+                want = (1,)
+            else:
+                want = (least[t], q - least[t]) if t in least else ()
+            assert _sqrt_mod_prime(t, q) == want, (t, q)
 
 
 def test_conic_places_match_the_diagonal_symbols():

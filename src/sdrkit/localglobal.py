@@ -702,27 +702,31 @@ def conic_sdr(
     if f_r == 0:
         raise AssertionError("pole of the chord lies on the conic")
     pms = _dot3(p, _matvec3(a, s))
-    # rows 0, 1, 2 of the inverse frame are adj[0] / e, D adj[1] / e and
-    # -2 D^2 Q adj[2] / (F e); M_j = [[X_j, Y_j], [Y_j, Z_j]] from column j
     adj, e = _adjugate(p, r, s)
     if e == 0:
         raise AssertionError("the pencil frame is singular")
+    # M_j = [[X_j, Y_j], [Y_j, Z_j]] from column j of the inverse frame, whose
+    # rows are adj[0] / e, D adj[1] / e and -2 D^2 Q adj[2] / (F e): over the
+    # common denominator den = F e the numerators are xs, ys, zs
+    den = f_r * e
+    xs = [f_r * x for x in adj[0]]
+    ys = [f_r * det_a * x for x in adj[1]]
+    zs = [-2 * det_a * det_a * pms * x for x in adj[2]]
+    scale_num, scale_den = -det_a * det_a * delta, f_r
 
     # det(sum x_j M_j) = sum_jk x_j x_k ((X_j Z_k + X_k Z_j) / 2 - Y_j Y_k); a
     # quadratic form fixes its symmetric matrix, so compare that matrix with
-    # scale M, both multiplied by -F e^2 / D^2
-    g0, g1, g2 = adj
+    # scale M = scale A / delta, both multiplied by 2 den^2 scale_den delta
     if any(
-        pms * (g0[j] * g2[k] + g0[k] * g2[j]) + f_r * g1[j] * g1[k] != e * e * a[j][k]
+        scale_den * delta * (xs[j] * zs[k] + xs[k] * zs[j] - 2 * ys[j] * ys[k])
+        != 2 * scale_num * den * den * a[j][k]
         for j in range(3)
         for k in range(3)
     ):
         raise AssertionError("pencil determinant does not match the conic")
-    xs = [Fraction(x, e) for x in g0]
-    ys = [Fraction(det_a * x, e) for x in g1]
-    zs = [Fraction(-2 * det_a * det_a * pms * x, f_r * e) for x in g2]
-    matrices = tuple(((xs[j], ys[j]), (ys[j], zs[j])) for j in range(3))
-    return ConicSDR(matrices=matrices, scale=Fraction(-det_a * det_a * delta, f_r), point=p)
+    x_f, y_f, z_f = ([Fraction(x, den) for x in v] for v in (xs, ys, zs))
+    matrices = tuple(((x_f[j], y_f[j]), (y_f[j], z_f[j])) for j in range(3))
+    return ConicSDR(matrices=matrices, scale=Fraction(scale_num, scale_den), point=p)
 
 
 # ---------------------------------------------------------------------------

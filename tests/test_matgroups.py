@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sdrkit import matgroups
-from sdrkit.constructions import demo_certificate
+from sdrkit.constructions import build_obstruction_subgroup, demo_certificate
 from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import (
     ClosureCapExceeded,
@@ -704,6 +705,57 @@ def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
             assert fixes == (next(invariant_arf0_vectors([g], base), None) is not None)
             outcomes.add((m, fixes))
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def _obstruction_corpus(sp3):
+    """The groups whose obstruction reports the digest below pins: the
+    closures of 500 seeded Sp6(F2) elements and of 500 seeded pairs of
+    involutions (powers g^(n/2) of elements of even order n), Sp2, Sp4 and
+    Sp6, the trivial group with an empty core, every class of
+    `subgroup_census(1)`, and `build_obstruction_subgroup(m)` for m = 3..8."""
+    rng = random.Random(20)
+    space = sp3.space
+    groups = [close([F2Matrix.from_packed(p, 6)], space) for p in rng.sample(sp3.elements, 500)]
+    involutions = []
+    while len(involutions) < 1000:
+        g = F2Matrix.from_packed(rng.choice(sp3.elements), 6)
+        n = g.order()
+        if n % 2 == 0:
+            involutions.append(g ** (n // 2))
+    groups += [close(involutions[i : i + 2], space) for i in range(0, 1000, 2)]
+    groups += [symplectic_group(m) for m in (1, 2, 3)]
+    groups.append(SubgroupHandle(space, [], [F2Matrix.identity(6).packed], core=()))
+    sp1 = standard_symplectic(1)
+    for c in subgroup_census(1).classes:
+        groups.append(close([F2Matrix.from_text(t) for t in c.generators], sp1))
+    groups += [build_obstruction_subgroup(m).group for m in range(3, 9)]
+    return groups
+
+
+def _report_text(r):
+    failing = None if r.failing_element is None else r.failing_element.packed
+    witnesses = None if r.element_witnesses is None else list(r.element_witnesses.items())
+    return repr(
+        (
+            r.m,
+            r.no_invariant_arf0,
+            r.every_element_fixes_arf0,
+            r.satisfied,
+            r.invariant_arf0_vectors,
+            failing,
+            witnesses,
+        )
+    )
+
+
+def test_frozen_obstruction_reports(sp3):
+    # the digest pins every field of each report, the witnesses in element
+    # order and the failing element included
+    lines = [_report_text(obstruction_conditions(g)) for g in _obstruction_corpus(sp3)]
+    assert len(lines) == 1014
+    assert sum("True, True, True" in line for line in lines) == 37
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b59db856156555568bb8cace8cf5e25c45d4a15f0ba1b514edc07073d646ceff"
 
 
 @pytest.mark.extended

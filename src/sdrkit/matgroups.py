@@ -33,7 +33,6 @@ from .quadforms import (
     BaseForm,
     QuadraticForm,
     action_shift,
-    fixed_form_vectors,
     generator_matrices,
     standard_base_form,
 )
@@ -562,16 +561,26 @@ def invariant_arf0_vectors(group, base: BaseForm) -> Iterator[int]:
         yield from (v for v in affine_span(*got) if base.value(v) == 1)
 
 
-def _fixed_arf0_vector(g: F2Matrix, base: BaseForm) -> Optional[int]:
-    """Smallest v with Q_v of Arf 0 fixed by g, or None."""
-    got = fixed_form_vectors(g, base)
-    if got is None:
-        return None
-    best = None
-    for v in affine_span(*got):  # a plain loop: this runs for every element
-        if base.value(v) == 1 and (best is None or v < best):
-            best = v
-    return best
+@lru_cache(maxsize=None)
+def _fixed_arf0_masks(base: BaseForm) -> Callable[[int], int]:
+    """The kernel of `obstruction_conditions`: packed g -> its fixed Arf-0 mask."""
+    d, m, table = base.space.dim, base.m, base.table
+    full, dmask, half = (1 << (1 << d)) - 1, (1 << d) - 1, (1 << m) - 1
+    # P(e_j), the v with bit j set: 2^j ones in every 2^(j+1) bits
+    units = [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(d)]
+    low, high = _span_table(units[:m]), _span_table(units[m:])
+    # row i's constant part: P(e_i), complemented unless Q0(e_s(i)) = 1
+    rows = [(i * d, units[i] ^ (0 if base.value(1 << (i + m) % d) else full)) for i in range(d)]
+
+    def fixed_arf0_mask(p: int) -> int:
+        acc = table
+        for shift, const in rows:
+            row = (p >> shift) & dmask
+            fixed = low[row & half] ^ high[row >> m] ^ const
+            acc &= fixed ^ full if (table >> ((row >> m) | (row & half) << m)) & 1 else fixed
+        return acc
+
+    return fixed_arf0_mask
 
 
 @dataclass(frozen=True)
@@ -610,32 +619,40 @@ def obstruction_conditions(
     group: SubgroupHandle,
     base: Optional[BaseForm] = None,
 ) -> ObstructionReport:
-    """Evaluate both obstruction conditions on a materialized subgroup."""
+    """Evaluate both obstruction conditions on a materialized subgroup.
+
+    Each element g gives one mask, bit v set when g fixes Q_v and Q0(v) = 1
+    (Arf 0). Column s(i) of g^-1 is swap(row_i), s swapping the halves'
+    indices, so g fixes Q_v when each row i has (row_i + e_i).v =
+    Q0(swap(row_i)) + Q0(e_s(i)). The v with z.v = 1 form a mask P(z) linear
+    in z, read from two span tables over z's halves, 2 * 2^m masks of 2^dim
+    bits built once per base. The invariant vectors are the set bits of the
+    AND over the core; an element's witness is the lowest set bit of its mask.
+    """
     if base is None:
         base = standard_base_form(group.space.m)
-    d = base.space.dim
-    invariant_arf0 = sorted(invariant_arf0_vectors(group, base))
-    cond1 = not invariant_arf0
+    fixed_arf0_mask = _fixed_arf0_masks(base)
+    common = base.table
+    for g in generator_matrices(group, base.space):
+        common &= fixed_arf0_mask(g.packed)
+    invariant_arf0 = tuple(v for v, bit in enumerate(bin(common)[:1:-1]) if bit == "1")
 
     witnesses: Optional[Dict[int, int]] = {} if group.order <= _WITNESS_CAP else None
-    cond2 = True
     failing: Optional[F2Matrix] = None
     for p in group.elements:
-        g = F2Matrix.from_packed(p, d)
-        v = _fixed_arf0_vector(g, base)
-        if v is None:
-            cond2 = False
-            failing = g
+        mask = fixed_arf0_mask(p)
+        if not mask:
+            failing = F2Matrix.from_packed(p, base.space.dim)
             break
         if witnesses is not None:
-            witnesses[p] = v
+            witnesses[p] = (mask & -mask).bit_length() - 1
     return ObstructionReport(
         m=base.m,
-        no_invariant_arf0=cond1,
-        every_element_fixes_arf0=cond2,
-        invariant_arf0_vectors=tuple(invariant_arf0),
+        no_invariant_arf0=not invariant_arf0,
+        every_element_fixes_arf0=failing is None,
+        invariant_arf0_vectors=invariant_arf0,
         failing_element=failing,
-        element_witnesses=witnesses if cond2 else None,
+        element_witnesses=witnesses if failing is None else None,
     )
 
 
@@ -849,10 +866,6 @@ def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
 # ---------------------------------------------------------------------------
 # long-running scans (opt-in)
 
-def _fixes_some_arf0(p: int, base: BaseForm) -> bool:
-    return _fixed_arf0_vector(F2Matrix.from_packed(p, base.space.dim), base) is not None
-
-
 def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     """Sweep Sp_6(F2) for order-6 subgroups satisfying both conditions.
 
@@ -869,7 +882,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
             progress(msg)
 
     sp6 = symplectic_group(3)
-    base = standard_base_form(3)
+    fixed_arf0_mask = _fixed_arf0_masks(standard_base_form(3))
     dim = 6
     ident = F2Matrix.identity(dim).packed
 
@@ -886,13 +899,9 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
             ord3.append(p)
 
     say(f"orders bucketed: {len(ord2)} involutions, {len(ord3)} of order 3")
-    qual2 = {p for p in ord2 if _fixes_some_arf0(p, base)}
-    qual3 = {p for p in ord3 if _fixes_some_arf0(p, base)}
+    qual2 = {p for p in ord2 if fixed_arf0_mask(p)}
+    qual3 = {p for p in ord3 if fixed_arf0_mask(p)}
     say(f"condition-2 candidates: {len(qual2)} involutions, {len(qual3)} of order 3")
-
-    def group_no_common_arf0(gens_packed: Sequence[int]) -> bool:
-        gens = [F2Matrix.from_packed(p, dim) for p in gens_packed]
-        return next(invariant_arf0_vectors(gens, base), None) is None
 
     survivors: Dict[FrozenSet[int], Tuple[int, int]] = {}
 
@@ -921,7 +930,8 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
             if rt not in qual2 or r2t not in qual2:
                 continue
             key = frozenset({ident, r, r2, t, rt, r2t})
-            if key not in survivors and group_no_common_arf0((r, t)):
+            # <r, t> fixes the Arf-0 forms that both r and t fix
+            if key not in survivors and not fixed_arf0_mask(r) & fixed_arf0_mask(t):
                 survivors[key] = (r, t)
 
     say(f"{len(survivors)} candidate subgroups; partitioning into classes")

@@ -10,7 +10,7 @@ import pytest
 
 from sdrkit import matgroups
 from sdrkit.constructions import build_obstruction_subgroup, demo_certificate
-from sdrkit.f2core import F2Matrix, standard_symplectic
+from sdrkit.f2core import F2Matrix, affine_span, standard_symplectic
 from sdrkit.matgroups import (
     ClosureCapExceeded,
     GroupCensus,
@@ -30,7 +30,14 @@ from sdrkit.matgroups import (
     symplectic_order_formula,
     transvection,
 )
-from sdrkit.quadforms import BaseForm, act, all_forms, form_from_vector, standard_base_form
+from sdrkit.quadforms import (
+    BaseForm,
+    act,
+    all_forms,
+    fixed_form_vectors,
+    form_from_vector,
+    standard_base_form,
+)
 
 
 def _orthogonal_by_filter(base, ambient):
@@ -686,6 +693,44 @@ def test_gl22_common_fixed_vector():
         gl22_common_fixed_vector(symplectic_group(1))
 
 
+def test_fixed_arf0_masks_match_the_linear_solve(sp3):
+    """The bitmask kernel behind `obstruction_conditions` against the
+    independent path: the points v of `fixed_form_vectors`' affine span
+    with Q0(v) = 1. All of Sp2(F2) and Sp4(F2), the latter also on a shifted
+    base, 2000 seeded elements of Sp6(F2), and 2000 seeded words of 1-16
+    transvections in Sp8(F2), so both parities occur."""
+    rng = random.Random(8)
+    sp4 = standard_symplectic(4)
+    words = []
+    for _ in range(2000):
+        g = F2Matrix.identity(8)
+        for _ in range(rng.randint(1, 16)):
+            g = g * transvection(rng.randrange(1, 256), sp4)
+        words.append(g.packed)
+    q0 = {m: standard_base_form(m) for m in (1, 2, 3, 4)}
+    # an Arf-1 base that swapping the halves does not fix, unlike Q0
+    shifted = BaseForm(q0[2].space, form_from_vector(q0[2], 0b0010).table)
+    assert shifted.arf == 1
+    outcomes = set()
+    for base, elements in (
+        (q0[1], symplectic_group(1).elements),
+        (q0[2], symplectic_group(2).elements),
+        (shifted, symplectic_group(2).elements),
+        (q0[3], rng.sample(sp3.elements, 2000)),
+        (q0[4], words),
+    ):
+        mask_of = matgroups._fixed_arf0_masks(base)
+        for p in elements:
+            want = 0
+            got = fixed_form_vectors(F2Matrix.from_packed(p, base.space.dim), base)
+            if got is not None:
+                for v in affine_span(*got):
+                    want |= base.value(v) << v
+            assert mask_of(p) == want
+            outcomes.add((base.m, want != 0))
+    assert outcomes == {(m, fixes) for m in (1, 2, 3, 4) for fixes in (True, False)}
+
+
 def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
     """A form fixed by g is fixed by <g>, so condition 2 on g and condition 1
     on <g> exclude each other; `order6_uniqueness_scan` relies on this to
@@ -701,7 +746,7 @@ def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
         for p in elements:
             g = F2Matrix.from_packed(p, space.dim)
             assert not obstruction_conditions(close([g], space)).satisfied
-            fixes = matgroups._fixes_some_arf0(p, base)
+            fixes = matgroups._fixed_arf0_masks(base)(p) != 0
             assert fixes == (next(invariant_arf0_vectors([g], base), None) is not None)
             outcomes.add((m, fixes))
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}

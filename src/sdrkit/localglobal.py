@@ -251,9 +251,12 @@ IntMat3 = Sequence[Sequence[int]]
 def _integer_matrix(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[int]], int]:
     """(A, delta) with M = A / delta: the conic code clears the denominators
     of a symmetric 3x3 matrix once and then works on integers."""
-    rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in m]
+    rows = [list(row) for row in m]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 matrix")
+    for i, j in ((i, j) for i in range(3) for j in range(3)):
+        if type(rows[i][j]) is bool or not isinstance(rows[i][j], (int, Fraction)):
+            raise ValueError(f"entry ({i}, {j}) is {rows[i][j]!r}, not an int or a Fraction")
     delta = math.lcm(*(x.denominator for row in rows for x in row))
     a = [[x.numerator * (delta // x.denominator) for x in row] for row in rows]
     if any(a[i][j] != a[j][i] for i in range(3) for j in range(i)):

@@ -524,6 +524,17 @@ def test_conic_sdr_refuses_pointless_or_degenerate():
         conic_sdr([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
 
 
+def test_conic_entries_must_be_ints_or_fractions():
+    # 1 / -3 is the float nearest -1/3, a fraction over 2^54 whose
+    # denominator the conic code cannot factor; it is refused by position
+    m = [[-3, 1, Fraction(3, 4)], [1, 1 / -3, 2], [Fraction(3, 4), 2, Fraction(-3, 16)]]
+    for f in (diagonalize_symmetric, conic_rational_point, conic_sdr):
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is -0\.333"):
+            f(m)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is True"):
+        conic_rational_point([[True, 0, 0], [0, 1, 0], [0, 0, -1]])
+
+
 def test_cubic_discriminants():
     assert cubic_discriminant(0, -2) == -108
     assert cubic_discriminant(-3, 1) == 81

@@ -254,7 +254,7 @@ def _integer_matrix(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[int]], int]:
     rows = [list(row) for row in m]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 matrix")
-    for i, j in ((i, j) for i in range(3) for j in range(3)):
+    for i, j in itertools.product(range(3), repeat=2):
         if type(rows[i][j]) is bool or not isinstance(rows[i][j], (int, Fraction)):
             raise ValueError(f"entry ({i}, {j}) is {rows[i][j]!r}, not an int or a Fraction")
     delta = math.lcm(*(x.denominator for row in rows for x in row))

@@ -561,7 +561,7 @@ def invariant_arf0_vectors(group, base: BaseForm) -> Iterator[int]:
         yield from (v for v in affine_span(*got) if base.value(v) == 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # one standard base form per m = 1..8
 def _fixed_arf0_masks(base: BaseForm) -> Callable[[int], int]:
     """The kernel of `obstruction_conditions`: packed g -> its fixed Arf-0 mask."""
     d, m, table = base.space.dim, base.m, base.table

@@ -566,8 +566,10 @@ def _fixed_arf0_masks(base: BaseForm) -> Callable[[int], int]:
     """The kernel of `obstruction_conditions`: packed g -> its fixed Arf-0 mask."""
     d, m, table = base.space.dim, base.m, base.table
     full, dmask, half = (1 << (1 << d)) - 1, (1 << d) - 1, (1 << m) - 1
-    # P(e_j), the v with bit j set: 2^j ones in every 2^(j+1) bits
-    units = [full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j)) for j in range(d)]
+    # units[j] = P(e_j); bit j of v, the carry of v + 2^j, is bit j+1 of v XOR of v + 2^j
+    units = [full ^ (full >> (1 << (d - 1)))]
+    for j in range(d - 2, -1, -1):
+        units.insert(0, units[0] ^ units[0] >> (1 << j))
     low, high = _span_table(units[:m]), _span_table(units[m:])
     # row i's constant part: P(e_i), complemented unless Q0(e_s(i)) = 1
     rows = [(i * d, units[i] ^ (0 if base.value(1 << (i + m) % d) else full)) for i in range(d)]

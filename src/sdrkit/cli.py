@@ -43,7 +43,7 @@ from .matgroups import (
     symplectic_group,
     symplectic_order_formula,
 )
-from .quadforms import MAX_FORM_DIM, all_forms, orbits, standard_base_form
+from .quadforms import MAX_FORM_DIM, all_forms, arf0_mask, orbits, standard_base_form
 
 SCHEMA_PREFIX = "sdrkit"
 
@@ -153,7 +153,7 @@ def _cmd_forms_census(args) -> Tuple[Dict[str, object], int]:
         raise UsageError(f"--m must be between 1 and {top} (value tables of 2^(2m) bits)")
     base = standard_base_form(args.m)
     total = 1 << base.space.dim
-    arf0 = base.table.bit_count()  # Arf(Q_v) = 0 exactly when Q0(v) = 1
+    arf0 = arf0_mask(base).bit_count()
     payload = {
         "schema": _schema("forms-census"),
         "m": args.m,

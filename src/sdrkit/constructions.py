@@ -546,7 +546,7 @@ def demo_certificate(m: int = 3) -> ObstructionCertificate:
     seen = {}
     for p in group.elements:
         handle = close([F2Matrix.from_packed(p, group.dim)], space)
-        seen.setdefault(handle.elements, handle)
+        seen.setdefault(tuple(handle.elements), handle)
     images = [
         LocalImage(label=f"frobenius-{idx}", group=seen[key])
         for idx, key in enumerate(sorted(seen, key=lambda k: (len(k), k)))

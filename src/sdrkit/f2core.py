@@ -327,7 +327,7 @@ def affine_span(particular: int, kernel: Sequence[int]) -> Iterator[int]:
 class SymplecticSpace:
     """F2^(2m) with a nondegenerate alternating pairing given by a Gram matrix."""
 
-    __slots__ = ("m", "dim", "gram")
+    __slots__ = ("m", "dim", "gram", "_hash")
 
     def __init__(self, gram: F2Matrix):
         d = gram.dim
@@ -343,6 +343,7 @@ class SymplecticSpace:
         self.dim = d
         self.m = d // 2
         self.gram = gram
+        self._hash = hash(("SymplecticSpace", gram))
 
     def pairing(self, x: int, y: int) -> int:
         return _parity(x & self.gram.apply(y))
@@ -354,7 +355,7 @@ class SymplecticSpace:
         return isinstance(other, SymplecticSpace) and self.gram == other.gram
 
     def __hash__(self) -> int:
-        return hash(("SymplecticSpace", self.gram))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SymplecticSpace(m={self.m})"

@@ -1,8 +1,10 @@
 """Materialized subgroups of Sp_2m(F2): closure, fixed forms, and the census.
 
 Group elements are packed ints (rows concatenated, row i at bit offset
-i*dim). A subgroup stores them once, as an ascending tuple searched by
-bisection, so even Sp6(F2) needs no hash table. `_product` multiplies one
+i*dim). A subgroup stores them once, as an ascending sequence searched by
+bisection, so even Sp6(F2) needs no hash table: the materialized classical
+groups, Sp_2m(F2) and O(Q) at dim <= 6, hold theirs in an `array('Q')` of
+8-byte words, and every other handle in a tuple. `_product` multiplies one
 pair; `_RightMul` multiplies a batch on the right by one element, in dim
 row-table lookups a product, or at dim <= 6 in three chunk-table lookups
 once the batch outgrows one table. Sp6(F2) is built as the cosets of its
@@ -11,6 +13,7 @@ order; the stabilizer O(Q) of a form is closed from its own transvections.
 """
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Set
@@ -33,6 +36,7 @@ from .quadforms import (
     BaseForm,
     QuadraticForm,
     action_shift,
+    arf0_mask,
     generator_matrices,
     standard_base_form,
 )
@@ -196,16 +200,16 @@ def _mulclose(
 # subgroup handles
 
 class _SortedView(Set):
-    """Read-only, unhashable set view of an ascending tuple of elements.
+    """Read-only, unhashable set view of an ascending sequence of elements.
 
-    Membership bisects the tuple; `<=`, `==` and the other comparisons come
+    Membership bisects the sequence; `<=`, `==` and the other comparisons come
     from `collections.abc.Set`, so the view compares with frozensets in
     either order.
     """
 
     __slots__ = ("_items",)
 
-    def __init__(self, items: Tuple[int, ...]):
+    def __init__(self, items: Sequence[int]):
         self._items = items
 
     def __contains__(self, x: object) -> bool:
@@ -223,12 +227,17 @@ class _SortedView(Set):
 class SubgroupHandle:
     """A fully materialized subgroup with its declared generator list.
 
-    The elements are stored once, as the ascending tuple `elements`;
-    `element_set` is a bisection view of that tuple (`_SortedView`).
+    The elements are stored once, as the ascending sequence `elements`:
+    an `array('Q')` for the groups `symplectic_group` and `orthogonal_group`
+    materialize (dim <= 6, so every element is below 2^36), a tuple for
+    every handle built through `__init__`: closures, census subgroups and
+    the obstruction groups up to dim 16, whose packed elements (dim^2 bits)
+    can outgrow a 64-bit word. Nothing reads the type: `element_set` is a
+    bisection view of either (`_SortedView`).
     The elements are always the closure of `core` (of the declared
     generators when no core is given): `_grow_core` returns the two
     together and `orthogonal_group` keeps the core it found;
-    `symplectic_group` builds the tuple as cosets, counts it against
+    `symplectic_group` builds the array as cosets, counts it against
     |Sp_2m(F2)| and proves that its core generates the group by the orbit
     of a transvection's vector; the census and `lemma51_scan` pass each
     subgroup's join generators (empty for the trivial group). A subgroup
@@ -251,11 +260,11 @@ class SubgroupHandle:
         cls,
         space: SymplecticSpace,
         generators: Sequence[F2Matrix],
-        elements: Tuple[int, ...],
+        elements: Sequence[int],
         core: Tuple[int, ...],
     ) -> "SubgroupHandle":
         """A handle whose caller already holds its elements as an ascending
-        tuple, so they are not sorted a second time."""
+        sequence, kept as given: neither sorted a second time nor copied."""
         handle = cls.__new__(cls)
         handle._fill(space, generators, elements, core)
         return handle
@@ -264,7 +273,7 @@ class SubgroupHandle:
         self,
         space: SymplecticSpace,
         generators: Sequence[F2Matrix],
-        elements: Tuple[int, ...],
+        elements: Sequence[int],
         core: Optional[Tuple[int, ...]],
     ) -> None:
         self.space = space
@@ -374,9 +383,10 @@ def _orthogonal_order_formula(m: int, arf: int) -> int:
 
 def _last_row_cosets(
     stabilizer: Sequence[int], moves: Sequence[int], dim: int, order: int
-) -> Tuple[int, ...]:
-    """The `order` elements of a group of symplectic matrices, ascending,
-    as the right cosets H t_w of the last-row stabilizer H = <stabilizer>.
+) -> array:
+    """The `order` elements of a group of symplectic matrices, ascending in
+    one `array('Q')` (dim <= 6), as the right cosets H t_w of the last-row
+    stabilizer H = <stabilizer>.
 
     Every generator of H has last packed row e = 1 << (dim - 1), so every
     element of H does. Breadth-first search of e under right multiplication
@@ -385,7 +395,8 @@ def _last_row_cosets(
     cosets never meet. Once |H| times the number of rows is `order`, the
     products are `order` distinct symplectic matrices: the whole group
     when it has that order. Cosets come out in ascending w, each sorted on
-    its low (dim - 1) * dim bits only, with w put back on top.
+    its low (dim - 1) * dim bits only, with w put back on top, and is
+    appended to the array as it comes.
     """
     top = (dim - 1) * dim
     e_last = 1 << (dim - 1)
@@ -403,13 +414,13 @@ def _last_row_cosets(
     if len(stab) * len(reps) != order:
         raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
     lows = [h ^ (e_last << top) for h in stab]
-    out: List[int] = []
+    out = array("Q")
     for w in sorted(reps):
         coset = _RightMul(reps[w], dim)(lows)
         coset.sort()
         hi = w << top
         out.extend([x | hi for x in coset])
-    return tuple(out)
+    return out
 
 
 def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
@@ -497,7 +508,7 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
     elements, _ = _grow_core(gens, dim, DEFAULT_CAP)
     if len(elements) != want:
         raise AssertionError("transvection closure disagrees with |O(Q)|")
-    ordered = tuple(sorted(elements))
+    ordered = array("Q", sorted(elements))
     _, core = _grow_core(ordered, dim, DEFAULT_CAP)
     return SubgroupHandle._presorted(
         space, [F2Matrix.from_packed(p, dim) for p in core], ordered, core
@@ -553,18 +564,19 @@ def common_fixed_form_vectors(
 
 
 def invariant_arf0_vectors(group, base: BaseForm) -> Iterator[int]:
-    """The v with Q_v of Arf 0 (Q0(v) = 1) fixed by the whole group, in
+    """The v with Q_v of Arf 0 (`arf0_mask`) fixed by the whole group, in
     affine-span order; lazy, so a caller asking whether there is one stops
     at the first."""
     got = common_fixed_form_vectors(group, base)
     if got is not None:
-        yield from (v for v in affine_span(*got) if base.value(v) == 1)
+        arf0 = arf0_mask(base)
+        yield from (v for v in affine_span(*got) if (arf0 >> v) & 1)
 
 
 @lru_cache(maxsize=8)  # one standard base form per m = 1..8
 def _fixed_arf0_masks(base: BaseForm) -> Callable[[int], int]:
     """The kernel of `obstruction_conditions`: packed g -> its fixed Arf-0 mask."""
-    d, m, table = base.space.dim, base.m, base.table
+    d, m, table, arf0 = base.space.dim, base.m, base.table, arf0_mask(base)
     full, dmask, half = (1 << (1 << d)) - 1, (1 << d) - 1, (1 << m) - 1
     # units[j] = P(e_j); bit j of v, the carry of v + 2^j, is bit j+1 of v XOR of v + 2^j
     units = [full ^ (full >> (1 << (d - 1)))]
@@ -575,7 +587,7 @@ def _fixed_arf0_masks(base: BaseForm) -> Callable[[int], int]:
     rows = [(i * d, units[i] ^ (0 if base.value(1 << (i + m) % d) else full)) for i in range(d)]
 
     def fixed_arf0_mask(p: int) -> int:
-        acc = table
+        acc = arf0
         for shift, const in rows:
             row = (p >> shift) & dmask
             fixed = low[row & half] ^ high[row >> m] ^ const
@@ -623,18 +635,19 @@ def obstruction_conditions(
 ) -> ObstructionReport:
     """Evaluate both obstruction conditions on a materialized subgroup.
 
-    Each element g gives one mask, bit v set when g fixes Q_v and Q0(v) = 1
-    (Arf 0). Column s(i) of g^-1 is swap(row_i), s swapping the halves'
-    indices, so g fixes Q_v when each row i has (row_i + e_i).v =
-    Q0(swap(row_i)) + Q0(e_s(i)). The v with z.v = 1 form a mask P(z) linear
-    in z, read from two span tables over z's halves, 2 * 2^m masks of 2^dim
-    bits built once per base. The invariant vectors are the set bits of the
-    AND over the core; an element's witness is the lowest set bit of its mask.
+    Each element g gives one mask, bit v set when g fixes Q_v and Q_v has
+    Arf 0 (`arf0_mask`, for a base of either Arf). Column s(i) of g^-1 is
+    swap(row_i), s swapping the halves' indices, so g fixes Q_v when each
+    row i has (row_i + e_i).v = Q0(swap(row_i)) + Q0(e_s(i)). The v with
+    z.v = 1 form a mask P(z) linear in z, read from two span tables over
+    z's halves, 2 * 2^m masks of 2^dim bits built once per base. The
+    invariant vectors are the set bits of the AND over the core; an
+    element's witness is the lowest set bit of its mask.
     """
     if base is None:
         base = standard_base_form(group.space.m)
     fixed_arf0_mask = _fixed_arf0_masks(base)
-    common = base.table
+    common = arf0_mask(base)
     for g in generator_matrices(group, base.space):
         common &= fixed_arf0_mask(g.packed)
     invariant_arf0 = tuple(v for v, bit in enumerate(bin(common)[:1:-1]) if bit == "1")

@@ -1,9 +1,10 @@
 """Quadratic forms over GF(2) refining the standard symplectic pairing.
 
-A form Q satisfies Q(x+y) + Q(x) + Q(y) = <x,y>. Fixing the standard base
-form Q0 (Arf 1), every such form is Q_v(x) = Q0(x) + <x,v> for a unique
-vector v, so forms are keyed by v and value tables are single ints with bit x
-holding Q(x).
+A form Q satisfies Q(x+y) + Q(x) + Q(y) = <x,y>. Fixing a base form Q0
+(the standard one has Arf 1), every such form is Q_v(x) = Q0(x) + <x,v> for
+a unique vector v, so forms are keyed by v and value tables are single ints
+with bit x holding Q(x). Q_v has Arf invariant Arf(Q0) + Q0(v) on any base
+(`arf0_mask`).
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ __all__ = [
     "form_from_vector",
     "all_forms",
     "pairing_mask",
+    "arf0_mask",
     "arf_by_count",
     "arf_by_basis",
     "arf_from_vector",
@@ -141,8 +143,7 @@ class QuadraticForm:
 
     @property
     def arf(self) -> int:
-        # Arf(Q_v) = 0 exactly when Q0(v) = 1, given Arf(Q0) = 1.
-        return self.base.value(self.v) ^ 1
+        return arf_from_vector(self.base, self.v)
 
     def to_json(self) -> Dict[str, object]:
         d = self.space.dim
@@ -231,9 +232,23 @@ def arf_by_basis(form: QuadraticForm, basis: F2Matrix) -> int:
     return acc & 1
 
 
+def arf0_mask(base: BaseForm) -> int:
+    """Bitmask with bit v set when Q_v has Arf 0.
+
+    Arf(Q_v) = Arf(Q0) + Q0(v), the parity shift of theta characteristics
+    (Mumford, Theta characteristics of an algebraic curve, 1971), so the
+    mask is Q0's value table when Arf(Q0) = 1 and its complement when
+    Arf(Q0) = 0. This is the one place the code reads a form's Arf
+    invariant off its vector.
+    """
+    if base.arf:
+        return base.table
+    return base.table ^ ((1 << (1 << base.space.dim)) - 1)
+
+
 def arf_from_vector(base: BaseForm, v: int) -> int:
-    """Arf(Q_v) without building the form; needs Arf(base) = 1."""
-    return base.value(v) ^ 1
+    """Arf(Q_v) without building the form, for any base."""
+    return ((arf0_mask(base) >> v) & 1) ^ 1
 
 
 def action_shift(g: F2Matrix, base: BaseForm) -> int:

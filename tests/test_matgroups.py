@@ -34,8 +34,10 @@ from sdrkit.quadforms import (
     BaseForm,
     act,
     all_forms,
+    arf_by_count,
     fixed_form_vectors,
     form_from_vector,
+    pairing_mask,
     standard_base_form,
 )
 
@@ -217,12 +219,23 @@ def test_symplectic_group_matches_the_breadth_first_closure(m):
     sp = symplectic_group(m)
     assert sp.core == grown == core
     assert sp.element_set == elements
-    assert sp.elements == tuple(sorted(elements))
+    assert list(sp.elements) == sorted(elements)
 
 
 def test_sp6_cosets_come_out_sorted(sp3):
     assert sp3.core == _sp_core_by_definition(3)
-    assert sp3.elements == tuple(sorted(sp3.element_set))
+    assert list(sp3.elements) == sorted(sp3.element_set)
+
+
+def test_materialized_classical_groups_are_packed_8_byte_words(sp3, o3):
+    """Sp2, Sp4, Sp6 and O-(6, 2) hold their elements in one array('Q');
+    a closure keeps its tuple."""
+    for group in (symplectic_group(1), symplectic_group(2), sp3, o3):
+        assert group.elements.typecode == "Q"
+        assert group.elements.itemsize == 8
+        assert list(group.elements) == sorted(group.element_set)
+    assert o3.order == 51840 and o3.element_set <= sp3.element_set
+    assert isinstance(close(symplectic_group(2).generators[:2]).elements, tuple)
 
 
 def test_orbit_check_refuses_a_core_that_does_not_generate():
@@ -475,14 +488,16 @@ def test_element_view_compares_with_frozensets_and_is_read_only():
         hash(sp4.element_set)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_sp6_build_peak_memory_stays_under_one_copy():
-    # one 1.45M-element tuple peaks near 91 MB; a second container (a
-    # frozenset of Sp6 is about 64 MB) would pass 140 MB
-    pytest.importorskip("resource")
+    # Sp6 and O-(6, 2) in 8-byte words peak near 45 MB, where a tuple of
+    # 1.45M ints alone peaked near 91 MB; a second container of Sp6 (a
+    # frozenset is about 64 MB) would pass 64 MB
     build = (
         "import resource\n"
-        "from sdrkit.matgroups import symplectic_group\n"
-        "symplectic_group(3)\n"
+        "from sdrkit.matgroups import orthogonal_group, symplectic_group\n"
+        "from sdrkit.quadforms import standard_base_form\n"
+        "orthogonal_group(standard_base_form(3), symplectic_group(3))\n"
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     # Linux hands a parent's peak RSS on to the children it starts, so the
@@ -494,9 +509,8 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
     out = subprocess.run(
         [sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True
     )
-    # ru_maxrss is in bytes on macOS and in KiB elsewhere
-    peak_mb = int(out.stdout) / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    assert peak_mb < 140, peak_mb
+    peak_mb = int(out.stdout) / 1024
+    assert peak_mb < 64, peak_mb
 
 
 def test_contains_and_subgroup_relation():
@@ -696,9 +710,10 @@ def test_gl22_common_fixed_vector():
 def test_fixed_arf0_masks_match_the_linear_solve(sp3):
     """The bitmask kernel behind `obstruction_conditions` against the
     independent path: the points v of `fixed_form_vectors`' affine span
-    with Q0(v) = 1. All of Sp2(F2) and Sp4(F2), the latter also on a shifted
-    base, 2000 seeded elements of Sp6(F2), and 2000 seeded words of 1-16
-    transvections in Sp8(F2), so both parities occur."""
+    whose form has Arf 0 by `arf_by_count`. All of Sp2(F2) and Sp4(F2), the
+    latter also on a shifted base and on a base of Arf 0, 2000 seeded
+    elements of Sp6(F2) and 500 more on a base of Arf 0, and 2000 seeded
+    words of 1-16 transvections in Sp8(F2), so both parities occur."""
     rng = random.Random(8)
     sp4 = standard_symplectic(4)
     words = []
@@ -711,6 +726,9 @@ def test_fixed_arf0_masks_match_the_linear_solve(sp3):
     # an Arf-1 base that swapping the halves does not fix, unlike Q0
     shifted = BaseForm(q0[2].space, form_from_vector(q0[2], 0b0010).table)
     assert shifted.arf == 1
+    # Q0(e_1) = 1, so Q_(e_1) has Arf 0
+    arf0 = {m: BaseForm(q0[m].space, form_from_vector(q0[m], 1).table) for m in (2, 3)}
+    assert arf0[2].arf == arf0[3].arf == 0
     outcomes = set()
     for base, elements in (
         (q0[1], symplectic_group(1).elements),
@@ -718,6 +736,8 @@ def test_fixed_arf0_masks_match_the_linear_solve(sp3):
         (shifted, symplectic_group(2).elements),
         (q0[3], rng.sample(sp3.elements, 2000)),
         (q0[4], words),
+        (arf0[2], symplectic_group(2).elements),
+        (arf0[3], rng.sample(sp3.elements, 500)),
     ):
         mask_of = matgroups._fixed_arf0_masks(base)
         for p in elements:
@@ -725,7 +745,8 @@ def test_fixed_arf0_masks_match_the_linear_solve(sp3):
             got = fixed_form_vectors(F2Matrix.from_packed(p, base.space.dim), base)
             if got is not None:
                 for v in affine_span(*got):
-                    want |= base.value(v) << v
+                    table = base.table ^ pairing_mask(base.space, v)
+                    want |= (arf_by_count(table, base.m) == 0) << v
             assert mask_of(p) == want
             outcomes.add((base.m, want != 0))
     assert outcomes == {(m, fixes) for m in (1, 2, 3, 4) for fixes in (True, False)}
@@ -750,6 +771,51 @@ def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
             assert fixes == (next(invariant_arf0_vectors([g], base), None) is not None)
             outcomes.add((m, fixes))
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_obstruction_verdict_does_not_depend_on_the_base(sp3):
+    """Which forms a group fixes, and their Arf invariants, do not depend
+    on the base form that indexes them by vector: every base at m <= 3
+    (4, 16 and 64 of them, of both Arf invariants) gives the same verdict
+    and the same invariant Arf-0 forms, read as value tables. The groups
+    are Sp2(F2), the closures of 12 seeded elements of Sp4(F2), of 12 of
+    Sp6(F2) and of 6 seeded pairs of Sp6 involutions, and the m = 3
+    obstruction subgroup; each witness is checked to be an Arf-0 form its
+    element fixes."""
+    rng = random.Random(21)
+    involutions = []
+    while len(involutions) < 12:
+        g = F2Matrix.from_packed(rng.choice(sp3.elements), 6)
+        n = g.order()
+        if n % 2 == 0:
+            involutions.append(g ** (n // 2))
+    groups = [symplectic_group(1)]
+    groups += [close([F2Matrix.from_packed(p, 4)]) for p in rng.sample(symplectic_group(2).elements, 12)]
+    groups += [close([F2Matrix.from_packed(p, 6)]) for p in rng.sample(sp3.elements, 12)]
+    groups += [close(involutions[i : i + 2]) for i in range(0, 12, 2)]
+    groups.append(build_obstruction_subgroup(3).group)
+    verdicts = set()
+    for group in groups:
+        q0 = standard_base_form(group.space.m)
+        seen = set()
+        for v in range(1 << group.dim):
+            base = BaseForm(q0.space, form_from_vector(q0, v).table)
+            report = obstruction_conditions(group, base)
+            forms = frozenset(
+                base.table ^ pairing_mask(base.space, w) for w in report.invariant_arf0_vectors
+            )
+            assert all(arf_by_count(t, base.m) == 0 for t in forms)
+            assert set(invariant_arf0_vectors(group, base)) == set(report.invariant_arf0_vectors)
+            for p, w in (report.element_witnesses or {}).items():
+                form = form_from_vector(base, w)
+                assert form.arf == arf_by_count(form) == 0
+                assert act(F2Matrix.from_packed(p, group.dim), form, check=False) == form
+            seen.add((report.no_invariant_arf0, report.every_element_fixes_arf0, forms))
+            verdicts.add((base.arf, report.satisfied, report.every_element_fixes_arf0))
+        assert len(seen) == 1, group
+    # both base parities met satisfied groups, failing elements and groups
+    # with an invariant Arf-0 form
+    assert verdicts == {(a, s, e) for a in (0, 1) for s, e in ((True, True), (False, True), (False, False))}
 
 
 def _obstruction_corpus(sp3):

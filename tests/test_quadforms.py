@@ -5,6 +5,7 @@ import pytest
 from sdrkit.f2core import F2Matrix, standard_symplectic
 from sdrkit.matgroups import close, symplectic_group, transvection
 from sdrkit.quadforms import (
+    BaseForm,
     QuadraticForm,
     _COLUMNS_MEMO,
     _symplectic_columns,
@@ -12,6 +13,7 @@ from sdrkit.quadforms import (
     action_shift,
     adapted_symplectic_basis,
     all_forms,
+    arf0_mask,
     arf_by_basis,
     arf_by_count,
     arf_from_vector,
@@ -82,6 +84,23 @@ def test_arf_from_vector_shortcut():
     base = standard_base_form(3)
     for f in all_forms(base):
         assert arf_from_vector(base, f.v) == f.arf == arf_by_count(f)
+
+
+def test_arf_from_vector_reads_a_base_of_either_arf():
+    """Arf(Q_v) = Arf(Q0) + Q0(v) against the value count, with every form
+    at m <= 3 taken as the base in turn."""
+    for m in (1, 2, 3):
+        q0 = standard_base_form(m)
+        parities = set()
+        for f in all_forms(q0):
+            base = BaseForm(q0.space, f.table)
+            mask = 0
+            for g in all_forms(base):
+                assert arf_from_vector(base, g.v) == g.arf == arf_by_count(g)
+                mask |= (g.arf ^ 1) << g.v
+            assert arf0_mask(base) == mask
+            parities.add(base.arf)
+        assert parities == {0, 1}
 
 
 def test_arf_by_basis_identity_and_random():

@@ -7,9 +7,12 @@ groups, Sp_2m(F2) and O(Q) at dim <= 6, hold theirs in an `array('Q')` of
 8-byte words, and every other handle in a tuple. `_product` multiplies one
 pair; `_RightMul` multiplies a batch on the right by one element, in dim
 row-table lookups a product, or at dim <= 6 in three chunk-table lookups
-once the batch outgrows one table. Sp6(F2) is built as the cosets of its
-last-row stabilizer, one product per element and already in sorted
-order; the stabilizer O(Q) of a form is closed from its own transvections.
+once the batch outgrows one table. A closure grows one generator at a
+time, <H, s> from the closed H, by right cosets of H (Dimino): each
+element is multiplied out once, in batches of whole cosets. Sp6(F2) is
+built as the cosets of its last-row stabilizer, one product per element
+and already in sorted order; the stabilizer O(Q) of a form is closed from
+its own transvections.
 """
 from __future__ import annotations
 
@@ -154,46 +157,73 @@ def _inv_packed(a: int, dim: int) -> int:
     return F2Matrix.from_packed(a, dim).inverse().packed
 
 
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> int:
+    """The packed identity matrix of dimension dim."""
+    return F2Matrix.identity(dim).packed
+
+
 def _grow_core(
     candidates: Iterable[int], dim: int, cap: int
-) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
+) -> Tuple[set[int], Tuple[int, ...]]:
     """Closure of the candidates and the core of those that were not yet in
-    the running closure when their turn came."""
-    elements: FrozenSet[int] = frozenset({F2Matrix.identity(dim).packed})
+    the running closure when their turn came. Each core element p closes
+    one step, <closure so far, p>, through `_mulclose`, and its `_RightMul`,
+    with any chunk tables it builds, serves every later step."""
+    elements = {_identity(dim)}
     core: List[int] = []
+    rights: List[_RightMul] = []
     for p in candidates:
         if p in elements:
             continue
         core.append(p)
-        elements = _mulclose(core, dim, elements | {p}, cap)
+        rights.append(_RightMul(p, dim))
+        elements = _mulclose(rights, elements, cap)
     return elements, tuple(core)
 
 
-def _mulclose(
-    gens: Sequence[int],
-    dim: int,
-    seed: Iterable[int],
-    cap: int,
-) -> FrozenSet[int]:
-    """Closure of <gens> containing seed; seed must sit inside <gens>.
+def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> set[int]:
+    """<group, s>, where `rights` multiply by generators whose last is s and
+    group is the closed subgroup the others generate.
 
-    Each round multiplies the frontier on the right by every generator,
-    through one `_RightMul` each: small closures never build chunk tables.
+    Dimino's closure by right cosets, in batches. H = group is listed
+    identity first, so a right coset H r is a block of |H| elements that
+    starts with r, and (H r) t is the block of H rt. Each round takes, for
+    each generator t, the frontier's representatives times t in one batch;
+    a product rt outside the closure names a new coset, and a second batch
+    multiplies the blocks of all of t's new cosets by t. Both batches go
+    through t's own `_RightMul`, so each element is multiplied out once,
+    membership is tested once per coset and generator, and chunk tables
+    are built once per generator, never per coset. With H trivial a block
+    is its representative, and the round is the plain breadth-first step.
+    Raises ClosureCapExceeded once the closure has more than `cap` elements.
     """
-    rights = [_RightMul(g, dim) for g in gens]
-    seen = set(seed)
-    frontier = list(seen)
-    while frontier:
-        fresh = []
+    ident = _identity(rights[0].dim)
+    front = [ident]
+    front += [h for h in group if h != ident]
+    size = len(front)
+    seen = set(front)
+    while front:
+        fresh: List[int] = []
         for right in rights:
-            for out in right(frontier):
-                if out not in seen:
-                    seen.add(out)
-                    fresh.append(out)
+            if size == 1:
+                for x in right(front):
+                    if x not in seen:
+                        seen.add(x)
+                        fresh.append(x)
+                continue
+            rts = right(front[::size])
+            block = [
+                x for i, rt in enumerate(rts) if rt not in seen for x in front[i * size : (i + 1) * size]
+            ]
+            if block:
+                block = right(block)
+                seen.update(block)
+                fresh += block
         if len(seen) > cap:
             raise ClosureCapExceeded(cap)
-        frontier = fresh
-    return frozenset(seen)
+        front = fresh
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +425,15 @@ def _last_row_cosets(
     cosets never meet. Once |H| times the number of rows is `order`, the
     products are `order` distinct symplectic matrices: the whole group
     when it has that order. Cosets come out in ascending w, each sorted on
-    its low (dim - 1) * dim bits only, with w put back on top, and is
-    appended to the array as it comes.
+    its low (dim - 1) * dim bits only, with w put back on top, and fill
+    their slices of an array allocated at full size. H's set is dropped
+    once its low bits are listed, so H is held once.
     """
     top = (dim - 1) * dim
     e_last = 1 << (dim - 1)
     stab, _ = _grow_core(stabilizer, dim, DEFAULT_CAP)
     rights = [_RightMul(g, dim) for g in moves]
-    reps = {e_last: F2Matrix.identity(dim).packed}
+    reps = {e_last: _identity(dim)}
     queue = deque([e_last])
     while queue:
         w = queue.popleft()
@@ -414,12 +445,14 @@ def _last_row_cosets(
     if len(stab) * len(reps) != order:
         raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
     lows = [h ^ (e_last << top) for h in stab]
-    out = array("Q")
-    for w in sorted(reps):
+    del stab
+    size = len(lows)
+    out = array("Q", [0]) * order
+    for i, w in enumerate(sorted(reps)):
         coset = _RightMul(reps[w], dim)(lows)
         coset.sort()
         hi = w << top
-        out.extend([x | hi for x in coset])
+        out[i * size : (i + 1) * size] = array("Q", [x | hi for x in coset])
     return out
 
 
@@ -509,6 +542,7 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
     if len(elements) != want:
         raise AssertionError("transvection closure disagrees with |O(Q)|")
     ordered = array("Q", sorted(elements))
+    del elements
     _, core = _grow_core(ordered, dim, DEFAULT_CAP)
     return SubgroupHandle._presorted(
         space, [F2Matrix.from_packed(p, dim) for p in core], ordered, core
@@ -730,7 +764,7 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     coset H g is enough because <H, hg> = <H, g>.
     """
     dim = ambient.dim
-    ident = F2Matrix.identity(dim).packed
+    ident = _identity(dim)
     cap = ambient.order + 1
     everything = ambient.elements
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset({ident}): ()}
@@ -738,15 +772,16 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     while queue:
         hset = queue.popleft()
         hgens = subs[hset]
+        hrights = [_RightMul(h, dim) for h in hgens]
         remaining = set(everything) - hset
         while remaining:
             g = min(remaining)
-            jgens = hgens + (g,)
-            jset = _mulclose(jgens, dim, hset | {g}, cap)
+            right = _RightMul(g, dim)
+            jset = frozenset(_mulclose(hrights + [right], hset, cap))
             if jset not in subs:
-                subs[jset] = jgens
+                subs[jset] = hgens + (g,)
                 queue.append(jset)
-            remaining.difference_update(_RightMul(g, dim)(hset))
+            remaining.difference_update(right(hset))
     return subs
 
 
@@ -899,7 +934,7 @@ def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
     sp6 = symplectic_group(3)
     fixed_arf0_mask = _fixed_arf0_masks(standard_base_form(3))
     dim = 6
-    ident = F2Matrix.identity(dim).packed
+    ident = _identity(dim)
 
     say("bucketing elements by order")
     ord2: List[int] = []

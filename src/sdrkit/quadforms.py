@@ -146,6 +146,11 @@ class QuadraticForm:
         return arf_from_vector(self.base, self.v)
 
     def to_json(self) -> Dict[str, object]:
+        """{m, base, v}. The tag names the standard base, the one base that
+        `from_json` rebuilds, so a form on any other base is refused with
+        ValueError rather than read back as a different form."""
+        if self.base != standard_base_form(self.m):
+            raise ValueError("only forms on the standard base form have a JSON form")
         d = self.space.dim
         bits = "".join("1" if (self.v >> i) & 1 else "0" for i in range(d))
         return {"m": self.m, "base": "standard-arf1", "v": bits}

@@ -121,16 +121,40 @@ def _grow_core_by_rows(candidates, dim):
 
 @pytest.fixture
 def chunk_builds(monkeypatch):
-    """Counts the chunk tables `_mulclose` builds, by dimension."""
-    built = []
-    real = matgroups._chunk_tables
+    """One entry per `_mulclose` call: its number of generators and, for
+    each chunk-table build inside it, the size of the batch that set it off
+    and of one chunk table."""
+    calls = []
+    live = []
+    real_mulclose = matgroups._mulclose
+    real_call = matgroups._RightMul.__call__
 
-    def counted(table, dim):
-        built.append(dim)
-        return real(table, dim)
+    def mulclose(rights, group, cap):
+        live.append([])
+        try:
+            return real_mulclose(rights, group, cap)
+        finally:
+            calls.append((len(rights), live.pop()))
 
-    monkeypatch.setattr(matgroups, "_chunk_tables", counted)
-    return built
+    def call(self, xs):
+        fresh = self.chunks is None
+        out = real_call(self, xs)
+        if live and fresh and self.chunks is not None:
+            live[-1].append((len(xs), 1 << self.width))
+        return out
+
+    monkeypatch.setattr(matgroups, "_mulclose", mulclose)
+    monkeypatch.setattr(matgroups._RightMul, "__call__", call)
+    return calls
+
+
+def _chunk_builds_are_per_generator(calls):
+    """At most one chunk-table build per generator in each `_mulclose`
+    call, and only for a batch larger than one table; the number of builds."""
+    for gens, builds in calls:
+        assert len(builds) <= gens
+        assert all(batch > table for batch, table in builds)
+    return sum(len(builds) for _, builds in calls)
 
 
 def _order3_element(sp):
@@ -182,6 +206,13 @@ def test_close_cap_raises():
     sp = standard_symplectic(2)
     with pytest.raises(ClosureCapExceeded):
         close(all_transvections(sp), sp, cap=100)
+    # the cap is the largest closure allowed: Sp2 and Sp4 close at their
+    # own order and are refused one below it
+    for m, order in ((1, 6), (2, 720)):
+        sp = standard_symplectic(m)
+        assert close(all_transvections(sp), sp, cap=order).order == order
+        with pytest.raises(ClosureCapExceeded):
+            close(all_transvections(sp), sp, cap=order - 1)
 
 
 def test_symplectic_group_orders_match_formula(sp3):
@@ -397,24 +428,31 @@ def test_batched_right_multiply_is_exhaustively_right_on_both_paths():
 
 
 def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
-    # Sp2: the seed is the whole group, 6 elements past the 4-entry tables
+    # Sp2 from its core: the 3-element <c> and its coset, every batch
+    # within the 4-entry tables
     sp2 = symplectic_group(1)
-    got = matgroups._mulclose(sp2.core, 2, sp2.element_set, matgroups.DEFAULT_CAP)
-    assert got == _mulclose_by_rows(sp2.core, 2, sp2.element_set)
-    assert chunk_builds == [2, 2]
-    # Sp4 (720 elements) regrown from its sorted elements: the last step
-    # seeds a frontier past the 256-entry tables
+    ident = F2Matrix.identity(2).packed
+    rights = [matgroups._RightMul(g, 2) for g in sp2.core]
+    c = matgroups._mulclose(rights[:1], {ident}, matgroups.DEFAULT_CAP)
+    assert c == _mulclose_by_rows(sp2.core[:1], 2, {ident})
+    got = matgroups._mulclose(rights, c, matgroups.DEFAULT_CAP)
+    assert got == _mulclose_by_rows(sp2.core, 2, c) == sp2.element_set
+    assert _chunk_builds_are_per_generator(chunk_builds) == 0
+    # Sp4 (720 elements) regrown from its sorted elements: four steps, the
+    # last one ten cosets of a group of order 72, and no batch past the
+    # 256-entry tables
     del chunk_builds[:]
     sp4 = symplectic_group(2)
     got = matgroups._grow_core(sorted(sp4.element_set), 4, matgroups.DEFAULT_CAP)
-    assert chunk_builds and set(chunk_builds) == {4}
+    assert [gens for gens, _ in chunk_builds] == [1, 2, 3, 4]
+    assert _chunk_builds_are_per_generator(chunk_builds) == 0
     assert got[0] == sp4.element_set
     assert got == _grow_core_by_rows(sorted(sp4.element_set), 4)
     # O-(6, 2): the transvection closure and the core regrown from it
     del chunk_builds[:]
     base = standard_base_form(3)
     og = orthogonal_group(base)
-    assert chunk_builds and set(chunk_builds) == {6}
+    assert _chunk_builds_are_per_generator(chunk_builds) > 0
     gens = [transvection(v, base.space).packed for v in range(1, 64) if base.value(v)]
     elements, _ = _grow_core_by_rows(gens, 6)
     assert elements == og.element_set
@@ -422,9 +460,14 @@ def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
 
 
 def test_sp6_closure_builds_chunk_tables_once_per_generator(sp3, chunk_builds):
-    got = matgroups._mulclose(sp3.core, 6, sp3.element_set, matgroups.DEFAULT_CAP)
-    assert got == sp3.element_set
-    assert chunk_builds == [6, 6]
+    # from the core (c, T): cosets of <c>, then, reversed, of <T>, of order 2
+    for core in (sp3.core, sp3.core[::-1]):
+        del chunk_builds[:]
+        got, grown = matgroups._grow_core(core, 6, matgroups.DEFAULT_CAP)
+        assert grown == core
+        assert got == sp3.element_set
+        assert len(chunk_builds) == 2
+        assert _chunk_builds_are_per_generator(chunk_builds) > 0
 
 
 def test_handle_json_roundtrip():
@@ -490,15 +533,22 @@ def test_element_view_compares_with_frozensets_and_is_read_only():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_sp6_build_peak_memory_stays_under_one_copy():
-    # Sp6 and O-(6, 2) in 8-byte words peak near 45 MB, where a tuple of
+    # Sp6 and O-(6, 2) in 8-byte words peak near 34 MB, where a tuple of
     # 1.45M ints alone peaked near 91 MB; a second container of Sp6 (a
-    # frozenset is about 64 MB) would pass 64 MB
+    # frozenset is about 64 MB) would pass 64 MB. Step by step, the 11 MB
+    # array of Sp6 raises the peak by about 13.5 MB and O-(6, 2) by about
+    # 1.9 MB; closing every element against every generator, with the
+    # closure copied at each step, raised them by 18.2-19 and 6.7-7.3 MB
     build = (
         "import resource\n"
         "from sdrkit.matgroups import orthogonal_group, symplectic_group\n"
         "from sdrkit.quadforms import standard_base_form\n"
-        "orthogonal_group(standard_base_form(3), symplectic_group(3))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "sp6 = symplectic_group(3)\n"
+        "after_sp6 = peak()\n"
+        "orthogonal_group(standard_base_form(3), sp6)\n"
+        "print(before, after_sp6, peak())\n"
     )
     # Linux hands a parent's peak RSS on to the children it starts, so the
     # build runs under a small launcher instead of this test process
@@ -509,8 +559,10 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
     out = subprocess.run(
         [sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True
     )
-    peak_mb = int(out.stdout) / 1024
+    before, after_sp6, peak_mb = (int(x) / 1024 for x in out.stdout.split())
     assert peak_mb < 64, peak_mb
+    assert after_sp6 - before < 16, (before, after_sp6)
+    assert peak_mb - after_sp6 < 4, (after_sp6, peak_mb)
 
 
 def test_contains_and_subgroup_relation():

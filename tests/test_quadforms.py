@@ -103,6 +103,19 @@ def test_arf_from_vector_reads_a_base_of_either_arf():
         assert parities == {0, 1}
 
 
+def test_form_json_round_trips_on_the_standard_base_and_refuses_any_other():
+    q0 = standard_base_form(2)
+    for f in all_forms(q0):
+        back = QuadraticForm.from_json(f.to_json())
+        assert (back.base, back.v, back.table) == (q0, f.v, f.table)
+    # from_json would read each of these back as q0 itself: another table,
+    # and for the base Q_1 another Arf
+    for f in all_forms(q0)[1:]:
+        form = QuadraticForm(BaseForm(q0.space, f.table), 0)
+        with pytest.raises(ValueError, match="standard base"):
+            form.to_json()
+
+
 def test_arf_by_basis_identity_and_random():
     """Each basis is evaluated as is and through an equal but distinct copy,
     so the second call of each pair reads the memoized columns."""

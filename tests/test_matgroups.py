@@ -428,8 +428,8 @@ def test_batched_right_multiply_is_exhaustively_right_on_both_paths():
 
 
 def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
-    # Sp2 from its core: the 3-element <c> and its coset, every batch
-    # within the 4-entry tables
+    # Sp2 from its core: the 3-element <c>, then its second coset, every
+    # batch within the 4-entry tables
     sp2 = symplectic_group(1)
     ident = F2Matrix.identity(2).packed
     rights = [matgroups._RightMul(g, 2) for g in sp2.core]
@@ -537,8 +537,8 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
     # 1.45M ints alone peaked near 91 MB; a second container of Sp6 (a
     # frozenset is about 64 MB) would pass 64 MB. Step by step, the 11 MB
     # array of Sp6 raises the peak by about 13.5 MB and O-(6, 2) by about
-    # 1.9 MB; closing every element against every generator, with the
-    # closure copied at each step, raised them by 18.2-19 and 6.7-7.3 MB
+    # 2 MB; a closure that kept a second copy of each step's elements
+    # raised them by about 18.6 and 7.1 MB
     build = (
         "import resource\n"
         "from sdrkit.matgroups import orthogonal_group, symplectic_group\n"

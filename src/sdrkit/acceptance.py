@@ -428,15 +428,6 @@ def run_one(name: str, ctx: Optional[AcceptanceContext] = None) -> CriterionResu
     return CriterionResult(name, passed, detail, time.monotonic() - t0)
 
 
-def run_all(
-    ctx: Optional[AcceptanceContext] = None,
-    progress: Optional[Callable[[CriterionResult], None]] = None,
-) -> List[CriterionResult]:
+def run_all(ctx: Optional[AcceptanceContext] = None) -> List[CriterionResult]:
     ctx = ctx or AcceptanceContext()
-    out = []
-    for name, _ in CRITERIA:
-        result = run_one(name, ctx)
-        if progress is not None:
-            progress(result)
-        out.append(result)
-    return out
+    return [run_one(name, ctx) for name, _ in CRITERIA]

@@ -497,12 +497,7 @@ def _cmd_reproduce(args) -> Tuple[Dict[str, object], int]:
 
 
 def _cmd_scan_order6(args) -> Tuple[Dict[str, object], int]:
-    progress = None
-    if args.format == "text":
-        progress = lambda msg: print(f"# {msg}", file=sys.stderr)
-    summary = order6_uniqueness_scan(progress=progress)
-    payload = {"schema": _schema("scan-order6"), **summary}
-    return payload, 0
+    return {"schema": _schema("scan-order6"), **order6_uniqueness_scan()}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scan-order6",
         parents=[common],
-        help="classify all satisfying order-6 subgroups at m=3 (takes minutes)",
+        help="classify all satisfying order-6 subgroups at m=3, seeded from O+(6, 2)",
     )
     p.set_defaults(fn=_cmd_scan_order6)
 

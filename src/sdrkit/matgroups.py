@@ -40,6 +40,7 @@ from .quadforms import (
     QuadraticForm,
     action_shift,
     arf0_mask,
+    form_from_vector,
     generator_matrices,
     standard_base_form,
 )
@@ -914,93 +915,97 @@ def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
 
 
 # ---------------------------------------------------------------------------
-# long-running scans (opt-in)
+# the order-6 scan
 
-def order6_uniqueness_scan(progress=None) -> Dict[str, object]:
-    """Sweep Sp_6(F2) for order-6 subgroups satisfying both conditions.
+def _conjugator(g: int, dim: int) -> Callable[[int], int]:
+    """x -> g x g^-1 on packed elements."""
+    ginv = _inv_packed(g, dim)
+    return lambda x: _product(_product(g, x, dim), ginv, dim)
 
-    Classifies every candidate up to conjugacy. An order-6 group is cyclic
-    or dihedral, and no cyclic group qualifies: a form fixed by g is fixed
-    by <g>, so "g fixes an Arf-0 form" (condition 2 on the generator) and
-    "<g> fixes none" (condition 1) exclude each other. The sweep therefore
-    buckets the order-2 and order-3 elements and assembles dihedral groups
-    from them. Takes about a minute of CPU; run it through the
-    `extended` test marker or the dedicated CLI subcommand.
+
+def _arf0_seeds(
+    sp6: SubgroupHandle, base: BaseForm
+) -> Tuple[SubgroupHandle, Dict[int, int], set[int]]:
+    """O+ = O(Q_v0) for the smallest v0 with Q_v of Arf 0, a transversal
+    {u: x_u} with act(x_u, Q_v0) = Q_u over the Arf-0 forms Q_u, and the
+    involutions that fix an Arf-0 form, x h x^-1 over the transversal and
+    O+'s involutions h, inserted in ascending order. The transversal comes
+    from a breadth-first search over the core, x_u = c x_v for u the
+    vector of act(c, Q_v); it must reach all 36 forms, since the seeding is
+    complete only because Sp_6(F2) is transitive on them."""
+    dim, ident = sp6.dim, _identity(sp6.dim)
+    arf0 = arf0_mask(base)
+    v0 = (arf0 & -arf0).bit_length() - 1
+    oplus = orthogonal_group(BaseForm(sp6.space, form_from_vector(base, v0).table), sp6)
+    steps = [(c, F2Matrix.from_packed(c, dim)) for c in sp6.core]
+    transversal = {v0: ident}
+    queue = [v0]
+    for v in queue:
+        for c, cm in steps:
+            u = cm.apply(v ^ action_shift(cm, base))
+            if u not in transversal:
+                transversal[u] = _product(c, transversal[v], dim)
+                queue.append(u)
+    if len(transversal) != arf0.bit_count():
+        raise AssertionError("Sp_6(F2) is not transitive on the Arf-0 forms")
+    involutions = [h for h in oplus.elements if h != ident and _product(h, h, dim) == ident]
+    qual2 = set(sorted(_conjugator(x, dim)(h) for x in transversal.values() for h in involutions))
+    return oplus, transversal, qual2
+
+
+def order6_uniqueness_scan() -> Dict[str, object]:
+    """Classify the order-6 subgroups of Sp_6(F2) satisfying both conditions.
+
+    An order-6 group is cyclic or dihedral, and no cyclic group qualifies:
+    a form fixed by g is fixed by <g>, so "g fixes an Arf-0 form"
+    (condition 2 on the generator) and "<g> fixes none" (condition 1)
+    exclude each other. So the scan assembles dihedral groups <r, t> from
+    elements of orders 3 and 2 that fix an Arf-0 form. Sp_6(F2) is
+    transitive on the 36 Arf-0 forms, so an element fixes one exactly when
+    it is conjugate into O+ = O+(6, 2), the stabilizer of one of them
+    (order 40 320): the involutions come from O+ through `_arf0_seeds`, and
+    r runs over one order-3 element of O+ per Sp_6 class. Every qualifying
+    group is conjugate to one through such an r, so the conjugation orbits
+    of the groups found from each r make up the whole family. Each class is
+    listed with its orbit size and (r, t): r the smallest element of order
+    3 in the class's first group, t the first of its involutions in the
+    order the seeded set iterates. Takes a few seconds.
     """
-    def say(msg: str) -> None:
-        if progress is not None:
-            progress(msg)
-
     sp6 = symplectic_group(3)
-    fixed_arf0_mask = _fixed_arf0_masks(standard_base_form(3))
-    dim = 6
-    ident = _identity(dim)
+    base = standard_base_form(3)
+    fixed_arf0_mask = _fixed_arf0_masks(base)
+    dim, ident = sp6.dim, _identity(sp6.dim)
+    oplus, _, qual2 = _arf0_seeds(sp6, base)
+    conj = [_conjugator(g, dim) for g in sp6.core]
 
-    say("bucketing elements by order")
-    ord2: List[int] = []
-    ord3: List[int] = []
-    for p in sp6.elements:
-        if p == ident:
-            continue
-        p2 = _product(p, p, dim)
-        if p2 == ident:
-            ord2.append(p)
-        elif _product(p2, p, dim) == ident:
-            ord3.append(p)
+    def order3(p: int) -> bool:
+        return p != ident and _product(_product(p, p, dim), p, dim) == ident
 
-    say(f"orders bucketed: {len(ord2)} involutions, {len(ord3)} of order 3")
-    qual2 = {p for p in ord2 if fixed_arf0_mask(p)}
-    qual3 = {p for p in ord3 if fixed_arf0_mask(p)}
-    say(f"condition-2 candidates: {len(qual2)} involutions, {len(qual3)} of order 3")
-
-    survivors: Dict[FrozenSet[int], Tuple[int, int]] = {}
-
-    say("scanning dihedral candidates")
-    c3_reps: List[Tuple[int, int]] = []  # (r, r^2), deduped per subgroup
-    seen_c3 = set()
-    for r in qual3:
-        r2 = _product(r, r, dim)
-        key = min(r, r2)
-        if key not in seen_c3:
-            seen_c3.add(key)
-            c3_reps.append((key, max(r, r2)))
-    say(f"qualified order-3 subgroups: {len(c3_reps)}")
+    reps: List[int] = []
+    seen: set[int] = set()
+    for r in filter(order3, oplus.elements):
+        if r not in seen:
+            reps.append(r)
+            seen.update(_orbit(r, conj))
     involutions = list(qual2)  # the iteration order of qual2, which the golden pins
-    # for r of order 3 and an involution t, t r t = r^2 exactly when
-    # (t r)^2 = 1, that is, when t r is an involution
-    all_involutions = set(ord2)
-    for idx, (r, r2) in enumerate(c3_reps):
-        if progress is not None and idx % 200 == 0:
-            say(f"dihedral scan {idx}/{len(c3_reps)}, {len(survivors)} candidates")
+    family: set[FrozenSet[int]] = set()
+    for r in reps:
+        # for r of order 3 and an involution t, t r t = r^2 exactly when t r
+        # is an involution, and then t r = r^2 t; qual2 holds every
+        # involution that fixes an Arf-0 form
         for t, tr in zip(involutions, _RightMul(r, dim)(involutions)):
-            if tr not in all_involutions:
-                continue
             rt = _product(r, t, dim)
-            r2t = _product(r2, t, dim)
-            if rt not in qual2 or r2t not in qual2:
+            if tr not in qual2 or rt not in qual2:
                 continue
-            key = frozenset({ident, r, r2, t, rt, r2t})
+            key = frozenset({ident, r, _product(r, r, dim), t, rt, tr})
             # <r, t> fixes the Arf-0 forms that both r and t fix
-            if key not in survivors and not fixed_arf0_mask(r) & fixed_arf0_mask(t):
-                survivors[key] = (r, t)
-
-    say(f"{len(survivors)} candidate subgroups; partitioning into classes")
+            if key not in family and not fixed_arf0_mask(r) & fixed_arf0_mask(t):
+                family.update(_orbit(key, [lambda s, f=f: frozenset(map(f, s)) for f in conj]))
     classes: List[Dict[str, object]] = []
-    for orbit in _conjugation_orbits(survivors, sp6):
-        classes.append(
-            {
-                "kind": "dihedral",
-                "orbit_size": len(orbit),
-                "generators": [
-                    F2Matrix.from_packed(p, dim).to_text() for p in survivors[orbit[0]]
-                ],
-            }
-        )
+    for orbit in _conjugation_orbits(family, sp6):
+        r = min(filter(order3, orbit[0]))
+        t = next(t for t in involutions if t in orbit[0])
+        gens = [F2Matrix.from_packed(p, dim).to_text() for p in (r, t)]
+        classes.append({"kind": "dihedral", "orbit_size": len(orbit), "generators": gens})
     classes.sort(key=lambda c: c["orbit_size"])
-    return {
-        "m": 3,
-        "candidates": len(survivors),
-        "classes": len(classes),
-        "class_details": classes,
-    }
-
+    return {"m": 3, "candidates": len(family), "classes": len(classes), "class_details": classes}

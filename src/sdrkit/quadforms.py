@@ -117,7 +117,8 @@ def pairing_mask(space: SymplecticSpace, v: int) -> int:
 
 
 class QuadraticForm:
-    """Q_v(x) = Q0(x) + <x, v>; hashable by (m, v)."""
+    """Q_v(x) = Q0(x) + <x, v>; equal when base and v agree, hashable by
+    (m, v)."""
 
     __slots__ = ("base", "v", "table")
 
@@ -167,8 +168,8 @@ class QuadraticForm:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, QuadraticForm)
-            and self.m == other.m
             and self.v == other.v
+            and self.base == other.base
         )
 
     def __hash__(self) -> int:

@@ -21,7 +21,7 @@ def o3(actx):
 
 @pytest.fixture(scope="session")
 def order6_scan():
-    """The full order-6 sweep of Sp_6(F2), run once for the extended tests."""
+    """The order-6 scan of Sp_6(F2), seeded from O+(6, 2), run once."""
     from sdrkit.matgroups import order6_uniqueness_scan
 
     return order6_uniqueness_scan()

@@ -5,7 +5,9 @@ Each case runs `main(argv)` in process and compares stdout with
 the group kernels or of the arithmetic kernels must leave every one of these
 unchanged. The m = 2 census
 is compared through the session's shared census instead of a second
-100-second run, and the long order-6 scan is compared under `-m extended`.
+minute-long run, and the order-6 scan through the session's shared scan,
+which `tests/test_matgroups.py` also checks against the old element sweep
+under `-m extended`.
 """
 import json
 from pathlib import Path
@@ -98,6 +100,5 @@ def test_census_m2_matches_golden(actx):
     assert got == golden_text("census-m2")
 
 
-@pytest.mark.extended
 def test_scan_order6_matches_golden(order6_scan):
     assert cli_payload_text("scan-order6", order6_scan) == golden_text("scan-order6")

@@ -34,6 +34,7 @@ from sdrkit.quadforms import (
     BaseForm,
     act,
     all_forms,
+    arf0_mask,
     arf_by_count,
     fixed_form_vectors,
     form_from_vector,
@@ -921,9 +922,79 @@ def test_frozen_obstruction_reports(sp3):
     assert digest == "b59db856156555568bb8cace8cf5e25c45d4a15f0ba1b514edc07073d646ceff"
 
 
+def test_order6_seeds_cover_every_involution_fixing_an_arf0_form(sp3):
+    """The transversal carries Q_v0 to each of the 36 Arf-0 forms, and the
+    seeded involutions are all 5103 involutions of Sp6(F2), 63 + 315 + 945
+    + 3780 over its four classes, each fixing an Arf-0 form."""
+    base = standard_base_form(3)
+    oplus, transversal, qual2 = matgroups._arf0_seeds(sp3, base)
+    arf0 = arf0_mask(base)
+    assert oplus.order == 40320
+    assert sorted(transversal) == [v for v in range(64) if (arf0 >> v) & 1]
+    (v0,) = [v for v, x in transversal.items() if x == F2Matrix.identity(6).packed]
+    for u, x in transversal.items():
+        assert act(F2Matrix.from_packed(x, 6), form_from_vector(base, v0)) == form_from_vector(base, u)
+    assert len(qual2) == 63 + 315 + 945 + 3780 == 5103
+    mask_of = matgroups._fixed_arf0_masks(base)
+    for p in qual2:
+        g = F2Matrix.from_packed(p, 6)
+        assert (g * g).is_identity() and not g.is_identity()
+        assert mask_of(p)
+
+
+def _order6_scan_by_sweep():
+    """The scan's oracle: sort all of Sp6(F2) by order, keep the elements
+    of orders 2 and 3 that fix an Arf-0 form, and test every order-3
+    subgroup against every such involution."""
+    sp6 = symplectic_group(3)
+    fixed_arf0_mask = matgroups._fixed_arf0_masks(standard_base_form(3))
+    dim = 6
+    product = lambda a, b: matgroups._product(a, b, dim)
+    ident = F2Matrix.identity(dim).packed
+    ord2, ord3 = [], []
+    for p in sp6.elements:
+        if p == ident:
+            continue
+        p2 = product(p, p)
+        if p2 == ident:
+            ord2.append(p)
+        elif product(p2, p) == ident:
+            ord3.append(p)
+    qual2 = {p for p in ord2 if fixed_arf0_mask(p)}
+    all_involutions = set(ord2)
+    involutions = list(qual2)
+    survivors = {}
+    c3 = {min(r, product(r, r)) for r in ord3 if fixed_arf0_mask(r)}
+    for r in sorted(c3):
+        r2 = product(r, r)
+        for t, tr in zip(involutions, matgroups._RightMul(r, dim)(involutions)):
+            if tr not in all_involutions:
+                continue
+            rt, r2t = product(r, t), product(r2, t)
+            if rt not in qual2 or r2t not in qual2:
+                continue
+            key = frozenset({ident, r, r2, t, rt, r2t})
+            if key not in survivors and not fixed_arf0_mask(r) & fixed_arf0_mask(t):
+                survivors[key] = (r, t)
+    classes = [
+        {
+            "kind": "dihedral",
+            "orbit_size": len(orbit),
+            "generators": [F2Matrix.from_packed(p, dim).to_text() for p in survivors[orbit[0]]],
+        }
+        for orbit in matgroups._conjugation_orbits(survivors, sp6)
+    ]
+    classes.sort(key=lambda c: c["orbit_size"])
+    return {"m": 3, "candidates": len(survivors), "classes": len(classes), "class_details": classes}
+
+
 @pytest.mark.extended
+def test_order6_scan_matches_the_element_sweep(order6_scan):
+    """The sweep takes about half a minute."""
+    assert _order6_scan_by_sweep() == order6_scan
+
+
 def test_order6_scan_finds_single_dihedral_class(order6_scan):
-    """Full sweep of Sp_6(F2); takes several minutes."""
     result = order6_scan
     assert result["m"] == 3
     assert result["candidates"] == 5040

@@ -116,6 +116,17 @@ def test_form_json_round_trips_on_the_standard_base_and_refuses_any_other():
             form.to_json()
 
 
+def test_forms_on_different_bases_are_different_forms():
+    # Q_0 on the standard base (Arf 1) and Q_0 on the base Q_1 (Arf 0)
+    # share m and v but not their value tables
+    q0 = standard_base_form(2)
+    b = BaseForm(q0.space, form_from_vector(q0, 1).table)
+    f, g = QuadraticForm(b, 0), QuadraticForm(q0, 0)
+    assert f.table != g.table and (f.arf, g.arf) == (0, 1)
+    assert f != g and len({f, g}) == 2
+    assert f == QuadraticForm(BaseForm(q0.space, b.table), 0)
+
+
 def test_arf_by_basis_identity_and_random():
     """Each basis is evaluated as is and through an equal but distinct copy,
     so the second call of each pair reads the memoized columns."""

@@ -413,9 +413,9 @@ class ObstructionCertificate:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "ObstructionCertificate":
-        """Parse and close the groups. m, degree_n and every generator's
-        type and dimension are validated first, raising ValueError, so no
-        closure runs on an input the certifier cannot check."""
+        """Parse and close the groups. m, degree_n, every generator's type
+        and dimension and G's own m are validated first, raising ValueError,
+        so no closure runs on an input the certifier cannot check."""
         m = json_int(data, "m")
         if not 1 <= m <= MAX_FORM_DIM // 2:
             raise ValueError(
@@ -442,6 +442,9 @@ class ObstructionCertificate:
             (str(img["label"]), generators(img["generators"]))
             for img in data["local_images"]
         ]
+        group_m = json_int(data["G"], "m")
+        if group_m != m:
+            raise ValueError(f"G has m = {group_m}, but the certificate has m = {m}")
         space = standard_symplectic(m)
         group = close(global_gens, space)
         images = tuple(

@@ -2,17 +2,19 @@
 
 Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim). A subgroup stores them once, as an ascending sequence searched by
-bisection, so even Sp6(F2) needs no hash table: the materialized classical
-groups, Sp_2m(F2) and O(Q) at dim <= 6, hold theirs in an `array('Q')` of
-8-byte words, and every other handle in a tuple. `_product` multiplies one
-pair; `_RightMul` multiplies a batch on the right by one element, in dim
-row-table lookups a product, or at dim <= 6 in three chunk-table lookups
-once the batch outgrows one table. A closure grows one generator at a
-time, <H, s> from the closed H, by right cosets of H (Dimino): each
-element is multiplied out once, in batches of whole cosets. Sp6(F2) is
-built as the cosets of its last-row stabilizer, one product per element
-and already in sorted order; the stabilizer O(Q) of a form is closed from
-its own transvections.
+bisection, so even Sp6(F2) needs no hash table. Sp_2m(F2) is built as the
+right cosets of its last-row stabilizer H, and each coset is one block of
+|H| consecutive elements sharing one last row: it keeps that row once per
+block and the low (dim - 1) * dim bits of every element in one
+`array('I')` of 4-byte words (`_LastRowBlocks`). O(Q) at dim <= 6 keeps an
+`array('Q')` of 8-byte words, and every other handle a tuple. `_product`
+multiplies one pair; `_RightMul` multiplies a batch on the right by one
+element, in dim row-table lookups a product, or at dim <= 6 in three
+chunk-table lookups once the batch outgrows one table. A closure grows one
+generator at a time, <H, s> from the closed H, by right cosets of H
+(Dimino): each element is multiplied out once, in batches of whole cosets.
+Sp6(F2)'s cosets come out one product per element and already in sorted
+order; the stabilizer O(Q) of a form is closed from its own transvections.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import or_
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .f2core import (
@@ -230,12 +234,59 @@ def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> 
 # ---------------------------------------------------------------------------
 # subgroup handles
 
+class _LastRowBlocks(Sequence):
+    """Read-only ascending sequence of the packed elements of a group built
+    as right cosets of its last-row stabilizer, one block of `size`
+    consecutive elements per coset: elements[i] is
+    tops[i // size] << top | lows[i].
+
+    `tops` holds the blocks' last rows, ascending, and `lows` the low `top`
+    bits of every element in one `array('I')`, sorted within each block.
+    Membership reads the block from x >> top and bisects that block's slice
+    of `lows` in C; iteration ORs each block's slice with its last row.
+    """
+
+    __slots__ = ("lows", "tops", "size", "top", "_mask", "_block")
+
+    def __init__(self, lows: array, tops: Sequence[int], top: int):
+        self.lows = lows
+        self.tops = tuple(tops)
+        self.size = len(lows) // len(self.tops)
+        self.top = top
+        self._mask = (1 << top) - 1
+        self._block = {w: i * self.size for i, w in enumerate(self.tops)}
+
+    def __len__(self) -> int:
+        return len(self.lows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        # a negative i reads tops[-k] and lows[i], both counted from the end
+        return self.tops[i // self.size] << self.top | self.lows[i]
+
+    def __contains__(self, x: object) -> bool:
+        lo = self._block.get(x >> self.top)
+        if lo is None:
+            return False
+        low = x & self._mask
+        lows = self.lows
+        i = bisect_left(lows, low, lo, lo + self.size)
+        return i < lo + self.size and lows[i] == low
+
+    def __iter__(self) -> Iterator[int]:
+        lows, size, top = self.lows, self.size, self.top
+        return chain.from_iterable(
+            map(or_, repeat(w << top, size), lows[lo : lo + size]) for w, lo in self._block.items()
+        )
+
+
 class _SortedView(Set):
     """Read-only, unhashable set view of an ascending sequence of elements.
 
-    Membership bisects the sequence; `<=`, `==` and the other comparisons come
-    from `collections.abc.Set`, so the view compares with frozensets in
-    either order.
+    Membership bisects the sequence, or its one block for `_LastRowBlocks`;
+    `<=`, `==` and the other comparisons come from `collections.abc.Set`, so
+    the view compares with frozensets in either order.
     """
 
     __slots__ = ("_items",)
@@ -245,6 +296,8 @@ class _SortedView(Set):
 
     def __contains__(self, x: object) -> bool:
         items = self._items
+        if isinstance(items, _LastRowBlocks):
+            return x in items
         i = bisect_left(items, x)
         return i < len(items) and items[i] == x
 
@@ -258,17 +311,19 @@ class _SortedView(Set):
 class SubgroupHandle:
     """A fully materialized subgroup with its declared generator list.
 
-    The elements are stored once, as the ascending sequence `elements`:
-    an `array('Q')` for the groups `symplectic_group` and `orthogonal_group`
-    materialize (dim <= 6, so every element is below 2^36), a tuple for
-    every handle built through `__init__`: closures, census subgroups and
-    the obstruction groups up to dim 16, whose packed elements (dim^2 bits)
-    can outgrow a 64-bit word. Nothing reads the type: `element_set` is a
-    bisection view of either (`_SortedView`).
-    The elements are always the closure of `core` (of the declared
-    generators when no core is given): `_grow_core` returns the two
+    The elements are stored once, as the ascending sequence `elements`.
+    `symplectic_group` keeps a `_LastRowBlocks`: one block per coset of the
+    last-row stabilizer, its last row stored once and the low
+    (dim - 1) * dim bits of each element in 4-byte words. `orthogonal_group`
+    keeps an `array('Q')` (dim <= 6, so every element is below 2^36). Every
+    handle built through `__init__` keeps a tuple: closures, census
+    subgroups and the obstruction groups up to dim 16, whose packed
+    elements (dim^2 bits) can outgrow a 64-bit word. Callers index and
+    iterate all three alike, and `element_set` is a bisection view of each
+    (`_SortedView`). The elements are always the closure of `core` (of the
+    declared generators when no core is given): `_grow_core` returns the two
     together and `orthogonal_group` keeps the core it found;
-    `symplectic_group` builds the array as cosets, counts it against
+    `symplectic_group` builds the blocks as cosets, counts them against
     |Sp_2m(F2)| and proves that its core generates the group by the orbit
     of a transvection's vector; the census and `lemma51_scan` pass each
     subgroup's join generators (empty for the trivial group). A subgroup
@@ -414,10 +469,10 @@ def _orthogonal_order_formula(m: int, arf: int) -> int:
 
 def _last_row_cosets(
     stabilizer: Sequence[int], moves: Sequence[int], dim: int, order: int
-) -> array:
-    """The `order` elements of a group of symplectic matrices, ascending in
-    one `array('Q')` (dim <= 6), as the right cosets H t_w of the last-row
-    stabilizer H = <stabilizer>.
+) -> _LastRowBlocks:
+    """The `order` elements of a group of symplectic matrices, ascending,
+    as the right cosets H t_w of the last-row stabilizer H = <stabilizer>,
+    one block each of a `_LastRowBlocks` (dim <= 6).
 
     Every generator of H has last packed row e = 1 << (dim - 1), so every
     element of H does. Breadth-first search of e under right multiplication
@@ -425,9 +480,11 @@ def _last_row_cosets(
     every element of H t_w has last row w, so the |H| products of different
     cosets never meet. Once |H| times the number of rows is `order`, the
     products are `order` distinct symplectic matrices: the whole group
-    when it has that order. Cosets come out in ascending w, each sorted on
-    its low (dim - 1) * dim bits only, with w put back on top, and fill
-    their slices of an array allocated at full size. H's set is dropped
+    when it has that order. H's elements are listed once, sorted, with
+    their last row cleared; times t_w they give the low (dim - 1) * dim
+    bits of H t_w, whose last row is 0 * t_w = 0. Each coset is sorted on
+    those bits and fills its block of one `array('I')` allocated at full
+    size, in ascending w, so w is kept once per block. H's set is dropped
     once its low bits are listed, so H is held once.
     """
     top = (dim - 1) * dim
@@ -445,16 +502,17 @@ def _last_row_cosets(
                 queue.append(u)
     if len(stab) * len(reps) != order:
         raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
-    lows = [h ^ (e_last << top) for h in stab]
+    # sorted once here, H's low words leave each coset in long ascending runs
+    lows = sorted(h ^ (e_last << top) for h in stab)
     del stab
     size = len(lows)
-    out = array("Q", [0]) * order
-    for i, w in enumerate(sorted(reps)):
+    tops = sorted(reps)
+    out = array("I", [0]) * order
+    for i, w in enumerate(tops):
         coset = _RightMul(reps[w], dim)(lows)
         coset.sort()
-        hi = w << top
-        out[i * size : (i + 1) * size] = array("Q", [x | hi for x in coset])
-    return out
+        out[i * size : (i + 1) * size] = array("I", coset)
+    return _LastRowBlocks(out, tops, top)
 
 
 def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
@@ -472,12 +530,12 @@ def symplectic_group(m: int) -> SubgroupHandle:
     The stabilizer H of the last packed row is generated by the
     transvections that fix that row; the transvections carry the row to
     every nonzero row, and `_last_row_cosets` emits H times one
-    representative per row, in ascending order, checking that the count is
-    |Sp_2m(F2)|. The declared generators are all transvections. The core
-    is (c, T): c is the product of a chain of plane-linking transvections
-    T_e1, T_f1, T_(e1+e2), T_f2, ... and T = T_v for v = e2 (e1 for
-    m = 1); the orbit of v under c and T is every nonzero vector, which
-    proves that they generate the group.
+    representative per row as one block per row, in ascending order,
+    checking that the count is |Sp_2m(F2)|. The declared generators are
+    all transvections. The core is (c, T): c is the product of a chain of
+    plane-linking transvections T_e1, T_f1, T_(e1+e2), T_f2, ... and
+    T = T_v for v = e2 (e1 for m = 1); the orbit of v under c and T is
+    every nonzero vector, which proves that they generate the group.
     """
     order = symplectic_order_formula(m)
     if order > DEFAULT_CAP:

@@ -262,6 +262,17 @@ def test_certify_validates_before_closing(capsys, tmp_path):
         assert reason in err
 
 
+def test_certify_rejects_a_group_of_another_m_without_traceback(tmp_path):
+    data = demo_certificate(3).to_json()
+    data["G"]["m"] = 8
+    path = tmp_path / "g-m8.json"
+    path.write_text(json.dumps(data))
+    proc = run_process(["certify", "--in", str(path)], timeout=15)
+    assert proc.returncode == 2
+    assert "G has m = 8, but the certificate has m = 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "field, raw, reason",
     [

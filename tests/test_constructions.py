@@ -232,6 +232,17 @@ def test_certificate_from_json_rejects_mistyped_fields(field, raw, reason):
         ObstructionCertificate.from_json(json.loads(text))
 
 
+def test_certificate_from_json_refuses_a_group_of_another_m():
+    good = demo_certificate(3).to_json()
+    for group_m in (8, 2):
+        data = dict(good, G=dict(good["G"], m=group_m))
+        with pytest.raises(ValueError, match=f"G has m = {group_m}, but the certificate has m = 3"):
+            ObstructionCertificate.from_json(data)
+    # G's m is read as strictly as the certificate's own
+    with pytest.raises(ValueError, match="m must be an integer, got 3.0"):
+        ObstructionCertificate.from_json(dict(good, G=dict(good["G"], m=3.0)))
+
+
 def test_certify_rejects_dimension_mismatch():
     cert = dataclasses.replace(demo_certificate(3), degree_n=5)
     verdict = certify_counterexample(cert)

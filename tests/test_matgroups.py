@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -259,15 +260,44 @@ def test_sp6_cosets_come_out_sorted(sp3):
     assert list(sp3.elements) == sorted(sp3.element_set)
 
 
-def test_materialized_classical_groups_are_packed_8_byte_words(sp3, o3):
-    """Sp2, Sp4, Sp6 and O-(6, 2) hold their elements in one array('Q');
-    a closure keeps its tuple."""
-    for group in (symplectic_group(1), symplectic_group(2), sp3, o3):
-        assert group.elements.typecode == "Q"
-        assert group.elements.itemsize == 8
-        assert list(group.elements) == sorted(group.element_set)
+def test_materialized_classical_groups_keep_packed_word_layouts(sp3, o3):
+    """Sp2, Sp4 and Sp6 keep one block of 4-byte low words per last row,
+    2^dim - 1 blocks of |Sp| / (2^dim - 1) elements; O-(6, 2) keeps one
+    array('Q') of 8-byte words; a closure keeps its tuple."""
+    for group in (symplectic_group(1), symplectic_group(2), sp3):
+        blocks, dim = group.elements, group.dim
+        rows = (1 << dim) - 1
+        assert blocks.lows.typecode == "I" and blocks.lows.itemsize == 4
+        assert blocks.tops == tuple(range(1, rows + 1))
+        assert blocks.size * rows == len(blocks.lows) == group.order
+        assert blocks.top == (dim - 1) * dim
+        assert list(blocks) == sorted(group.element_set)
+    assert o3.elements.typecode == "Q" and o3.elements.itemsize == 8
+    assert list(o3.elements) == sorted(o3.element_set)
     assert o3.order == 51840 and o3.element_set <= sp3.element_set
     assert isinstance(close(symplectic_group(2).generators[:2]).elements, tuple)
+
+
+def _packed_digest(elements) -> str:
+    """sha256 of the elements as little-endian 8-byte words, in order."""
+    words = array("Q", elements)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return hashlib.sha256(words.tobytes()).hexdigest()
+
+
+def test_symplectic_element_sequences_are_pinned(sp3):
+    # digests of the sorted sequences of the array('Q') layout they replace:
+    # a reordering, or a lost or changed element, fails here
+    assert _packed_digest(symplectic_group(1).elements) == (
+        "fe93b55b5cd9fc752b0052fba6c192952b5b19d16006f334ab5c276ac11d25a2"
+    )
+    assert _packed_digest(symplectic_group(2).elements) == (
+        "20e4c9f6e606e1417ff1186b2fcaefd1341499fafbc1a0bb512d3f06ec21ab16"
+    )
+    assert _packed_digest(sp3.elements) == (
+        "d94ea4020c13c76abb5a89d907dde21484390e47fb6f6a211bca43c807364134"
+    )
 
 
 def test_orbit_check_refuses_a_core_that_does_not_generate():
@@ -313,7 +343,7 @@ def test_coset_build_refuses_a_stabilizer_short_of_the_group():
     stabilizer = [p for p in moves if p >> 12 == 0b1000]
     assert len(stabilizer) == 7
     got = matgroups._last_row_cosets(stabilizer, moves, 4, 720)
-    assert got == symplectic_group(2).elements
+    assert list(got) == list(symplectic_group(2).elements)
     with pytest.raises(AssertionError, match="cosets"):
         matgroups._last_row_cosets(stabilizer[:2], moves, 4, 720)
     # every row is reached, so a wrong group order is caught as well
@@ -517,6 +547,32 @@ def test_element_view_matches_a_frozenset_of_sp6(sp3):
         # the next int up probes the bisection just past a member
         assert (p + 1 in view) == (p + 1 in oracle)
     assert og.element_set <= view
+    # the edges of every block, one int to either side, and each low word
+    # under the last row 0, which has no block
+    blocks = sp3.elements
+    ordered = list(blocks)
+    assert len(ordered) == len(blocks) == sp3.order
+    low_mask = (1 << blocks.top) - 1
+    for lo in range(0, len(ordered), blocks.size):
+        for i in (lo, lo + blocks.size - 1):
+            p = ordered[i]
+            assert blocks[i] == p and blocks[i - len(ordered)] == p
+            for q in (p - 1, p, p + 1, p & low_mask):
+                assert (q in view) == (q in oracle)
+    # negative ints, and ints past the 36 bits of a packed element
+    for q in (-1, -ordered[0], -ordered[-1], -(1 << 40), 1 << 36, (1 << 36) | ordered[0], 1 << 80):
+        assert q not in view and q not in blocks and q not in oracle
+    assert blocks[-1] == ordered[-1] and blocks[0] == ordered[0]
+    with pytest.raises(IndexError):
+        blocks[len(ordered)]
+    with pytest.raises(IndexError):
+        blocks[-len(ordered) - 1]
+    # slices across a block boundary (|H| = 23 040), stepped and reversed
+    for s in (slice(None, 5), slice(-3, None), slice(23_035, 23_045), slice(100, 40_000, 997)):
+        assert list(blocks[s]) == ordered[s]
+    assert list(blocks[::-99_991]) == ordered[::-99_991]
+    sample = random.Random(13).sample(blocks, 500)
+    assert len(set(sample)) == 500 and set(sample) <= oracle
 
 
 def test_element_view_compares_with_frozensets_and_is_read_only():
@@ -534,12 +590,13 @@ def test_element_view_compares_with_frozensets_and_is_read_only():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_sp6_build_peak_memory_stays_under_one_copy():
-    # Sp6 and O-(6, 2) in 8-byte words peak near 34 MB, where a tuple of
-    # 1.45M ints alone peaked near 91 MB; a second container of Sp6 (a
-    # frozenset is about 64 MB) would pass 64 MB. Step by step, the 11 MB
-    # array of Sp6 raises the peak by about 13.5 MB and O-(6, 2) by about
-    # 2 MB; a closure that kept a second copy of each step's elements
-    # raised them by about 18.6 and 7.1 MB
+    # Sp6 and O-(6, 2) peak near 28.5 MB, where a tuple of 1.45M ints alone
+    # peaked near 91 MB; a second container of Sp6 (a frozenset is about
+    # 64 MB) would pass 64 MB. Step by step, Sp6's 5.8 MB of 4-byte low
+    # words in last-row blocks raise the peak by about 8.1 MB and O-(6, 2)
+    # by about 2.4 MB; an array('Q') of Sp6's 8-byte words raised it by about
+    # 13.5-13.9 MB, and a closure that kept a second copy of each step's
+    # elements raised the two by about 18.6 and 7.1 MB
     build = (
         "import resource\n"
         "from sdrkit.matgroups import orthogonal_group, symplectic_group\n"
@@ -562,7 +619,7 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
     )
     before, after_sp6, peak_mb = (int(x) / 1024 for x in out.stdout.split())
     assert peak_mb < 64, peak_mb
-    assert after_sp6 - before < 16, (before, after_sp6)
+    assert after_sp6 - before < 10, (before, after_sp6)
     assert peak_mb - after_sp6 < 4, (after_sp6, peak_mb)
 
 

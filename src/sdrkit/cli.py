@@ -52,10 +52,6 @@ class UsageError(Exception):
     pass
 
 
-def _schema(command: str) -> str:
-    return f"{SCHEMA_PREFIX}/{command}/v1"
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -118,7 +114,8 @@ def _frac_str(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: args -> (payload, exit_code)
+# subcommand handlers: args -> (payload, exit_code); `_run` puts the
+# subcommand's "schema" first in every payload
 
 
 def _cmd_order(args) -> Tuple[Dict[str, object], int]:
@@ -128,7 +125,6 @@ def _cmd_order(args) -> Tuple[Dict[str, object], int]:
     formula = symplectic_order_formula(m)
     materialize = m <= 3 and not args.formula_only
     payload: Dict[str, object] = {
-        "schema": _schema("order"),
         "m": m,
         "order": formula,
         "materialized": materialize,
@@ -144,7 +140,7 @@ def _cmd_order(args) -> Tuple[Dict[str, object], int]:
 
 def _cmd_census(args) -> Tuple[Dict[str, object], int]:
     census = subgroup_census(args.m)
-    return {"schema": _schema("census"), **census.to_json()}, 0
+    return census.to_json(), 0
 
 
 def _cmd_forms_census(args) -> Tuple[Dict[str, object], int]:
@@ -155,7 +151,6 @@ def _cmd_forms_census(args) -> Tuple[Dict[str, object], int]:
     total = 1 << base.space.dim
     arf0 = arf0_mask(base).bit_count()
     payload = {
-        "schema": _schema("forms-census"),
         "m": args.m,
         "total": total,
         "arf0": arf0,
@@ -181,7 +176,6 @@ def _cmd_orbits(args) -> Tuple[Dict[str, object], int]:
     parts = orbits(group, all_forms(base))
     parts.sort(key=lambda p: (len(p), min(f.v for f in p)))
     payload = {
-        "schema": _schema("orbits"),
         "m": m,
         "group": label,
         "group_order": group.order,
@@ -205,7 +199,6 @@ def _cmd_o_group(args) -> Tuple[Dict[str, object], int]:
     group = orthogonal_group(standard_base_form(m))
     ambient_order = symplectic_order_formula(m)
     payload = {
-        "schema": _schema("o-group"),
         "m": m,
         "order": group.order,
         "ambient_order": ambient_order,
@@ -226,14 +219,12 @@ def _cmd_lemma51(args) -> Tuple[Dict[str, object], int]:
                 break
         if blocker is not None:
             payload = {
-                "schema": _schema("lemma51"),
                 "qualifies": False,
                 "element_without_fixed_vector": blocker,
             }
             return payload, 1
         witness = gl22_common_fixed_vector(group)
         payload = {
-            "schema": _schema("lemma51"),
             "qualifies": True,
             "order": group.order,
             "common_fixed_vector": witness,
@@ -252,7 +243,6 @@ def _cmd_lemma51(args) -> Tuple[Dict[str, object], int]:
             row["common_fixed_vector"] = v
         rows.append(row)
     payload = {
-        "schema": _schema("lemma51"),
         "scanned": len(rows),
         "qualifying": sum(1 for r in rows if r["qualifies"]),
         "subgroups": rows,
@@ -269,7 +259,6 @@ def _cmd_lemma52(args) -> Tuple[Dict[str, object], int]:
         raise UsageError(str(exc))
     except DihedralConditionError as exc:
         payload = {
-            "schema": _schema("lemma52"),
             "m": m,
             "verified": False,
             "failed_condition": exc.condition,
@@ -278,7 +267,6 @@ def _cmd_lemma52(args) -> Tuple[Dict[str, object], int]:
         return payload, 1
     group = pair.group()
     payload = {
-        "schema": _schema("lemma52"),
         "m": m,
         "verified": True,
         "group_order": group.order,
@@ -307,7 +295,6 @@ def _cmd_certify(args) -> Tuple[Dict[str, object], int]:
     except ValueError as exc:
         raise UsageError(f"cannot check this certificate: {exc}")
     payload = {
-        "schema": _schema("certify"),
         "certified": verdict.certified,
         "checks": dict(verdict.checks),
         "notes": list(verdict.notes),
@@ -328,9 +315,10 @@ def _conic_matrix(args) -> List[List[Fraction]]:
         mat = [[_parse_rational(x) for x in row.split(",")] for row in rows]
     else:
         data = _read_json_file(args.infile)
-        if not isinstance(data, dict) or "matrix" not in data:
+        rows = data.get("matrix") if isinstance(data, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise UsageError('the file must hold {"matrix": [[...], ...]}')
-        mat = [[_parse_rational(str(x)) for x in row] for row in data["matrix"]]
+        mat = [[_parse_rational(str(x)) for x in row] for row in rows]
     if len(mat) != 3 or any(len(r) != 3 for r in mat):
         raise UsageError("the matrix must be 3x3")
     for i in range(3):
@@ -348,7 +336,6 @@ def _cmd_conic(args) -> Tuple[Dict[str, object], int]:
         raise UsageError(f"conic outside the supported sizes: {exc}")
     degenerate = obstructions is None
     payload: Dict[str, object] = {
-        "schema": _schema("conic"),
         "matrix": [[_frac_str(x) for x in row] for row in mat],
         "degenerate": degenerate,
         "obstructions": (
@@ -384,7 +371,7 @@ def _cmd_cubic(args) -> Tuple[Dict[str, object], int]:
     claim_ok = verdict["global_implies_local"] and (
         not all_sampled_local or bool(verdict["global_roots"])
     )
-    payload = {"schema": _schema("cubic"), **verdict, "claim_ok": claim_ok}
+    payload = {**verdict, "claim_ok": claim_ok}
     return payload, 0 if claim_ok else 1
 
 
@@ -396,7 +383,6 @@ def _cmd_hilbert(args) -> Tuple[Dict[str, object], int]:
     place = _parse_place(args.place)
     symbol = lg.hilbert_symbol(a, b, place)
     payload: Dict[str, object] = {
-        "schema": _schema("hilbert"),
         "a": _frac_str(a),
         "b": _frac_str(b),
         "place": str(place) if place == "real" else place,
@@ -417,16 +403,25 @@ def _cmd_hilbert(args) -> Tuple[Dict[str, object], int]:
 
 def _quartic_coeffs_from_file(path: str) -> Dict[Tuple[int, int, int], Fraction]:
     data = _read_json_file(path)
-    if not isinstance(data, dict) or "coefficients" not in data:
+    rows = data.get("coefficients") if isinstance(data, dict) else None
+    if not isinstance(rows, list):
         raise UsageError(
             'the file must hold {"coefficients": [[i, j, k, "value"], ...]}'
         )
     coeffs: Dict[Tuple[int, int, int], Fraction] = {}
-    for row in data["coefficients"]:
-        if len(row) != 4:
-            raise UsageError("each coefficient row is [i, j, k, value]")
-        i, j, k = (int(x) for x in row[:3])
-        coeffs[(i, j, k)] = _parse_rational(str(row[3]))
+    for row in rows:
+        # exponents are JSON integers, not floats or booleans, of a quartic monomial
+        if not (
+            isinstance(row, list)
+            and len(row) == 4
+            and all(type(x) is int and x >= 0 for x in row[:3])
+            and sum(row[:3]) == 4
+        ):
+            raise UsageError(
+                f"each coefficient row is [i, j, k, value] with integers i, j, k >= 0 "
+                f"and i + j + k = 4, got {row!r}"
+            )
+        coeffs[tuple(row[:3])] = _parse_rational(str(row[3]))
     return coeffs
 
 
@@ -455,7 +450,6 @@ def _cmd_quartic_check(args) -> Tuple[Dict[str, object], int]:
             {"name": name, "value": _frac_str(value), "vanishes": value == 0}
         )
     payload = {
-        "schema": _schema("quartic-check"),
         "point": [_frac_str(x) for x in point],
         "results": results,
         "all_vanish": all(r["vanishes"] for r in results),
@@ -484,7 +478,6 @@ def _cmd_reproduce(args) -> Tuple[Dict[str, object], int]:
             sys.stdout.flush()
     passed = sum(1 for r in rows if r.passed)
     payload = {
-        "schema": _schema("reproduce"),
         "seed": args.seed,
         "criteria": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in rows
@@ -497,7 +490,7 @@ def _cmd_reproduce(args) -> Tuple[Dict[str, object], int]:
 
 
 def _cmd_scan_order6(args) -> Tuple[Dict[str, object], int]:
-    return {"schema": _schema("scan-order6"), **order6_uniqueness_scan()}, 0
+    return order6_uniqueness_scan(), 0
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +714,7 @@ def _run(args) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    payload = {"schema": f"{SCHEMA_PREFIX}/{args.command}/v1", **payload}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -24,6 +24,7 @@ from .matgroups import (
     close,
     has_nonzero_fixed_vector,
     invariant_arf0_vectors,
+    json_bool,
     json_int,
     obstruction_conditions,
     smallest_fixed_vector,
@@ -413,9 +414,10 @@ class ObstructionCertificate:
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "ObstructionCertificate":
-        """Parse and close the groups. m, degree_n, every generator's type
-        and dimension and G's own m are validated first, raising ValueError,
-        so no closure runs on an input the certifier cannot check."""
+        """Parse and close the groups. m, degree_n, the two flags (JSON
+        booleans), every generator's type and dimension and G's own m are
+        validated first, raising ValueError, so no closure runs on an input
+        the certifier cannot check."""
         m = json_int(data, "m")
         if not 1 <= m <= MAX_FORM_DIM // 2:
             raise ValueError(
@@ -425,6 +427,8 @@ class ObstructionCertificate:
         degree_n = json_int(data, "degree_n")
         if degree_n < 3:
             raise ValueError(f"degree_n = {degree_n}: plane curves need degree >= 3")
+        local_points = json_bool(data, "has_local_points_everywhere")
+        theta = json_bool(data, "theta_noneffective") if "theta_noneffective" in data else None
 
         def generators(texts) -> List[F2Matrix]:
             if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
@@ -454,14 +458,10 @@ class ObstructionCertificate:
         return cls(
             m=m,
             degree_n=degree_n,
-            has_local_points_everywhere=bool(data["has_local_points_everywhere"]),
+            has_local_points_everywhere=local_points,
             group=group,
             local_images=images,
-            theta_noneffective=(
-                bool(data["theta_noneffective"])
-                if "theta_noneffective" in data
-                else None
-            ),
+            theta_noneffective=theta,
         )
 
 

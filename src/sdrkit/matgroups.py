@@ -2,10 +2,11 @@
 
 Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim). A subgroup stores them once, as an ascending sequence searched by
-bisection, so even Sp6(F2) needs no hash table. Sp_2m(F2) is built as the
-right cosets of its last-row stabilizer H, and each coset is one block of
-|H| consecutive elements sharing one last row: it keeps that row once per
-block and the low (dim - 1) * dim bits of every element in one
+bisection, so even Sp6(F2) needs no hash table; the handle's one
+constructor keeps the sequence as its caller sorted it. Sp_2m(F2) is built
+as the right cosets of its last-row stabilizer H, and each coset is one
+block of |H| consecutive elements sharing one last row: it keeps that row
+once per block and the low (dim - 1) * dim bits of every element in one
 `array('I')` of 4-byte words (`_LastRowBlocks`). O(Q) at dim <= 6 keeps an
 `array('Q')` of 8-byte words, and every other handle a tuple. `_product`
 multiplies one pair; `_RightMul` multiplies a batch on the right by one
@@ -15,6 +16,9 @@ generator at a time, <H, s> from the closed H, by right cosets of H
 (Dimino): each element is multiplied out once, in batches of whole cosets.
 Sp6(F2)'s cosets come out one product per element and already in sorted
 order; the stabilizer O(Q) of a form is closed from its own transvections.
+The census joins each subgroup H once per double coset H g H, since
+<H, h g h'> = <H, g> for h, h' in H. Conjugation has one map on elements
+(`_conjugator`) and one on sets of them (`_set_conjugator`).
 """
 from __future__ import annotations
 
@@ -162,6 +166,19 @@ def _inv_packed(a: int, dim: int) -> int:
     return F2Matrix.from_packed(a, dim).inverse().packed
 
 
+def _conjugator(g: int, dim: int) -> Callable[[int], int]:
+    """x -> g x g^-1 on packed elements."""
+    ginv = _inv_packed(g, dim)
+    return lambda x: _product(_product(g, x, dim), ginv, dim)
+
+
+def _set_conjugator(g: int, dim: int) -> Callable[[Iterable[int]], FrozenSet[int]]:
+    """X -> g X g^-1 on sets of packed elements, as (g h) g^-1 for each
+    element h of X, the right factor in one batch."""
+    right = _RightMul(_inv_packed(g, dim), dim)
+    return lambda xs: frozenset(right([_product(g, h, dim) for h in xs]))
+
+
 @lru_cache(maxsize=None)
 def _identity(dim: int) -> int:
     """The packed identity matrix of dimension dim."""
@@ -194,13 +211,14 @@ def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> 
     Dimino's closure by right cosets, in batches. H = group is listed
     identity first, so a right coset H r is a block of |H| elements that
     starts with r, and (H r) t is the block of H rt. Each round takes, for
-    each generator t, the frontier's representatives times t in one batch;
-    a product rt outside the closure names a new coset, and a second batch
-    multiplies the blocks of all of t's new cosets by t. Both batches go
-    through t's own `_RightMul`, so each element is multiplied out once,
+    each generator t, the frontier's representatives times t in one batch,
+    rts; a product rt outside the closure names a new coset, and a second
+    batch multiplies the blocks of all of t's new cosets by t. Both batches
+    go through t's own `_RightMul`, so each element is multiplied out once,
     membership is tested once per coset and generator, and chunk tables
     are built once per generator, never per coset. With H trivial a block
-    is its representative, and the round is the plain breadth-first step.
+    is its representative, so the new block is rts minus the closure: the
+    plain breadth-first step.
     Raises ClosureCapExceeded once the closure has more than `cap` elements.
     """
     ident = _identity(rights[0].dim)
@@ -211,20 +229,15 @@ def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> 
     while front:
         fresh: List[int] = []
         for right in rights:
-            if size == 1:
-                for x in right(front):
-                    if x not in seen:
-                        seen.add(x)
-                        fresh.append(x)
-                continue
             rts = right(front[::size])
-            block = [
-                x for i, rt in enumerate(rts) if rt not in seen for x in front[i * size : (i + 1) * size]
-            ]
-            if block:
-                block = right(block)
-                seen.update(block)
-                fresh += block
+            if size == 1:
+                block = [rt for rt in rts if rt not in seen]
+            else:
+                block = right(
+                    [x for i, rt in enumerate(rts) if rt not in seen for x in front[i * size : (i + 1) * size]]
+                )
+            seen.update(block)
+            fresh += block
         if len(seen) > cap:
             raise ClosureCapExceeded(cap)
         front = fresh
@@ -311,23 +324,23 @@ class _SortedView(Set):
 class SubgroupHandle:
     """A fully materialized subgroup with its declared generator list.
 
-    The elements are stored once, as the ascending sequence `elements`.
-    `symplectic_group` keeps a `_LastRowBlocks`: one block per coset of the
-    last-row stabilizer, its last row stored once and the low
-    (dim - 1) * dim bits of each element in 4-byte words. `orthogonal_group`
-    keeps an `array('Q')` (dim <= 6, so every element is below 2^36). Every
-    handle built through `__init__` keeps a tuple: closures, census
-    subgroups and the obstruction groups up to dim 16, whose packed
-    elements (dim^2 bits) can outgrow a 64-bit word. Callers index and
-    iterate all three alike, and `element_set` is a bisection view of each
-    (`_SortedView`). The elements are always the closure of `core` (of the
-    declared generators when no core is given): `_grow_core` returns the two
-    together and `orthogonal_group` keeps the core it found;
-    `symplectic_group` builds the blocks as cosets, counts them against
-    |Sp_2m(F2)| and proves that its core generates the group by the orbit
-    of a transvection's vector; the census and `lemma51_scan` pass each
-    subgroup's join generators (empty for the trivial group). A subgroup
-    test therefore needs only the core.
+    The elements are stored once, as the ascending sequence `elements`,
+    which the constructor keeps as given: the caller sorts them, and the
+    handle neither sorts nor copies them. `symplectic_group` passes a
+    `_LastRowBlocks`: one block per coset of the last-row stabilizer, its
+    last row stored once and the low (dim - 1) * dim bits of each element
+    in 4-byte words. `orthogonal_group` passes an `array('Q')` (dim <= 6,
+    so every element is below 2^36). Closures, census subgroups and the
+    obstruction groups up to dim 16, whose packed elements (dim^2 bits) can
+    outgrow a 64-bit word, pass a sorted tuple. Callers index and iterate
+    all three alike, and `element_set` is a bisection view of each
+    (`_SortedView`). The elements are always the closure of `core`:
+    `_grow_core` returns the two together and `orthogonal_group` keeps the
+    core it found; `symplectic_group` builds the blocks as cosets, counts
+    them against |Sp_2m(F2)| and proves that its core generates the group
+    by the orbit of a transvection's vector; the census and `lemma51_scan`
+    pass each subgroup's join generators (empty for the trivial group). A
+    subgroup test therefore needs only the core.
     """
 
     __slots__ = ("space", "dim", "generators", "elements", "order", "core")
@@ -336,39 +349,15 @@ class SubgroupHandle:
         self,
         space: SymplecticSpace,
         generators: Sequence[F2Matrix],
-        elements: Iterable[int],
-        core: Optional[Tuple[int, ...]] = None,
-    ):
-        self._fill(space, generators, tuple(sorted(elements)), core)
-
-    @classmethod
-    def _presorted(
-        cls,
-        space: SymplecticSpace,
-        generators: Sequence[F2Matrix],
         elements: Sequence[int],
         core: Tuple[int, ...],
-    ) -> "SubgroupHandle":
-        """A handle whose caller already holds its elements as an ascending
-        sequence, kept as given: neither sorted a second time nor copied."""
-        handle = cls.__new__(cls)
-        handle._fill(space, generators, elements, core)
-        return handle
-
-    def _fill(
-        self,
-        space: SymplecticSpace,
-        generators: Sequence[F2Matrix],
-        elements: Sequence[int],
-        core: Optional[Tuple[int, ...]],
-    ) -> None:
+    ):
         self.space = space
         self.dim = space.dim
         self.generators = tuple(generators)
         self.elements = elements
         self.order = len(elements)
-        # a small internal generating subset, kept for cheap conjugation work
-        self.core = core if core is not None else tuple(g.packed for g in self.generators)
+        self.core = core
 
     @property
     def element_set(self) -> _SortedView:
@@ -411,6 +400,15 @@ def json_int(data: Dict[str, object], key: str) -> int:
     return value
 
 
+def json_bool(data: Dict[str, object], key: str) -> bool:
+    """data[key], which must be JSON true or false: ValueError for strings
+    such as "false" and for numbers, which bool() would read as true."""
+    value = data[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def transvection(v: int, space: SymplecticSpace) -> F2Matrix:
     """T_v(x) = x + <x,v> v; defined for nonzero v, always symplectic."""
     if v == 0:
@@ -447,7 +445,7 @@ def close(
         if not is_symplectic(g, space):
             raise ValueError(f"generator is not symplectic: {g!r}")
     elements, core = _grow_core((g.packed for g in generators), space.dim, cap)
-    return SubgroupHandle(space, generators, elements, core=core)
+    return SubgroupHandle(space, generators, tuple(sorted(elements)), core)
 
 
 def symplectic_order_formula(m: int) -> int:
@@ -558,7 +556,7 @@ def symplectic_group(m: int) -> SubgroupHandle:
     top = (dim - 1) * dim
     stabilizer = [p for p in packed if p >> top == 1 << (dim - 1)]
     elements = _last_row_cosets(stabilizer, packed, dim, order)
-    handle = SubgroupHandle._presorted(space, generators, elements, core)
+    handle = SubgroupHandle(space, generators, elements, core)
     if not all(handle.contains(p) for p in packed):
         raise AssertionError("a transvection escaped the closure")
     return handle
@@ -603,9 +601,7 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
     ordered = array("Q", sorted(elements))
     del elements
     _, core = _grow_core(ordered, dim, DEFAULT_CAP)
-    return SubgroupHandle._presorted(
-        space, [F2Matrix.from_packed(p, dim) for p in core], ordered, core
-    )
+    return SubgroupHandle(space, [F2Matrix.from_packed(p, dim) for p in core], ordered, core)
 
 
 def smallest_fixed_vector(
@@ -819,8 +815,12 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
 
     Join closure from the trivial group: any subgroup is reachable as
     <H, g> from a proper subgroup H, since dropping one member of a minimal
-    generating set leaves a smaller subgroup. One representative g per right
-    coset H g is enough because <H, hg> = <H, g>.
+    generating set leaves a smaller subgroup. One join per double coset
+    H g H is enough because <H, h g h'> = <H, g> for h, h' in H. The joined
+    g is the smallest element left, so every element of H g H still left
+    is larger, and joining it would have added nothing; dropping the whole
+    double coset therefore gives the same dict, in the same insertion
+    order, as a walk over the right cosets H g.
     """
     dim = ambient.dim
     ident = _identity(dim)
@@ -832,6 +832,7 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
         hset = queue.popleft()
         hgens = subs[hset]
         hrights = [_RightMul(h, dim) for h in hgens]
+        hall = [_RightMul(h, dim) for h in hset]
         remaining = set(everything) - hset
         while remaining:
             g = min(remaining)
@@ -840,7 +841,8 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
             if jset not in subs:
                 subs[jset] = hgens + (g,)
                 queue.append(jset)
-            remaining.difference_update(right(hset))
+            hg = right(hset)
+            remaining.difference_update(*(r(hg) for r in hall))
     return subs
 
 
@@ -853,14 +855,7 @@ def _conjugation_orbits(family, ambient: SubgroupHandle) -> List[list]:
     increasing order of their smallest member. A conjugate outside the
     family is an error.
     """
-    dim = ambient.dim
-
-    def conjugation(g: int) -> Callable[[FrozenSet[int]], FrozenSet[int]]:
-        """X -> g X g^-1, as (g h) g^-1 for each element h of X."""
-        right = _RightMul(_inv_packed(g, dim), dim)
-        return lambda x: frozenset(right([_product(g, h, dim) for h in x]))
-
-    moves = [conjugation(g) for g in ambient.core]
+    moves = [_set_conjugator(g, ambient.dim) for g in ambient.core]
     seen = set()
     orbits = []
     for seed in sorted(family, key=sorted):
@@ -882,13 +877,9 @@ def _transporters(
 ) -> Iterator[int]:
     """Every ambient a with a g a^-1 in target for each g in gens, in
     element order; with target = <gens> these are the normalizer."""
-    dim = ambient.dim
     for a in ambient.elements:
-        ainv = _inv_packed(a, dim)
-        for h in gens:
-            if _product(_product(a, h, dim), ainv, dim) not in target:
-                break
-        else:
+        conj = _conjugator(a, ambient.dim)
+        if all(conj(h) in target for h in gens):
             yield a
 
 
@@ -918,7 +909,7 @@ def subgroup_census(m: int) -> GroupCensus:
         gens_m = [F2Matrix.from_packed(p, ambient.dim) for p in repgens] or [
             F2Matrix.identity(ambient.dim)
         ]
-        handle = SubgroupHandle(ambient.space, gens_m, rep, core=repgens)
+        handle = SubgroupHandle(ambient.space, gens_m, tuple(sorted(rep)), repgens)
         report = obstruction_conditions(handle, base)
         classes.append(
             CensusClass(
@@ -966,7 +957,7 @@ def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
         _all_subgroups(sp1).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
     ):
         gens = [F2Matrix.from_packed(p, 2) for p in hgens] or [F2Matrix.identity(2)]
-        handle = SubgroupHandle(sp1.space, gens, hset, core=hgens)
+        handle = SubgroupHandle(sp1.space, gens, tuple(sorted(hset)), hgens)
         qualifies = all(has_nonzero_fixed_vector(g) is not None for g in handle.matrices())
         out.append((handle, gl22_common_fixed_vector(handle) if qualifies else None))
     return out
@@ -974,12 +965,6 @@ def lemma51_scan() -> List[Tuple[SubgroupHandle, Optional[int]]]:
 
 # ---------------------------------------------------------------------------
 # the order-6 scan
-
-def _conjugator(g: int, dim: int) -> Callable[[int], int]:
-    """x -> g x g^-1 on packed elements."""
-    ginv = _inv_packed(g, dim)
-    return lambda x: _product(_product(g, x, dim), ginv, dim)
-
 
 def _arf0_seeds(
     sp6: SubgroupHandle, base: BaseForm
@@ -1035,6 +1020,7 @@ def order6_uniqueness_scan() -> Dict[str, object]:
     dim, ident = sp6.dim, _identity(sp6.dim)
     oplus, _, qual2 = _arf0_seeds(sp6, base)
     conj = [_conjugator(g, dim) for g in sp6.core]
+    set_conj = [_set_conjugator(g, dim) for g in sp6.core]
 
     def order3(p: int) -> bool:
         return p != ident and _product(_product(p, p, dim), p, dim) == ident
@@ -1058,7 +1044,7 @@ def order6_uniqueness_scan() -> Dict[str, object]:
             key = frozenset({ident, r, _product(r, r, dim), t, rt, tr})
             # <r, t> fixes the Arf-0 forms that both r and t fix
             if key not in family and not fixed_arf0_mask(r) & fixed_arf0_mask(t):
-                family.update(_orbit(key, [lambda s, f=f: frozenset(map(f, s)) for f in conj]))
+                family.update(_orbit(key, set_conj))
     classes: List[Dict[str, object]] = []
     for orbit in _conjugation_orbits(family, sp6):
         r = min(filter(order3, orbit[0]))

@@ -293,6 +293,26 @@ def test_certify_rejects_mistyped_fields_without_traceback(tmp_path, field, raw,
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "m, field, raw",
+    [
+        (3, "has_local_points_everywhere", '"false"'),
+        (3, "has_local_points_everywhere", "0"),
+        (3, "has_local_points_everywhere", "null"),
+        (6, "theta_noneffective", '"no"'),
+        (6, "theta_noneffective", "1"),
+    ],
+)
+def test_certify_reads_flags_as_json_booleans(capsys, tmp_path, m, field, raw):
+    # bool() would read "false", "no" and 1 as true and certify
+    data = dict(demo_certificate(m).to_json(), **{field: "@"})
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps(data).replace('"@"', raw))
+    code, out, err = run(capsys, ["certify", "--in", str(path)])
+    assert (code, out) == (2, "")
+    assert f"{field} must be true or false, got {json.loads(raw)!r}" in err
+
+
 def test_certify_usage(capsys, tmp_path):
     assert run(capsys, ["certify"])[0] == 2
     p = tmp_path / "x.json"
@@ -497,6 +517,40 @@ def test_quartic_check_named_and_file(capsys, tmp_path):
 
     assert run(capsys, ["quartic-check", "--name", "nope"])[0] == 2
     assert run(capsys, ["quartic-check", "--point", "0,0,0"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        # read as x^2 y^2 and x y^3, both zero at (0:0:1)
+        ({"coefficients": [[2.5, 2, 0, "1"]]}, "each coefficient row"),
+        ({"coefficients": [[True, 3, 0, "1"]]}, "each coefficient row"),
+        ({"coefficients": [["a", 4, 0, "1"]]}, "each coefficient row"),
+        ({"coefficients": [[1, 1, 1, "1"]]}, "i + j + k = 4"),
+        ({"coefficients": [[5, -1, 0, "1"]]}, "each coefficient row"),
+        ({"coefficients": ["abcd"]}, "each coefficient row"),
+        ({"coefficients": [5]}, "each coefficient row"),
+        ({"coefficients": 5}, 'the file must hold {"coefficients"'),
+        ([[4, 0, 0, "1"]], 'the file must hold {"coefficients"'),
+    ],
+)
+def test_quartic_check_rejects_malformed_files(capsys, tmp_path, body, reason):
+    f = tmp_path / "quartic.json"
+    f.write_text(json.dumps(body))
+    code, out, err = run(capsys, ["quartic-check", "--in", str(f)])
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
+@pytest.mark.parametrize(
+    "body", [{"matrix": 5}, {"matrix": [1, 2, 3]}, {"matrix": [[1, 0, 0], 5, [0, 0, 1]]}, [[1]]]
+)
+def test_conic_rejects_a_matrix_that_is_not_a_list_of_lists(capsys, tmp_path, body):
+    f = tmp_path / "conic.json"
+    f.write_text(json.dumps(body))
+    code, out, err = run(capsys, ["conic", "--in", str(f)])
+    assert (code, out) == (2, "")
+    assert 'the file must hold {"matrix"' in err
 
 
 def test_reproduce_subset_is_deterministic(capsys):

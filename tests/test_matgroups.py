@@ -805,6 +805,89 @@ def test_census_rejects_unmaterialized_m():
         subgroup_census(3)
 
 
+def _all_subgroups_by_right_cosets(ambient):
+    """The join walk's reference: one join per right coset H g, g the
+    smallest element of G not yet covered, dropping only H g after it."""
+    dim = ambient.dim
+    ident = F2Matrix.identity(dim).packed
+    subs = {frozenset({ident}): ()}
+    queue = list(subs)
+    for hset in queue:
+        hgens = subs[hset]
+        hrights = [matgroups._RightMul(h, dim) for h in hgens]
+        remaining = set(ambient.elements) - hset
+        while remaining:
+            g = min(remaining)
+            right = matgroups._RightMul(g, dim)
+            jset = frozenset(matgroups._mulclose(hrights + [right], hset, ambient.order + 1))
+            if jset not in subs:
+                subs[jset] = hgens + (g,)
+                queue.append(jset)
+            remaining.difference_update(right(hset))
+    return subs
+
+
+@pytest.fixture
+def join_count(monkeypatch):
+    """The number of `_mulclose` calls, that is of joins, since set up."""
+    calls = [0]
+    real = matgroups._mulclose
+
+    def counted(rights, group, cap):
+        calls[0] += 1
+        return real(rights, group, cap)
+
+    monkeypatch.setattr(matgroups, "_mulclose", counted)
+    return calls
+
+
+def _assert_double_coset_walk_matches_the_right_cosets(m, join_count, want_joins):
+    """`_all_subgroups` joins once per double coset H g H and must build the
+    reference's dict, insertion order and join generators included."""
+    ambient = symplectic_group(m)
+    start = join_count[0]  # a cold build of the ambient group joins too
+    want = _all_subgroups_by_right_cosets(ambient)
+    middle = join_count[0]
+    got = matgroups._all_subgroups(ambient)
+    assert (middle - start, join_count[0] - middle) == want_joins
+    assert list(got.items()) == list(want.items())
+
+
+def test_double_coset_joins_match_the_right_coset_walk_m1(join_count):
+    # S3: 5 joins from the trivial group, 2 -> 1 from each of the three
+    # subgroups of order 2 (S3 is H and one double coset), 1 from A3
+    _assert_double_coset_walk_matches_the_right_cosets(1, join_count, (12, 9))
+
+
+@pytest.mark.extended
+def test_double_coset_joins_match_the_right_coset_walk_m2(join_count):
+    """The reference walk takes about a minute."""
+    _assert_double_coset_walk_matches_the_right_cosets(2, join_count, (165281, 47404))
+
+
+def test_set_conjugator_maps_each_element():
+    sp4 = symplectic_group(2)
+    rng = random.Random(26)
+    for _ in range(20):
+        g, x, y = rng.sample(sp4.elements, 3)
+        conj = matgroups._conjugator(g, 4)
+        xs = close([F2Matrix.from_packed(p, 4) for p in (x, y)], sp4.space).elements
+        assert matgroups._set_conjugator(g, 4)(xs) == frozenset(map(conj, xs))
+        gm = F2Matrix.from_packed(g, 4)
+        assert conj(x) == (gm * F2Matrix.from_packed(x, 4) * gm.inverse()).packed
+
+
+def test_handle_keeps_its_elements_as_given_and_needs_a_core():
+    space = standard_symplectic(1)
+    elements = array("Q", sorted(symplectic_group(1).elements))
+    handle = SubgroupHandle(space, [], elements, symplectic_group(1).core)
+    assert handle.elements is elements
+    assert handle.order == 6
+    assert handle.is_subgroup_of(symplectic_group(1)) and symplectic_group(1).is_subgroup_of(handle)
+    with pytest.raises(TypeError):
+        SubgroupHandle(space, [], elements)
+
+
 def test_gl22_common_fixed_vector():
     sp = standard_symplectic(1)
     t = transvection(0b10, sp)
@@ -945,7 +1028,7 @@ def _obstruction_corpus(sp3):
             involutions.append(g ** (n // 2))
     groups += [close(involutions[i : i + 2], space) for i in range(0, 1000, 2)]
     groups += [symplectic_group(m) for m in (1, 2, 3)]
-    groups.append(SubgroupHandle(space, [], [F2Matrix.identity(6).packed], core=()))
+    groups.append(SubgroupHandle(space, [], (F2Matrix.identity(6).packed,), ()))
     sp1 = standard_symplectic(1)
     for c in subgroup_census(1).classes:
         groups.append(close([F2Matrix.from_text(t) for t in c.generators], sp1))

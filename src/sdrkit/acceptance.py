@@ -80,11 +80,15 @@ class AcceptanceContext:
         return self._cache["sp3"]
 
     def time_sp3_build(self) -> float:
-        """Seconds for one closure of Sp6, measured once per context.
+        """Seconds for one build of Sp6, measured once per context.
 
+        The build is the order gate of `symplectic_group`: the closure of
+        the last-row stabilizer (23 040 elements), the count of last rows
+        and the transvection check. It stores no element of Sp6; those are
+        worked out from their symplectic bases when they are read.
         `symplectic_group` is cached per process, so its cache is cleared
-        first: the budget then times a closure even when something earlier
-        in the process built Sp6, never a lookup.
+        first: the budget then times a build even when something earlier in
+        the process built Sp6, never a lookup.
         """
         if self.sp3_build_seconds is None:
             symplectic_group.cache_clear()

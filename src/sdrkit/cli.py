@@ -421,7 +421,14 @@ def _quartic_coeffs_from_file(path: str) -> Dict[Tuple[int, int, int], Fraction]
                 f"each coefficient row is [i, j, k, value] with integers i, j, k >= 0 "
                 f"and i + j + k = 4, got {row!r}"
             )
-        coeffs[tuple(row[:3])] = _parse_rational(str(row[3]))
+        monomial = tuple(row[:3])
+        if monomial in coeffs:
+            raise UsageError(
+                f"the monomial {list(monomial)} has two coefficient rows; give each monomial one row"
+            )
+        coeffs[monomial] = _parse_rational(str(row[3]))
+    if not any(coeffs.values()):
+        raise UsageError("every coefficient is 0: the zero polynomial is not a quartic")
     return coeffs
 
 

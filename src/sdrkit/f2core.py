@@ -210,11 +210,10 @@ def _combine(r: int, vecs: Sequence[int]) -> int:
 
 def _span_table(vecs: Sequence[int]) -> List[int]:
     """_combine(r, vecs) for every r in 0 .. 2^len(vecs) - 1, in that order:
-    each entry is an earlier one plus the vector of r's low set bit."""
-    out = [0] * (1 << len(vecs))
-    for r in range(1, len(out)):
-        low = r & -r
-        out[r] = out[r ^ low] ^ vecs[low.bit_length() - 1]
+    the entries from 2^i up are those below 2^i plus vecs[i]."""
+    out = [0]
+    for v in vecs:
+        out += [x ^ v for x in out]
     return out
 
 

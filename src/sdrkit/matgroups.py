@@ -1,21 +1,20 @@
 """Materialized subgroups of Sp_2m(F2): closure, fixed forms, and the census.
 
 Group elements are packed ints (rows concatenated, row i at bit offset
-i*dim). A subgroup stores them once, as an ascending sequence searched by
-bisection, so even Sp6(F2) needs no hash table; the handle's one
-constructor keeps the sequence as its caller sorted it. Sp_2m(F2) is built
-as the right cosets of its last-row stabilizer H, and each coset is one
-block of |H| consecutive elements sharing one last row: it keeps that row
-once per block and the low (dim - 1) * dim bits of every element in one
-`array('I')` of 4-byte words (`_LastRowBlocks`). O(Q) at dim <= 6 keeps an
-`array('Q')` of 8-byte words, and every other handle a tuple. `_product`
-multiplies one pair; `_RightMul` multiplies a batch on the right by one
-element, in dim row-table lookups a product, or at dim <= 6 in three
-chunk-table lookups once the batch outgrows one table. A closure grows one
-generator at a time, <H, s> from the closed H, by right cosets of H
-(Dimino): each element is multiplied out once, in batches of whole cosets.
-Sp6(F2)'s cosets come out one product per element and already in sorted
-order; the stabilizer O(Q) of a form is closed from its own transvections.
+i*dim). A subgroup keeps them as an ascending sequence, searched by
+bisection, so even O(Q) in Sp6(F2) needs no hash table; the handle's one
+constructor keeps the sequence as its caller sorted it. Sp_2m(F2) itself
+stores no element: `_SymplecticBases` works out element i from its
+symplectic basis when it is asked for, and tests membership by the rows'
+pairings. Its build closes the last-row stabilizer H and counts the last
+rows, which proves the order. O(Q) at dim <= 6 keeps an `array('Q')` of
+8-byte words, and every other handle a tuple. `_product` multiplies one
+pair; `_RightMul` multiplies a batch on the right by one element, in dim
+row-table lookups a product, or at dim <= 6 in three chunk-table lookups
+once the batch outgrows one table. A closure grows one generator at a
+time, <H, s> from the closed H, by right cosets of H (Dimino): each
+element is multiplied out once, in batches of whole cosets. The
+stabilizer O(Q) of a form is closed from its own transvections.
 The census joins each subgroup H once per double coset H g H, since
 <H, h g h'> = <H, g> for h, h' in H. Conjugation has one map on elements
 (`_conjugator`) and one on sets of them (`_set_conjugator`).
@@ -29,7 +28,8 @@ from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import or_
+from math import prod
+from operator import xor
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .f2core import (
@@ -247,59 +247,142 @@ def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> 
 # ---------------------------------------------------------------------------
 # subgroup handles
 
-class _LastRowBlocks(Sequence):
-    """Read-only ascending sequence of the packed elements of a group built
-    as right cosets of its last-row stabilizer, one block of `size`
-    consecutive elements per coset: elements[i] is
-    tops[i // size] << top | lows[i].
+class _SymplecticBases(Sequence):
+    """Sp_2m(F2) as a read-only ascending sequence of packed elements, each
+    worked out when it is asked for: nothing is stored.
 
-    `tops` holds the blocks' last rows, ascending, and `lows` the low `top`
-    bits of every element in one `array('I')`, sorted within each block.
-    Membership reads the block from x >> top and bisects that block's slice
-    of `lows` in C; iteration ORs each block's slice with its last row.
+    g is in Sp_2m(F2) exactly when its rows form a symplectic basis: row i
+    pairs to 1 with row i + m (mod 2m) and to 0 with every other row.
+    Packed order compares the top row first, so ascending order chooses the
+    rows from the top down. Rows 2m - 1 .. m, the frame, span an isotropic
+    space: with t of them chosen, the next is any vector orthogonal to them
+    and outside their span, 2^(2m - t) - 2^t choices (63, 30, 12 at m = 3).
+    Rows m - 1 .. 0, the tail, are one completion of the frame plus the
+    symmetric combinations S of its rows (row i gains sum_j S_ij times row
+    m + j): 2^(m(m+1)/2) tails, 64 at m = 3. Every level has as many
+    choices whatever was chosen above it (Witt's theorem), so element i is
+    tail i % 2^(m(m+1)/2) of frame i // 2^(m(m+1)/2), the frame read in
+    mixed radix over its levels. A frame's tails are worked out and sorted
+    together; membership tests the rows' pairings.
     """
 
-    __slots__ = ("lows", "tops", "size", "top", "_mask", "_block")
+    __slots__ = ("m", "dim", "_mask", "_levels", "_tails", "_len", "_pairs")
 
-    def __init__(self, lows: array, tops: Sequence[int], top: int):
-        self.lows = lows
-        self.tops = tuple(tops)
-        self.size = len(lows) // len(self.tops)
-        self.top = top
-        self._mask = (1 << top) - 1
-        self._block = {w: i * self.size for i, w in enumerate(self.tops)}
+    def __init__(self, m: int):
+        self.m = m
+        self.dim = dim = 2 * m
+        self._mask = (1 << dim) - 1
+        self._levels = tuple((1 << (dim - t)) - (1 << t) for t in range(m))
+        self._tails = 1 << (m * (m + 1) // 2)
+        self._len = self._tails * prod(self._levels)
+        # (i, j, <row i, row j>) for i < j in a symplectic basis
+        self._pairs = tuple((i, j, j == i + m) for i in range(dim) for j in range(i + 1, dim))
+
+    def _swap(self, v: int) -> int:
+        """The Gram image of v: <u, v> is the parity of u & swap(v)."""
+        return (v >> self.m | v << self.m) & self._mask
+
+    # A partial frame is a state (frame, duals, kernel): its rows from the
+    # top, a dual for each row (pairing to 1 with it and to 0 with the
+    # others), and a basis of the vectors orthogonal to every row.
+
+    def _start(self) -> Tuple[List[int], List[int], List[int]]:
+        return [], [], [1 << i for i in range(self.dim)]
+
+    @staticmethod
+    def _next_rows(state) -> List[int]:
+        """The rows that can come next, ascending: the vectors orthogonal
+        to the frame and outside its span."""
+        frame, _, kernel = state
+        span = set(_span_table(frame))
+        return sorted(v for v in _span_table(kernel) if v not in span)
+
+    def _push(self, state, row: int):
+        """The state once `row` joins the frame. The first kernel vector
+        that pairs to 1 with row is its dual, and adding that vector to
+        the other duals and kernel vectors that pair to 1 with row makes
+        them orthogonal to it."""
+        frame, duals, kernel = state
+        image = self._swap(row)
+
+        def paired(u: int) -> int:
+            return (u & image).bit_count() & 1
+
+        dual = next(b for b in kernel if paired(b))
+        duals = [u ^ dual if paired(u) else u for u in duals] + [dual]
+        kernel = [b ^ dual if paired(b) else b for b in kernel if b != dual]
+        return frame + [row], duals, kernel
+
+    def _frames(self, state) -> Iterator[tuple]:
+        if len(state[0]) == self.m:
+            yield state
+        else:
+            for row in self._next_rows(state):
+                yield from self._frames(self._push(state, row))
+
+    def _block(self, state) -> List[int]:
+        """The elements of one whole frame, ascending. Row i of the frame
+        (from the top) is row 2m - 1 - i of the element, and its partner,
+        row m - 1 - i, is its dual plus <dual_i, dual_k> times row k of
+        the frame over k > i, which makes the tail rows pair to 0."""
+        frame, duals, _ = state
+        m, dim = self.m, self.dim
+        first = 0
+        for i, (f, u) in enumerate(zip(frame, duals)):
+            row = u
+            for k in range(i + 1, m):
+                if (u & self._swap(duals[k])).bit_count() & 1:
+                    row ^= frame[k]
+            first |= f << ((2 * m - 1 - i) * dim) | row << ((m - 1 - i) * dim)
+        sym = [
+            frame[j] << ((m - 1 - i) * dim) | (frame[i] << ((m - 1 - j) * dim) if j != i else 0)
+            for i in range(m)
+            for j in range(i, m)
+        ]
+        return sorted(map(xor, repeat(first), _span_table(sym)))
 
     def __len__(self) -> int:
-        return len(self.lows)
+        return self._len
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
-        # a negative i reads tops[-k] and lows[i], both counted from the end
-        return self.tops[i // self.size] << self.top | self.lows[i]
-
-    def __contains__(self, x: object) -> bool:
-        lo = self._block.get(x >> self.top)
-        if lo is None:
-            return False
-        low = x & self._mask
-        lows = self.lows
-        i = bisect_left(lows, low, lo, lo + self.size)
-        return i < lo + self.size and lows[i] == low
+            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("Sp_2m(F2) index out of range")
+        q, tail = divmod(i, self._tails)
+        digits = []
+        for n in reversed(self._levels):
+            q, d = divmod(q, n)
+            digits.append(d)
+        state = self._start()
+        for d in reversed(digits):
+            state = self._push(state, self._next_rows(state)[d])
+        return self._block(state)[tail]
 
     def __iter__(self) -> Iterator[int]:
-        lows, size, top = self.lows, self.size, self.top
-        return chain.from_iterable(
-            map(or_, repeat(w << top, size), lows[lo : lo + size]) for w, lo in self._block.items()
-        )
+        return chain.from_iterable(map(self._block, self._frames(self._start())))
+
+    def __contains__(self, x: object) -> bool:
+        dim, m, mask = self.dim, self.m, self._mask
+        if not isinstance(x, int) or x < 0 or x >> (dim * dim):
+            return False
+        rows = [(x >> s) & mask for s in range(0, dim * dim, dim)]
+        swapped = [(r >> m | r << m) & mask for r in rows]
+        for i, j, pairing in self._pairs:
+            if (rows[j] & swapped[i]).bit_count() & 1 != pairing:
+                return False
+        return True
 
 
 class _SortedView(Set):
     """Read-only, unhashable set view of an ascending sequence of elements.
 
-    Membership bisects the sequence, or its one block for `_LastRowBlocks`;
-    `<=`, `==` and the other comparisons come from `collections.abc.Set`, so
-    the view compares with frozensets in either order.
+    Membership bisects the sequence, or for Sp_2m(F2) (`_SymplecticBases`)
+    asks it, which tests the rows' pairings; `<=`, `==` and the other
+    comparisons come from `collections.abc.Set`, so the view compares with
+    frozensets in either order.
     """
 
     __slots__ = ("_items",)
@@ -309,7 +392,7 @@ class _SortedView(Set):
 
     def __contains__(self, x: object) -> bool:
         items = self._items
-        if isinstance(items, _LastRowBlocks):
+        if isinstance(items, _SymplecticBases):
             return x in items
         i = bisect_left(items, x)
         return i < len(items) and items[i] == x
@@ -322,23 +405,25 @@ class _SortedView(Set):
 
 
 class SubgroupHandle:
-    """A fully materialized subgroup with its declared generator list.
+    """A subgroup with its declared generator list and its elements.
 
-    The elements are stored once, as the ascending sequence `elements`,
-    which the constructor keeps as given: the caller sorts them, and the
+    The elements are the ascending sequence `elements`, which the
+    constructor keeps as given: the caller sorts them, and the
     handle neither sorts nor copies them. `symplectic_group` passes a
-    `_LastRowBlocks`: one block per coset of the last-row stabilizer, its
-    last row stored once and the low (dim - 1) * dim bits of each element
-    in 4-byte words. `orthogonal_group` passes an `array('Q')` (dim <= 6,
-    so every element is below 2^36). Closures, census subgroups and the
-    obstruction groups up to dim 16, whose packed elements (dim^2 bits) can
-    outgrow a 64-bit word, pass a sorted tuple. Callers index and iterate
-    all three alike, and `element_set` is a bisection view of each
-    (`_SortedView`). The elements are always the closure of `core`:
-    `_grow_core` returns the two together and `orthogonal_group` keeps the
-    core it found; `symplectic_group` builds the blocks as cosets, counts
-    them against |Sp_2m(F2)| and proves that its core generates the group
-    by the orbit of a transvection's vector; the census and `lemma51_scan`
+    `_SymplecticBases`, which stores no element and works each one out
+    from its symplectic basis when it is asked for. `orthogonal_group`
+    passes an `array('Q')` (dim <= 6, so every element is below 2^36).
+    Closures, census subgroups and the obstruction groups up to dim 16,
+    whose packed elements (dim^2 bits) can outgrow a 64-bit word, pass a
+    sorted tuple. Callers index and iterate all three alike, and
+    `element_set` is a set view of each (`_SortedView`): it bisects an
+    array or a tuple and asks `_SymplecticBases` directly. Walking all of
+    Sp6(F2) works out its 1.45M elements again each time, so a caller that
+    walks a group many times takes one tuple of it first. The elements are
+    always the closure of `core`: `_grow_core` returns the two together and
+    `orthogonal_group` keeps the core it found; `symplectic_group` counts
+    the group against |Sp_2m(F2)| and proves that its core generates it by
+    the orbit of a transvection's vector; the census and `lemma51_scan`
     pass each subgroup's join generators (empty for the trivial group). A
     subgroup test therefore needs only the core.
     """
@@ -465,52 +550,25 @@ def _orthogonal_order_formula(m: int, arf: int) -> int:
     return n
 
 
-def _last_row_cosets(
+def _check_last_row_cosets(
     stabilizer: Sequence[int], moves: Sequence[int], dim: int, order: int
-) -> _LastRowBlocks:
-    """The `order` elements of a group of symplectic matrices, ascending,
-    as the right cosets H t_w of the last-row stabilizer H = <stabilizer>,
-    one block each of a `_LastRowBlocks` (dim <= 6).
+) -> None:
+    """Check that the group G generated by `moves` has at least `order`
+    elements, by the right cosets of the last-row stabilizer H = <stabilizer>
+    in it: raises AssertionError unless |H| times the number of last rows
+    is `order`.
 
     Every generator of H has last packed row e = 1 << (dim - 1), so every
     element of H does. Breadth-first search of e under right multiplication
-    by `moves` gives one t_w for each last row w = e t_w it reaches, and
-    every element of H t_w has last row w, so the |H| products of different
-    cosets never meet. Once |H| times the number of rows is `order`, the
-    products are `order` distinct symplectic matrices: the whole group
-    when it has that order. H's elements are listed once, sorted, with
-    their last row cleared; times t_w they give the low (dim - 1) * dim
-    bits of H t_w, whose last row is 0 * t_w = 0. Each coset is sorted on
-    those bits and fills its block of one `array('I')` allocated at full
-    size, in ascending w, so w is kept once per block. H's set is dropped
-    once its low bits are listed, so H is held once.
+    by `moves` reaches a last row w = e t_w for each t_w it meets, and
+    every element of the coset H t_w has last row w, so cosets of different
+    rows never meet. H is closed in full and dropped; no coset is
+    multiplied out.
     """
-    top = (dim - 1) * dim
-    e_last = 1 << (dim - 1)
     stab, _ = _grow_core(stabilizer, dim, DEFAULT_CAP)
-    rights = [_RightMul(g, dim) for g in moves]
-    reps = {e_last: _identity(dim)}
-    queue = deque([e_last])
-    while queue:
-        w = queue.popleft()
-        for right in rights:
-            u = right.table[w]
-            if u not in reps:
-                reps[u] = right([reps[w]])[0]
-                queue.append(u)
-    if len(stab) * len(reps) != order:
+    rows = _orbit(1 << (dim - 1), [_span_table(_rows(g, dim)).__getitem__ for g in moves])
+    if len(stab) * len(rows) != order:
         raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
-    # sorted once here, H's low words leave each coset in long ascending runs
-    lows = sorted(h ^ (e_last << top) for h in stab)
-    del stab
-    size = len(lows)
-    tops = sorted(reps)
-    out = array("I", [0]) * order
-    for i, w in enumerate(tops):
-        coset = _RightMul(reps[w], dim)(lows)
-        coset.sort()
-        out[i * size : (i + 1) * size] = array("I", coset)
-    return _LastRowBlocks(out, tops, top)
 
 
 def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
@@ -523,14 +581,18 @@ def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
 
 @lru_cache(maxsize=None)
 def symplectic_group(m: int) -> SubgroupHandle:
-    """Sp_2m(F2) (m <= 3 materializes), built as cosets of a stabilizer.
+    """Sp_2m(F2) for m <= 3, its elements read off their symplectic bases.
 
-    The stabilizer H of the last packed row is generated by the
-    transvections that fix that row; the transvections carry the row to
-    every nonzero row, and `_last_row_cosets` emits H times one
-    representative per row as one block per row, in ascending order,
-    checking that the count is |Sp_2m(F2)|. The declared generators are
-    all transvections. The core is (c, T): c is the product of a chain of
+    The elements are a `_SymplecticBases`, which works each one out when it
+    is asked for and stores none. The build is the order gate: the
+    transvections T generate a group inside the symplectic matrices, and
+    `_check_last_row_cosets` finds at least |Sp_2m(F2)| elements in <T>,
+    |H| times the last rows, from the closure of the stabilizer H of the
+    last packed row (generated by the transvections that fix that row) and
+    a breadth-first search over the last rows. The sequence lists the
+    symplectic matrices, as many as the formula, so the two sets are equal;
+    every transvection must lie in it. The declared generators are all
+    transvections. The core is (c, T): c is the product of a chain of
     plane-linking transvections T_e1, T_f1, T_(e1+e2), T_f2, ... and
     T = T_v for v = e2 (e1 for m = 1); the orbit of v under c and T is
     every nonzero vector, which proves that they generate the group.
@@ -555,7 +617,10 @@ def symplectic_group(m: int) -> SubgroupHandle:
     packed = [g.packed for g in generators]
     top = (dim - 1) * dim
     stabilizer = [p for p in packed if p >> top == 1 << (dim - 1)]
-    elements = _last_row_cosets(stabilizer, packed, dim, order)
+    _check_last_row_cosets(stabilizer, packed, dim, order)
+    elements = _SymplecticBases(m)
+    if len(elements) != order:
+        raise AssertionError("the symplectic bases do not number |Sp_2m(F2)|")
     handle = SubgroupHandle(space, generators, elements, core)
     if not all(handle.contains(p) for p in packed):
         raise AssertionError("a transvection escaped the closure")
@@ -825,7 +890,7 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     dim = ambient.dim
     ident = _identity(dim)
     cap = ambient.order + 1
-    everything = ambient.elements
+    everything = tuple(ambient.elements)  # walked once per subgroup
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset({ident}): ()}
     queue = deque(subs.keys())
     while queue:
@@ -873,12 +938,14 @@ def _conjugation_orbits(family, ambient: SubgroupHandle) -> List[list]:
 def _transporters(
     gens: Sequence[int],
     target: FrozenSet[int],
-    ambient: SubgroupHandle,
+    everything: Sequence[int],
+    dim: int,
 ) -> Iterator[int]:
-    """Every ambient a with a g a^-1 in target for each g in gens, in
-    element order; with target = <gens> these are the normalizer."""
-    for a in ambient.elements:
-        conj = _conjugator(a, ambient.dim)
+    """Every a in `everything`, the ambient group's elements, with a g a^-1
+    in target for each g in gens, in element order; with target = <gens>
+    these are the normalizer."""
+    for a in everything:
+        conj = _conjugator(a, dim)
         if all(conj(h) in target for h in gens):
             yield a
 
@@ -894,6 +961,7 @@ def subgroup_census(m: int) -> GroupCensus:
     base = standard_base_form(m)
     subs = _all_subgroups(ambient)
     orbits = _conjugation_orbits(subs, ambient)
+    everything = tuple(ambient.elements)  # walked once per class
 
     total = len(subs)
     if sum(len(orb) for orb in orbits) != total:
@@ -903,7 +971,7 @@ def subgroup_census(m: int) -> GroupCensus:
     for orb in orbits:
         rep = orb[0]
         repgens = subs[rep]
-        norm_order = sum(1 for _ in _transporters(repgens, rep, ambient))
+        norm_order = sum(1 for _ in _transporters(repgens, rep, everything, ambient.dim))
         if norm_order * len(orb) != ambient.order:
             raise AssertionError("orbit size disagrees with the normalizer index")
         gens_m = [F2Matrix.from_packed(p, ambient.dim) for p in repgens] or [

@@ -532,6 +532,13 @@ def test_quartic_check_named_and_file(capsys, tmp_path):
         ({"coefficients": [5]}, "each coefficient row"),
         ({"coefficients": 5}, 'the file must hold {"coefficients"'),
         ([[4, 0, 0, "1"]], 'the file must hold {"coefficients"'),
+        # summed, the two rows are the zero polynomial; kept apart, the last
+        # one read -1 at (0:0:1)
+        ({"coefficients": [[0, 0, 4, "1"], [0, 0, 4, "-1"]]}, "the monomial [0, 0, 4] has two coefficient rows"),
+        ({"coefficients": [[1, 3, 0, "2"], [0, 4, 0, "1"], [1, 3, 0, "2"]]}, "the monomial [1, 3, 0] has two"),
+        ({"coefficients": [[0, 0, 4, "0"]]}, "the zero polynomial"),
+        ({"coefficients": [[4, 0, 0, "0"], [0, 4, 0, "0/5"]]}, "the zero polynomial"),
+        ({"coefficients": []}, "the zero polynomial"),
     ],
 )
 def test_quartic_check_rejects_malformed_files(capsys, tmp_path, body, reason):

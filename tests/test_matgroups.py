@@ -261,21 +261,51 @@ def test_sp6_cosets_come_out_sorted(sp3):
 
 
 def test_materialized_classical_groups_keep_packed_word_layouts(sp3, o3):
-    """Sp2, Sp4 and Sp6 keep one block of 4-byte low words per last row,
-    2^dim - 1 blocks of |Sp| / (2^dim - 1) elements; O-(6, 2) keeps one
-    array('Q') of 8-byte words; a closure keeps its tuple."""
-    for group in (symplectic_group(1), symplectic_group(2), sp3):
-        blocks, dim = group.elements, group.dim
-        rows = (1 << dim) - 1
-        assert blocks.lows.typecode == "I" and blocks.lows.itemsize == 4
-        assert blocks.tops == tuple(range(1, rows + 1))
-        assert blocks.size * rows == len(blocks.lows) == group.order
-        assert blocks.top == (dim - 1) * dim
-        assert list(blocks) == sorted(group.element_set)
+    """Sp2, Sp4 and Sp6 store no element: each is a sequence of frames, the
+    top m rows, with 2^(m(m+1)/2) consecutive elements per frame, and it
+    keeps a few counts and the pairings of a symplectic basis. O-(6, 2)
+    keeps one array('Q') of 8-byte words; a closure keeps its tuple."""
+    for m, group in ((1, symplectic_group(1)), (2, symplectic_group(2)), (3, sp3)):
+        seq, dim = group.elements, group.dim
+        assert isinstance(seq, matgroups._SymplecticBases)
+        assert not hasattr(seq, "__dict__")
+        assert sum(sys.getsizeof(getattr(seq, name)) for name in type(seq).__slots__) < 1024
+        tails = 1 << (m * (m + 1) // 2)
+        frames = len(seq) // tails
+        assert frames * tails == len(seq) == group.order
+        top = m * dim  # the frame is the packed bits from here up
+        # every frame boundary at m <= 2, every 97th and the last at m = 3
+        for lo in sorted({*range(tails, len(seq), tails * (97 if m == 3 else 1)), len(seq) - tails}):
+            before, first, second = seq[lo - 1], seq[lo], seq[lo + 1]
+            assert before < first < second
+            assert before >> top < first >> top == second >> top
+            assert seq[lo - tails] >> top == before >> top
+            assert seq[lo - len(seq)] == first
     assert o3.elements.typecode == "Q" and o3.elements.itemsize == 8
     assert list(o3.elements) == sorted(o3.element_set)
     assert o3.order == 51840 and o3.element_set <= sp3.element_set
     assert isinstance(close(symplectic_group(2).generators[:2]).elements, tuple)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_symplectic_sequence_matches_the_transvection_closure_exhaustively(m):
+    """Membership of every int below 2^(dim^2), every index from either
+    end, slices and both ends' IndexError, against the sorted closure of
+    all transvections."""
+    space = standard_symplectic(m)
+    want = sorted(close(all_transvections(space), space).elements)
+    seq = symplectic_group(m).elements
+    n = len(want)
+    assert len(seq) == n
+    assert [p for p in range(1 << (4 * m * m)) if p in seq] == want
+    assert [seq[i] for i in range(n)] == want == [seq[i - n] for i in range(n)]
+    for s in (slice(None), slice(1, -1), slice(None, None, -1), slice(n // 3, n, 7), slice(-5, None), slice(n, None)):
+        assert seq[s] == tuple(want[s])
+    for i in (n, -n - 1, n + 64, -(1 << 70)):
+        with pytest.raises(IndexError):
+            seq[i]
+    for q in (-1, 1 << (4 * m * m), 2.0, None, "1"):
+        assert q not in seq
 
 
 def _packed_digest(elements) -> str:
@@ -337,18 +367,53 @@ def test_conjugation_orbits_are_the_sorted_classes_and_refuse_an_open_family():
         matgroups._conjugation_orbits(family - {missing}, sp4)
 
 
+def _sp_by_coset_products(m):
+    """The coset-product build of Sp_2m(F2), the sequence's oracle: H, the
+    closure of the transvections that fix the last packed row e, times one
+    t_w per last row w = e t_w, found breadth first; each coset H t_w is
+    multiplied out, and the whole is sorted."""
+    sp = standard_symplectic(m)
+    dim = sp.dim
+    moves = [g.packed for g in all_transvections(sp)]
+    top = (dim - 1) * dim
+    stab, _ = matgroups._grow_core([p for p in moves if p >> top == 1 << (dim - 1)], dim, matgroups.DEFAULT_CAP)
+    rights = [matgroups._RightMul(g, dim) for g in moves]
+    reps = {1 << (dim - 1): F2Matrix.identity(dim).packed}
+    queue = [1 << (dim - 1)]
+    for w in queue:
+        for right in rights:
+            u = right.table[w]
+            if u not in reps:
+                reps[u] = right([reps[w]])[0]
+                queue.append(u)
+    lows = sorted(stab)
+    del stab
+    out = array("Q")
+    for w in sorted(reps):
+        out.extend(sorted(matgroups._RightMul(reps[w], dim)(lows)))
+    return out
+
+
 def test_coset_build_refuses_a_stabilizer_short_of_the_group():
     sp = standard_symplectic(2)
     moves = [g.packed for g in all_transvections(sp)]
     stabilizer = [p for p in moves if p >> 12 == 0b1000]
     assert len(stabilizer) == 7
-    got = matgroups._last_row_cosets(stabilizer, moves, 4, 720)
-    assert list(got) == list(symplectic_group(2).elements)
+    matgroups._check_last_row_cosets(stabilizer, moves, 4, 720)
+    assert list(_sp_by_coset_products(2)) == list(symplectic_group(2).elements)
     with pytest.raises(AssertionError, match="cosets"):
-        matgroups._last_row_cosets(stabilizer[:2], moves, 4, 720)
+        matgroups._check_last_row_cosets(stabilizer[:2], moves, 4, 720)
     # every row is reached, so a wrong group order is caught as well
     with pytest.raises(AssertionError, match="cosets"):
-        matgroups._last_row_cosets(stabilizer, moves, 4, 1440)
+        matgroups._check_last_row_cosets(stabilizer, moves, 4, 1440)
+
+
+@pytest.mark.extended
+def test_sp6_sequence_matches_the_coset_products(sp3):
+    """The oracle multiplies out and sorts all 1.45M elements."""
+    want = _sp_by_coset_products(3)
+    assert len(want) == len(sp3.elements)
+    assert all(map(int.__eq__, want, sp3.elements))
 
 
 def test_groups_past_the_cap_are_refused_up_front():
@@ -547,31 +612,33 @@ def test_element_view_matches_a_frozenset_of_sp6(sp3):
         # the next int up probes the bisection just past a member
         assert (p + 1 in view) == (p + 1 in oracle)
     assert og.element_set <= view
-    # the edges of every block, one int to either side, and each low word
-    # under the last row 0, which has no block
-    blocks = sp3.elements
-    ordered = list(blocks)
-    assert len(ordered) == len(blocks) == sp3.order
-    low_mask = (1 << blocks.top) - 1
-    for lo in range(0, len(ordered), blocks.size):
-        for i in (lo, lo + blocks.size - 1):
+    # the frame boundaries (64 elements a frame) and one index to either
+    # side, every 97th frame and the last, with one int to either side and
+    # each element with its top row cleared, which no element has
+    seq = sp3.elements
+    ordered = list(seq)
+    assert len(ordered) == len(seq) == sp3.order
+    below_top = (1 << 30) - 1
+    for lo in sorted({*range(64, len(ordered), 64 * 97), len(ordered) - 64}):
+        for i in (lo - 1, lo, lo + 1):
             p = ordered[i]
-            assert blocks[i] == p and blocks[i - len(ordered)] == p
-            for q in (p - 1, p, p + 1, p & low_mask):
+            assert seq[i] == p and seq[i - len(ordered)] == p
+            for q in (p - 1, p, p + 1, p & below_top):
                 assert (q in view) == (q in oracle)
     # negative ints, and ints past the 36 bits of a packed element
     for q in (-1, -ordered[0], -ordered[-1], -(1 << 40), 1 << 36, (1 << 36) | ordered[0], 1 << 80):
-        assert q not in view and q not in blocks and q not in oracle
-    assert blocks[-1] == ordered[-1] and blocks[0] == ordered[0]
+        assert q not in view and q not in seq and q not in oracle
+    assert seq[-1] == ordered[-1] and seq[0] == ordered[0]
     with pytest.raises(IndexError):
-        blocks[len(ordered)]
+        seq[len(ordered)]
     with pytest.raises(IndexError):
-        blocks[-len(ordered) - 1]
-    # slices across a block boundary (|H| = 23 040), stepped and reversed
-    for s in (slice(None, 5), slice(-3, None), slice(23_035, 23_045), slice(100, 40_000, 997)):
-        assert list(blocks[s]) == ordered[s]
-    assert list(blocks[::-99_991]) == ordered[::-99_991]
-    sample = random.Random(13).sample(blocks, 500)
+        seq[-len(ordered) - 1]
+    # slices across frame boundaries and a last-row boundary (|H| = 23 040),
+    # stepped and reversed
+    for s in (slice(None, 5), slice(-3, None), slice(60, 70), slice(-70, -60), slice(23_035, 23_045), slice(100, 40_000, 997)):
+        assert list(seq[s]) == ordered[s]
+    assert list(seq[::-99_991]) == ordered[::-99_991]
+    sample = random.Random(13).sample(seq, 500)
     assert len(set(sample)) == 500 and set(sample) <= oracle
 
 
@@ -590,13 +657,14 @@ def test_element_view_compares_with_frozensets_and_is_read_only():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_sp6_build_peak_memory_stays_under_one_copy():
-    # Sp6 and O-(6, 2) peak near 28.5 MB, where a tuple of 1.45M ints alone
-    # peaked near 91 MB; a second container of Sp6 (a frozenset is about
-    # 64 MB) would pass 64 MB. Step by step, Sp6's 5.8 MB of 4-byte low
-    # words in last-row blocks raise the peak by about 8.1 MB and O-(6, 2)
-    # by about 2.4 MB; an array('Q') of Sp6's 8-byte words raised it by about
-    # 13.5-13.9 MB, and a closure that kept a second copy of each step's
-    # elements raised the two by about 18.6 and 7.1 MB
+    # Sp6 and O-(6, 2) peak near 21.5-23 MB, where a tuple of 1.45M ints
+    # alone peaked near 91 MB; any container of Sp6's elements (5.8 MB of
+    # 4-byte words, a frozenset about 64 MB) would pass 32 MB. Step by
+    # step, Sp6's build, the closure of its last-row stabilizer (23 040
+    # elements) with no element stored, raises the peak by about 3 MB and
+    # O-(6, 2) by about 2 MB; 4-byte low words in last-row blocks raised
+    # the Sp6 step by about 8.1 MB, an array('Q') of Sp6's 8-byte words by
+    # about 13.5-13.9 MB
     build = (
         "import resource\n"
         "from sdrkit.matgroups import orthogonal_group, symplectic_group\n"
@@ -618,8 +686,8 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
         [sys.executable, "-c", launch], env=env, capture_output=True, text=True, check=True
     )
     before, after_sp6, peak_mb = (int(x) / 1024 for x in out.stdout.split())
-    assert peak_mb < 64, peak_mb
-    assert after_sp6 - before < 10, (before, after_sp6)
+    assert peak_mb < 32, peak_mb
+    assert after_sp6 - before < 5, (before, after_sp6)
     assert peak_mb - after_sp6 < 4, (after_sp6, peak_mb)
 
 

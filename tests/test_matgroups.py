@@ -371,7 +371,7 @@ def _sp_by_coset_products(m):
     """The coset-product build of Sp_2m(F2), the sequence's oracle: H, the
     closure of the transvections that fix the last packed row e, times one
     t_w per last row w = e t_w, found breadth first; each coset H t_w is
-    multiplied out, and the whole is sorted."""
+    multiplied out and sorted, and the cosets come by ascending w."""
     sp = standard_symplectic(m)
     dim = sp.dim
     moves = [g.packed for g in all_transvections(sp)]
@@ -386,11 +386,9 @@ def _sp_by_coset_products(m):
             if u not in reps:
                 reps[u] = right([reps[w]])[0]
                 queue.append(u)
-    lows = sorted(stab)
-    del stab
     out = array("Q")
     for w in sorted(reps):
-        out.extend(sorted(matgroups._RightMul(reps[w], dim)(lows)))
+        out.extend(sorted(matgroups._RightMul(reps[w], dim)(stab)))
     return out
 
 

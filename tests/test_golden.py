@@ -66,6 +66,7 @@ CASES = {
     "hilbert-2-minus": (["hilbert", "2", "3", "2", "--verify-search"], 0),
     "hilbert-2-fraction": (["hilbert", "1/2", "-5/3", "2", "--verify-search"], 0),
     "reproduce-hilbert-symbols": (["reproduce", "--only", "hilbert-symbols"], 0),
+    "reproduce-conic-hasse-sweep": (["reproduce", "--only", "conic-hasse-sweep"], 0),
     "conic-diag": (["conic", "--diag", "2", "3", "-5"], 0),
     "conic-matrix": (["conic", "--matrix", "1,2,0;2,-3,1;0,1,5"], 0),
     "conic-matrix-rational": (["conic", "--matrix", "0,1/2,0;1/2,0,0;0,0,-3"], 0),

@@ -75,6 +75,76 @@ def test_is_prime_raises_past_its_range():
             is_prime(n)
 
 
+# psi_k for k = 1..12: the least composite that is a strong probable prime to
+# each of the first k prime bases (Jaeschke, Math. Comp. 61 (1993); Sorenson
+# and Webster, Math. Comp. 86 (2017)); psi_13 is MILLER_RABIN_LIMIT
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, base):
+    """The Miller-Rabin round of one base on odd n > base."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(base, d >> s, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_13_bases(n):
+    """Primality below MILLER_RABIN_LIMIT from all 13 prime bases."""
+    if n < 2:
+        return False
+    for p in PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in PRIME_BASES)
+
+
+def test_is_prime_rejects_every_psi():
+    for k, psi in enumerate(PSI, 1):
+        assert all(_strong_probable_prime(psi, a) for a in PRIME_BASES[:k]), k
+        assert not _is_prime_13_bases(psi), k
+        assert not is_prime(psi), k
+    assert all(_strong_probable_prime(MILLER_RABIN_LIMIT, a) for a in PRIME_BASES)
+
+
+def test_is_prime_agrees_with_thirteen_bases():
+    rng = random.Random(2828)
+    sample = [rng.randrange(10 ** (d - 1), 10 ** d) for d in range(1, 25) for _ in range(800)]
+    # odd numbers next to each psi, and primes and semiprimes of every size
+    sample += [psi + i for psi in PSI for i in range(-40, 41, 2)]
+    primes = []
+    for d in range(2, 25):
+        for _ in range(12):
+            n = rng.randrange(10 ** (d - 1), 10 ** d) | 1
+            while not _is_prime_13_bases(n):
+                n += 2
+            primes.append(n)
+    sample += primes + [p * q for p, q in zip(primes, primes[::-1]) if p * q < MILLER_RABIN_LIMIT]
+    assert sum(map(_is_prime_13_bases, sample)) > 600
+    for n in sample:
+        assert is_prime(n) == _is_prime_13_bases(n), n
+
+
 def test_factor_limit():
     assert _factor(-FACTOR_LIMIT) == {2: 14, 5: 14}
     with pytest.raises(ValueError, match="10\\^14"):
@@ -142,6 +212,103 @@ def test_local_obstructions_known_cases():
     for _ in range(40):
         coeffs = [rng.choice([v for v in range(-15, 16) if v]) for _ in range(3)]
         assert len(local_obstructions(*coeffs)) % 2 == 0
+
+
+def _symbol_corpus():
+    """Seeded (a, b, place) triples: ints and Fractions of both signs at the
+    real place (every spelling), 2, the odd primes below 100, 257, 65537 and
+    four primes each of 10, 11 and 12 digits, with the place's powers in
+    numerators and denominators; then zero arguments, composite places
+    (psi_1 and psi_2 among them), unknown strings and a place past
+    MILLER_RABIN_LIMIT."""
+    rng = random.Random(2807)
+    large = []
+    for digits in (10, 11, 12):
+        for _ in range(4):
+            p = rng.randrange(10 ** (digits - 1), 10 ** digits) | 1
+            while not _is_prime_13_bases(p):
+                p += 2
+            large.append(p)
+    places = ["real", "inf", "oo", "Infinity", "REAL", 2] + primes_upto(100)[1:]
+    places += [257, 65537, "7"] + large
+
+    def argument(place):
+        n = rng.choice((1, -1)) * rng.randint(1, 60)
+        d = rng.choice((1, 1, 1, 2, 3, 9, 10))
+        if place != "real" and not isinstance(place, str):
+            n *= place ** rng.choice((0, 0, 1, 1, 2, 3))
+            d *= place ** rng.choice((0, 0, 0, 1, 2))
+        kind = rng.random()
+        if kind < 0.5 and d == 1:
+            return n
+        if kind < 0.6:
+            return Fraction(n * d)  # an int given as a Fraction over 1
+        return Fraction(n, d)
+
+    corpus = [
+        (argument(place), argument(place), place) for place in places for _ in range(60)
+    ]
+    for place in places[::4]:
+        corpus += [(0, 3, place), (Fraction(0), -1, place), (5, 0, place)]
+    for place in (1, 0, -3, 4, 9, 91, 561, PSI[0], PSI[1], "north", "", "-3", MILLER_RABIN_LIMIT):
+        corpus += [(3, -5, place), (0, 2, place)]
+    return corpus
+
+
+def _obstruction_corpus():
+    """Seeded coefficient triples: small ints and Fractions of both signs,
+    squares and common factors, 7-9 digit values, zero coefficients and
+    values past FACTOR_LIMIT."""
+    rng = random.Random(2809)
+
+    def coefficient():
+        n = rng.choice((1, -1)) * rng.randint(1, 400) * rng.choice((1, 1, 4, 9, 25, 6, 10))
+        if rng.random() < 0.1:
+            n *= rng.randint(10 ** 6, 10 ** 7)
+        if rng.random() < 0.3:
+            return Fraction(n, rng.randint(1, 50))
+        return n
+
+    corpus = [tuple(coefficient() for _ in range(3)) for _ in range(1500)]
+    corpus += [(0, 1, -1), (1, Fraction(0), 2), (3, -5, 0), (FACTOR_LIMIT + 1, 1, -1)]
+    corpus += [(1, 3, Fraction(1, FACTOR_LIMIT + 3)), (2 * FACTOR_LIMIT, 5, 0)]
+    return corpus
+
+
+def _outputs(f, corpus):
+    """f(*args) for each args as text, a ValueError as its message."""
+    lines = []
+    for args in corpus:
+        try:
+            out = f(*args)
+        except ValueError as exc:
+            out = f"ValueError: {exc}"
+        lines.append(_canonical((args, out)))
+    return lines
+
+
+def test_frozen_symbol_corpus():
+    corpus = _symbol_corpus()
+    assert len(corpus) == 2762
+    lines = _outputs(hilbert_symbol, corpus)
+    assert sum("ValueError" in line for line in lines) == 62
+    assert sum(line.endswith(",i-1)") for line in lines) == 928
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "08005a3ec7af0b37bc412b80aa99c42ccc804818c790d8104f914089f3371e51"
+
+
+def test_frozen_obstruction_and_reciprocity_corpus():
+    corpus = _obstruction_corpus()
+    lines = _outputs(local_obstructions, corpus)
+    assert len(corpus) == 1506
+    assert sum("ValueError" in line for line in lines) == 6
+    assert sum(line.endswith(",l[])") for line in lines) == 82
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "df3f9c9926279072ebd40b43dcbcee8f524a0c953c693bae448dca36e8d35e9d"
+    lines = _outputs(hilbert_reciprocity_check, [args[:2] for args in corpus])
+    assert sum("ValueError" in line for line in lines) == 4
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ee0319bddd05d2166722e17f67c1896a74c3760fec516e8b756147dc1a0af919"
 
 
 def _form(m, x):

@@ -10,6 +10,7 @@ reported densities.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,11 +66,29 @@ def primes_upto(n: int) -> List[int]:
     return list(itertools.compress(range(n + 1), _prime_sieve(n)))
 
 
-# No composite below psi_13 is a strong pseudoprime to all of the first 13
-# prime bases (Sorenson and Webster, Math. Comp. 86 (2017)), so Miller-Rabin
-# on these bases decides primality exactly below it.
+# psi_k, k = 1..13: the least composite that is a strong probable prime to
+# each of the first k prime bases (Jaeschke, Math. Comp. 61 (1993) for
+# k <= 8; Jiang and Deng, Math. Comp. 83 (2014) for k = 9..11; Sorenson and
+# Webster, Math. Comp. 86 (2017) for k = 12, 13). Miller-Rabin on the first
+# k bases therefore decides primality exactly below psi_k, and on all 13
+# below psi_13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_LIMIT = 3317044064679887385961981  # psi_13, about 3.317e24
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    MILLER_RABIN_LIMIT,
+)
 
 # Trial division runs to sqrt(|n|): about a second at this size.
 FACTOR_LIMIT = 10 ** 14
@@ -77,7 +96,15 @@ FACTOR_LIMIT = 10 ** 14
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for n < MILLER_RABIN_LIMIT; larger n raise
-    ValueError rather than get a probabilistic answer."""
+    ValueError rather than get a probabilistic answer, and so does an n that
+    is not an int (bool included).
+
+    n takes the first k prime bases for the least k with n < psi_k: one
+    below 2047, five below 2.15e12 (every 12-digit n), all 13 only from
+    psi_12, about 3.19e23, on.
+    """
+    if type(n) is bool or not isinstance(n, int):
+        raise ValueError(f"is_prime takes an int, got {n!r}")
     if n < 2:
         return False
     if n >= MILLER_RABIN_LIMIT:
@@ -88,11 +115,10 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES[: bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -105,15 +131,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_factor_limit(n: int) -> None:
+    if abs(n) > FACTOR_LIMIT:
+        raise ValueError(
+            f"cannot factor {abs(n)}: integers are factored only up to "
+            f"10^14 in absolute value"
+        )
+
+
 def _factor(n: int) -> Dict[int, int]:
     """Trial-division factorization of |n| <= FACTOR_LIMIT; larger |n|
     raise ValueError."""
+    _check_factor_limit(n)
     n = abs(n)
-    if n > FACTOR_LIMIT:
-        raise ValueError(
-            f"cannot factor {n}: integers are factored only up to "
-            f"10^14 in absolute value"
-        )
     out: Dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -132,11 +162,15 @@ def _factor(n: int) -> Dict[int, int]:
 
 
 def _square_class_int(a: Rat) -> int:
-    """An integer in the same square class as the nonzero rational a."""
-    q = Fraction(a)
-    if q == 0:
+    """An integer in the same square class as the nonzero rational a, which
+    must be an int (not a bool) or a Fraction; an int is returned as it is."""
+    if type(a) is not int:
+        if type(a) is bool or not isinstance(a, (int, Fraction)):
+            raise ValueError(f"argument {a!r} is not an int or a Fraction")
+        a = a.numerator * a.denominator
+    if a == 0:
         raise ValueError("symbols need nonzero arguments")
-    return q.numerator * q.denominator
+    return a
 
 
 def legendre(u: int, p: int) -> int:
@@ -165,6 +199,8 @@ def _normalize_place(place: Place) -> Place:
             place = int(place)
         else:
             raise ValueError(f"unknown place {place!r}")
+    elif type(place) is bool or not isinstance(place, int):
+        raise ValueError(f"place must be a prime or 'real', got {place!r}")
     if not is_prime(place):
         raise ValueError(f"place must be a prime or 'real', got {place}")
     return place
@@ -174,71 +210,90 @@ def hilbert_symbol(a: Rat, b: Rat, place: Place) -> int:
     """(a, b)_v in {+1, -1}: whether a x^2 + b y^2 = z^2 has a nontrivial
     solution over the completion at v.
 
+    a and b are nonzero ints or Fractions (not bools); v is a prime int or
+    'real' (also 'inf', 'oo', 'infinity' in any case, or a prime written in
+    digits). Anything else raises ValueError naming the value. The place is
+    checked and the arguments are taken to integers of their square classes
+    once; `_symbol` does the rest.
+    """
+    place = _normalize_place(place)
+    return _symbol(_square_class_int(a), _square_class_int(b), place)
+
+
+def _symbol(a: int, b: int, place: Place) -> int:
+    """(a, b)_v for nonzero ints a, b at v = REAL_PLACE or a prime.
+
     Closed forms: at the real place, -1 exactly when both arguments are
     negative. At odd p, with a = p^alpha u and b = p^beta w (u, w units),
     (-1)^(alpha beta (p-1)/2) (u|p)^beta (w|p)^alpha. At 2, with odd parts
     u, w: (-1)^(eps(u) eps(w) + alpha omega(w) + beta omega(u)) where
     eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    place = _normalize_place(place)
-    ai = _square_class_int(a)
-    bi = _square_class_int(b)
     if place == REAL_PLACE:
-        return -1 if ai < 0 and bi < 0 else 1
+        return -1 if a < 0 and b < 0 else 1
     p = place
-    alpha, u = _split_valuation(ai, p)
-    beta, w = _split_valuation(bi, p)
+    alpha = beta = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    while b % p == 0:
+        b //= p
+        beta += 1
+    # a and b are now the units u and w
     if p == 2:
-        eps_u = ((u % 8) - 1) // 2 % 2
-        eps_w = ((w % 8) - 1) // 2 % 2
-        omega_u = (u % 8) in (3, 5)
-        omega_w = (w % 8) in (3, 5)
-        exp = eps_u * eps_w + alpha * omega_w + beta * omega_u
+        u, w = a % 8, b % 8
+        exp = (u - 1) // 2 * ((w - 1) // 2) + alpha * (w in (3, 5)) + beta * (u in (3, 5))
         return -1 if exp % 2 else 1
-    sign = 1
-    if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
+    sign = -1 if alpha % 2 and beta % 2 and p % 4 == 3 else 1
+    # Euler's criterion: (u|p) = u^((p-1)/2) mod p, which is 1 or p - 1
+    half = (p - 1) // 2
+    if beta % 2 and pow(a, half, p) != 1:
         sign = -sign
-    if beta % 2 and legendre(u, p) == -1:
-        sign = -sign
-    if alpha % 2 and legendre(w, p) == -1:
+    if alpha % 2 and pow(b, half, p) != 1:
         sign = -sign
     return sign
 
 
-def _relevant_places(values: Iterable[int]) -> List[Place]:
-    primes = {2}
-    for v in values:
-        primes.update(_factor(v))
-    return sorted(primes) + [REAL_PLACE]
+def _places(primes: Iterable[int]) -> List[Place]:
+    """The places where a symbol of integers with these primes can be -1:
+    2 and the primes ascending, then the real place."""
+    return sorted({2, *primes}) + [REAL_PLACE]
 
 
 def hilbert_reciprocity_check(a: Rat, b: Rat) -> bool:
     """Product of (a,b)_v over all places is +1; the symbol is 1 outside
-    the primes dividing the arguments (and 2 and the real place)."""
+    the primes dividing the arguments (and 2 and the real place). The
+    arguments are checked as in `hilbert_symbol`; the places come from
+    factoring them, so each is a prime and goes to `_symbol` directly."""
     ai, bi = _square_class_int(a), _square_class_int(b)
-    prod = 1
-    for place in _relevant_places((ai, bi)):
-        prod *= hilbert_symbol(ai, bi, place)
-    return prod == 1
+    places = _places(q for v in (ai, bi) for q in _factor(v))
+    return math.prod(_symbol(ai, bi, place) for place in places) == 1
 
 
 def local_obstructions(a: Rat, b: Rat, c: Rat) -> List[Place]:
     """Places where a x^2 + b y^2 + c z^2 = 0 has no nontrivial solution.
 
-    The diagonal conic is locally isotropic at v exactly when
-    (-ac, -bc)_v = +1. Only 2, the real place, and odd primes dividing the
-    coefficients can obstruct. The returned list is primes ascending, with
-    the real place last; the full symbol product is checked against
-    reciprocity before returning. The places dividing -ac and -bc are those
-    dividing a, b or c, so the coefficients are factored, not the products.
+    The coefficients are nonzero ints or Fractions (not bools); anything
+    else raises ValueError naming the value. The diagonal conic is locally
+    isotropic at v exactly when (-ac, -bc)_v = +1. Only 2, the real place,
+    and odd primes dividing the coefficients can obstruct. The returned list
+    is primes ascending, with the real place last; the full symbol product
+    is checked against reciprocity before returning. The places dividing
+    -ac and -bc are those dividing a, b or c, so the coefficients are
+    factored, not the products, and their primes go to `_symbol` directly.
     """
     ai, bi, ci = (_square_class_int(x) for x in (a, b, c))
-    first, second = -ai * ci, -bi * ci
-    places = _relevant_places((ai, bi, ci))
-    symbols = [hilbert_symbol(first, second, place) for place in places]
-    if math.prod(symbols) != 1:
+    return _obstructions(ai, bi, ci, _places(q for v in (ai, bi, ci) for q in _factor(v)))
+
+
+def _obstructions(a: int, b: int, c: int, places: Sequence[Place]) -> List[Place]:
+    """`local_obstructions` of nonzero ints, given `_places` of their primes."""
+    first, second = -a * c, -b * c
+    out = [place for place in places if _symbol(first, second, place) == -1]
+    # the product of the symbols is +1 exactly when an even number are -1
+    if len(out) % 2:
         raise AssertionError("reciprocity failed; symbol computation is broken")
-    return [place for place, s in zip(places, symbols) if s == -1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +305,36 @@ IntMat3 = Sequence[Sequence[int]]
 
 def _integer_matrix(m: Sequence[Sequence[Rat]]) -> Tuple[List[List[int]], int]:
     """(A, delta) with M = A / delta: the conic code clears the denominators
-    of a symmetric 3x3 matrix once and then works on integers."""
+    of a symmetric 3x3 matrix once and then works on integers. A matrix of
+    ints is A itself, with delta = 1."""
     rows = [list(row) for row in m]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("expected a 3x3 matrix")
-    for i, j in itertools.product(range(3), repeat=2):
-        if type(rows[i][j]) is bool or not isinstance(rows[i][j], (int, Fraction)):
-            raise ValueError(f"entry ({i}, {j}) is {rows[i][j]!r}, not an int or a Fraction")
-    delta = math.lcm(*(x.denominator for row in rows for x in row))
-    a = [[x.numerator * (delta // x.denominator) for x in row] for row in rows]
-    if any(a[i][j] != a[j][i] for i in range(3) for j in range(i)):
+    ints = True
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if type(x) is not int:
+                if type(x) is bool or not isinstance(x, (int, Fraction)):
+                    raise ValueError(f"entry ({i}, {j}) is {x!r}, not an int or a Fraction")
+                ints = False
+    if ints:
+        a, delta = rows, 1
+    else:
+        delta = math.lcm(*(x.denominator for row in rows for x in row))
+        a = [[x.numerator * (delta // x.denominator) for x in row] for row in rows]
+    if a[0][1] != a[1][0] or a[0][2] != a[2][0] or a[1][2] != a[2][1]:
         raise ValueError("matrix is not symmetric")
     return a, delta
 
 
 def _matvec3(a: IntMat3, v: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in a)
+    v0, v1, v2 = v
+    r0, r1, r2 = a
+    return (
+        r0[0] * v0 + r0[1] * v1 + r0[2] * v2,
+        r1[0] * v0 + r1[1] * v1 + r1[2] * v2,
+        r2[0] * v0 + r2[1] * v1 + r2[2] * v2,
+    )
 
 
 def _dot3(u: Sequence[int], v: Sequence[int]) -> int:
@@ -302,7 +371,7 @@ def _diagonalize(a: IntMat3) -> Tuple[List[List[int]], List[int], List[int]]:
     Bareiss, Math. Comp. 22 (1968)).
     """
     mm = [list(row) for row in a]  # B = T_i^t A T_i
-    cols = [[int(i == j) for i in range(3)] for j in range(3)]
+    cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     scales = [1, 1, 1]
 
     def combine(dst: int, x: int, src: int, y: int) -> None:
@@ -349,14 +418,15 @@ def _diagonalize(a: IntMat3) -> Tuple[List[List[int]], List[int], List[int]]:
                 combine(j, pivot_entry, k, -mm[k][j])
                 scales[j] *= pivot_entry
 
-    # T_i^t A T_i = diag(b), recomputed apart from the updates above
+    # T_i^t A T_i = diag(b), recomputed apart from the updates above; A is
+    # symmetric, so T_i^t A T_i is, and its upper triangle fixes it
     a_cols = [_matvec3(a, col) for col in cols]
-    for i in range(3):
-        if any(_dot3(cols[i], a_cols[j]) != 0 for j in range(3) if j != i):
-            raise AssertionError("diagonalization left an off-diagonal entry")
-        if _dot3(cols[i], a_cols[i]) != mm[i][i]:
-            raise AssertionError("diagonalization bookkeeping mismatch")
-    return cols, scales, [mm[i][i] for i in range(3)]
+    if _dot3(cols[0], a_cols[1]) or _dot3(cols[0], a_cols[2]) or _dot3(cols[1], a_cols[2]):
+        raise AssertionError("diagonalization left an off-diagonal entry")
+    b = [mm[0][0], mm[1][1], mm[2][2]]
+    if [_dot3(col, a_col) for col, a_col in zip(cols, a_cols)] != b:
+        raise AssertionError("diagonalization bookkeeping mismatch")
+    return cols, scales, b
 
 
 def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fraction, ...]]:
@@ -368,34 +438,54 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
     return t, tuple(Fraction(x, s * s * delta) for x, s in zip(b, scales))
 
 
-def _squarefree_split(n: int) -> Tuple[int, int]:
-    """n = squarefree * square; returns (squarefree, sqrt of square)."""
-    sf, rt = 1 if n > 0 else -1, 1
-    for p, e in _factor(n).items():
+def _squarefree_split(n: int, primes: Iterable[int]) -> Tuple[int, int, List[int]]:
+    """n = squarefree * square, for an n whose primes are among `primes`:
+    (squarefree, sqrt of square, the primes of squarefree). The size limit
+    and message are `_factor`'s."""
+    _check_factor_limit(n)
+    sf, rt, odd = 1 if n > 0 else -1, 1, []
+    for p in primes:
+        if n % p:
+            continue
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
         if e % 2:
             sf *= p
+            odd.append(p)
         rt *= p ** (e // 2)
-    return sf, rt
+    if n not in (1, -1):
+        raise AssertionError(f"a prime of {n} is missing from the known primes")
+    return sf, rt, odd
 
 
-def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int]]:
+def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int], List[List[int]]]:
     """Reduce a diagonal integer conic to squarefree pairwise-coprime shape.
 
-    Returns the reduced coefficients and one integer factor per coordinate:
-    a reduced solution (x, y, z) maps to the input's solution
-    (f0 x, f1 y, f2 z).
+    Returns the reduced coefficients, one integer factor per coordinate (a
+    reduced solution (x, y, z) maps to the input's solution (f0 x, f1 y,
+    f2 z)), and the primes of each reduced coefficient, ascending.
+
+    The coefficients are factored once, after the common factor is divided
+    out; every later value's primes are among theirs, so the squarefree
+    splits below divide by those primes and do not factor again.
     """
     factors = [1, 1, 1]
-    work = list(coeffs)
+    g = math.gcd(*coeffs)
+    work = [x // g for x in coeffs]
+    known = sorted({p for x in work for p in _factor(x)})
     changed = True
     while changed:
         changed = False
-        g = math.gcd(math.gcd(abs(work[0]), abs(work[1])), abs(work[2]))
+        g = math.gcd(*work)
         if g > 1:
             work = [x // g for x in work]
             changed = True
+        primes = []
         for idx in range(3):
-            sf, rt = _squarefree_split(work[idx])
+            sf, rt, odd = _squarefree_split(work[idx], known)
+            primes.append(odd)
             if rt != 1:
                 # coeff = sf * rt^2: solutions transform by scaling the
                 # *other* two coordinates by rt
@@ -406,7 +496,7 @@ def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int]]:
                 changed = True
         for i in range(3):
             for j in range(i + 1, 3):
-                g = math.gcd(abs(work[i]), abs(work[j]))
+                g = math.gcd(work[i], work[j])
                 if g > 1:
                     k = 3 - i - j
                     # <g A, g B, C> -> <A, B, g C>; reduced (x,y,z) maps back
@@ -416,7 +506,7 @@ def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int]]:
                     work[k] *= g
                     factors[k] *= g
                     changed = True
-    return work, factors
+    return work, factors, primes
 
 
 # Input limits of the Holzer search: the range of its outer loop, and the
@@ -455,10 +545,17 @@ def _sqrt_mod_prime(t: int, q: int) -> Tuple[int, ...]:
     return (r, q - r)
 
 
-def _holzer_search(a: int, b: int, c: int) -> Optional[Tuple[int, int, int]]:
+# squares mod 64: a candidate whose residue is not one of these is no square
+_SQUARE_MOD_64 = bytes(int(r in {x * x % 64 for x in range(64)}) for r in range(64))
+
+
+def _holzer_search(
+    coeffs: Sequence[int], primes: Sequence[Sequence[int]]
+) -> Optional[Tuple[int, int, int]]:
     """Exhaustive search within the Holzer bounds for a x^2+b y^2+c z^2 = 0,
-    with a, b, c squarefree, pairwise coprime, mixed signs. A solvable form
-    has a solution with |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|.
+    with (a, b, c) = coeffs squarefree, pairwise coprime, mixed signs, and
+    primes[i] the primes of coeffs[i]. A solvable form has a solution with
+    |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|.
 
     The coordinate with the largest bound is solved for and the other two,
     (u, w), are enumerated in lexicographic order; the first solution found
@@ -468,44 +565,42 @@ def _holzer_search(a: int, b: int, c: int) -> Optional[Tuple[int, int, int]]:
     are combined by CRT for each u. Inputs past HOLZER_OUTER_LIMIT or
     HOLZER_CANDIDATE_LIMIT raise ValueError.
     """
-    coeffs = [a, b, c]
     if 0 in coeffs:
         raise ValueError("the Holzer search needs nonzero coefficients")
-    bounds = [
-        math.isqrt(abs(b * c)),
-        math.isqrt(abs(a * c)),
-        math.isqrt(abs(a * b)),
-    ]
-    solve_idx = max(range(3), key=lambda i: bounds[i])
+    a, b, c = coeffs
+    bounds = [math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b))]
+    solve_idx = bounds.index(max(bounds))
     e1, e2 = [i for i in range(3) if i != solve_idx]
     cs, c1, c2 = coeffs[solve_idx], coeffs[e1], coeffs[e2]
-    # |cs| is the smallest coefficient, so |cs| <= bounds[e1]: the outer
-    # limit also bounds the primes scanned below
-    if bounds[e1] > HOLZER_OUTER_LIMIT:
+    outer, inner = bounds[e1], bounds[e2]
+    # |cs| is the smallest coefficient, so |cs| <= outer: the outer limit
+    # also bounds the primes scanned below
+    if outer > HOLZER_OUTER_LIMIT:
         raise ValueError(
-            f"the conic search would run its outer loop to {bounds[e1]}; "
+            f"the conic search would run its outer loop to {outer}; "
             f"the limit is {HOLZER_OUTER_LIMIT}"
         )
     mod = abs(cs)
-    factors = _factor(mod)
-    if any(e > 1 for e in factors.values()) or math.gcd(mod, c1 * c2) != 1:
+    qs = sorted(primes[solve_idx])
+    if math.prod(qs) != mod or math.gcd(mod, c1 * c2) != 1:
         raise ValueError("the Holzer search needs a squarefree, pairwise coprime form")
     # per prime q: the roots r, and the CRT idempotent (1 mod q, 0 mod |cs|/q)
     sieve = []
     residues_per_u = 1
-    for q in sorted(factors):
+    for q in qs:
         roots = _sqrt_mod_prime(-c1 * pow(c2, -1, q) % q, q)
         cofactor = mod // q
         sieve.append((q, roots, cofactor * pow(cofactor, -1, q) % mod))
         residues_per_u *= max(len(roots), 1)
-    candidates = (bounds[e1] + 1) * residues_per_u * (bounds[e2] // mod + 1)
+    candidates = (outer + 1) * residues_per_u * (inner // mod + 1)
     if candidates > HOLZER_CANDIDATE_LIMIT:
         raise ValueError(
             f"the conic search could visit {candidates} candidates; "
             f"the limit is {HOLZER_CANDIDATE_LIMIT}"
         )
-    for u in range(bounds[e1] + 1):
-        c1uu = c1 * u * u
+    isqrt, square_mod_64 = math.isqrt, _SQUARE_MOD_64
+    bases = range(0, inner + 1, mod)
+    for u in range(outer + 1):
         residues = [0]
         for q, roots, idem in sieve:
             uq = u % q
@@ -514,24 +609,23 @@ def _holzer_search(a: int, b: int, c: int) -> Optional[Tuple[int, int, int]]:
         if not residues:
             continue
         residues.sort()
-        for base in range(0, bounds[e2] + 1, mod):
+        c1uu = c1 * u * u
+        for base in bases:
             for res in residues:
                 w = base + res
-                if w > bounds[e2]:
+                if w > inner:
                     break
-                if u == 0 and w == 0:
-                    continue
-                square, rem = divmod(-(c1uu + c2 * w * w), cs)
-                if rem:
+                num = -(c1uu + c2 * w * w)
+                if num % cs:
                     raise AssertionError("the residue sieve admitted a w outside its classes")
-                if square < 0:
-                    continue
-                r = math.isqrt(square)
-                if r * r != square:
-                    continue
-                sol = [0, 0, 0]
-                sol[e1], sol[e2], sol[solve_idx] = u, w, r
-                return tuple(sol)
+                square = num // cs
+                # (u, w) = (0, 0) gives the square 0, the one hit to skip
+                if square >= 0 and square_mod_64[square & 63]:
+                    r = isqrt(square)
+                    if r * r == square and (u or w):
+                        sol = [0, 0, 0]
+                        sol[e1], sol[e2], sol[solve_idx] = u, w, r
+                        return tuple(sol)
     return None
 
 
@@ -574,12 +668,16 @@ def _point_and_places(
         # num_i den_i = b_i den_i^2 / q_i
         qs = [sc * sc * delta for sc in scales]
         dens = [q // math.gcd(x, q) for x, q in zip(b, qs)]
-        reduced, back = _legendre_reduce([x * d * d // q for x, d, q in zip(b, dens, qs)])
+        reduced, back, primes = _legendre_reduce(
+            [x * d * d // q for x, d, q in zip(b, dens, qs)]
+        )
         if all(x > 0 for x in reduced) or all(x < 0 for x in reduced):
             found = None
         else:
-            found = _holzer_search(*reduced)
-        places = local_obstructions(*reduced)
+            found = _holzer_search(reduced, primes)
+        # the one factorization of the reduced form feeds the search above
+        # and the places here
+        places = _obstructions(*reduced, _places(q for ps in primes for q in ps))
         if (found is None) != bool(places):
             raise AssertionError(
                 "search and local symbols disagree on solvability"
@@ -849,11 +947,14 @@ def _cubic_square_disc_has_root(p: int, a: int, b: int) -> bool:
 
 
 # The sieve holds one byte per integer up to the bound, and the primes are
-# read off it without a list. At this size a density takes 0.06-1 s and
-# 32 MB (2 vCPU Xeon, Python 3.11): x^3 - 2 0.6-1 s, since the Lucas ladder
-# still runs at each prime of the classes where (-3|p) = 1, and
-# x^3 - 3x + 1 (square discriminant, period 9: nine ladders and nine slice
-# counts) 0.06-0.15 s, most of it the sieve.
+# read off it without a list. At this size a density takes up to about 3 s
+# at a peak RSS of 32 MB, 14 MB above the bare import (2 vCPU Xeon, Python
+# 3.11, three runs each; the time at 10^6 in brackets). The Lucas ladder runs only for an
+# S3 cubic with a != 0, at each prime of the classes where (d|p) = 1:
+# x^3 - x - 1 took 2.4-2.7 s (0.21-0.29 s). With a = 0 one pow per such
+# prime decides it: x^3 - 2 took 0.86-0.89 s (0.09-0.10 s). x^3 - 3x + 1
+# (square discriminant, period 9: nine ladders and nine slice counts) took
+# 0.08-0.10 s (6-8 ms), most of it the sieve.
 DENSITY_BOUND_LIMIT = 10 ** 7
 
 

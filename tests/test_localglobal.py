@@ -201,6 +201,29 @@ def test_hilbert_reciprocity_sweep():
         assert hilbert_reciprocity_check(a, b)
 
 
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (is_prime, (3.0,), "is_prime takes an int, got 3.0"),
+        (is_prime, (True,), "is_prime takes an int, got True"),
+        (is_prime, (Fraction(7),), "is_prime takes an int, got Fraction(7, 1)"),
+        (hilbert_symbol, (2, 3, 3.0), "place must be a prime or 'real', got 3.0"),
+        (hilbert_symbol, (2, 3, True), "place must be a prime or 'real', got True"),
+        (hilbert_symbol, (2, 3, None), "place must be a prime or 'real', got None"),
+        (hilbert_symbol, (True, 3, 3), "argument True is not an int or a Fraction"),
+        (hilbert_symbol, (2, 0.5, "real"), "argument 0.5 is not an int or a Fraction"),
+        (hilbert_symbol, (2, "3", 5), "argument '3' is not an int or a Fraction"),
+        (local_obstructions, (1.5, 2, -3), "argument 1.5 is not an int or a Fraction"),
+        (local_obstructions, (1, False, -3), "argument False is not an int or a Fraction"),
+        (hilbert_reciprocity_check, (2, 0.5), "argument 0.5 is not an int or a Fraction"),
+    ],
+)
+def test_symbol_layer_refuses_floats_bools_and_strings(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
 def test_local_obstructions_known_cases():
     assert local_obstructions(1, 1, -1) == []
     assert local_obstructions(1, 1, 1) == [2, "real"]
@@ -376,6 +399,11 @@ def _holzer_reference(a, b, c):
     return None
 
 
+def _search(conic):
+    """_holzer_search on a reduced conic, given the primes of each coefficient."""
+    return _holzer_search(conic, [list(_factor(x)) for x in conic])
+
+
 def _reduced(a, b, c):
     squarefree = all(e == 1 for x in (a, b, c) for e in _factor(x).values())
     coprime = math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
@@ -388,7 +416,7 @@ def test_holzer_search_matches_double_loop_on_the_sweep():
     sweep = [(a, b, c) for a in signed for b in signed for c in signed if _reduced(a, b, c)]
     assert len(sweep) > 6000
     for conic in sweep:
-        assert _holzer_search(*conic) == _holzer_reference(*conic), conic
+        assert _search(conic) == _holzer_reference(*conic), conic
 
 
 def test_holzer_search_matches_double_loop_near_a_thousand():
@@ -405,7 +433,7 @@ def test_holzer_search_matches_double_loop_near_a_thousand():
             wanted[obstructed] -= 1
             want = _holzer_reference(*conic)
             assert (want is None) == obstructed, conic
-            assert _holzer_search(*conic) == want, conic
+            assert _search(conic) == want, conic
 
 
 def test_conic_limits_raise():
@@ -820,7 +848,8 @@ _DENSITY_KERNELS = {
 @pytest.mark.parametrize("a, b", list(_DENSITY_KERNELS))
 def test_density_matches_the_polynomial_reference(a, b):
     disc = cubic_discriminant(a, b)
-    kernel = _squarefree_split(disc.numerator * disc.denominator)[0]
+    n = disc.numerator * disc.denominator
+    kernel = _squarefree_split(n, _factor(n))[0]
     assert kernel == _DENSITY_KERNELS[a, b]
     report = cubic_local_root_density(a, b, 10 ** 5)
     a, b = Fraction(a), Fraction(b)

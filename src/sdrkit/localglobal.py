@@ -545,10 +545,6 @@ def _sqrt_mod_prime(t: int, q: int) -> Tuple[int, ...]:
     return (r, q - r)
 
 
-# squares mod 64: a candidate whose residue is not one of these is no square
-_SQUARE_MOD_64 = bytes(int(r in {x * x % 64 for x in range(64)}) for r in range(64))
-
-
 def _holzer_search(
     coeffs: Sequence[int], primes: Sequence[Sequence[int]]
 ) -> Optional[Tuple[int, int, int]]:
@@ -598,7 +594,7 @@ def _holzer_search(
             f"the conic search could visit {candidates} candidates; "
             f"the limit is {HOLZER_CANDIDATE_LIMIT}"
         )
-    isqrt, square_mod_64 = math.isqrt, _SQUARE_MOD_64
+    isqrt = math.isqrt
     bases = range(0, inner + 1, mod)
     for u in range(outer + 1):
         residues = [0]
@@ -620,7 +616,7 @@ def _holzer_search(
                     raise AssertionError("the residue sieve admitted a w outside its classes")
                 square = num // cs
                 # (u, w) = (0, 0) gives the square 0, the one hit to skip
-                if square >= 0 and square_mod_64[square & 63]:
+                if square >= 0:
                     r = isqrt(square)
                     if r * r == square and (u or w):
                         sol = [0, 0, 0]

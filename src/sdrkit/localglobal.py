@@ -174,7 +174,12 @@ def _square_class_int(a: Rat) -> int:
 
 
 def legendre(u: int, p: int) -> int:
-    """(u | p) for odd prime p and u prime to p."""
+    """(u | p) for an int u prime to p and an odd prime int p; anything
+    else (bools included) raises ValueError naming the value."""
+    if type(u) is bool or not isinstance(u, int):
+        raise ValueError(f"legendre takes an int u, got {u!r}")
+    if type(p) is bool or not isinstance(p, int) or p == 2 or not is_prime(p):
+        raise ValueError(f"legendre needs an odd prime p, got {p!r}")
     r = pow(u % p, (p - 1) // 2, p)
     if r == 1:
         return 1

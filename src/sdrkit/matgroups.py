@@ -14,7 +14,10 @@ row-table lookups a product, or at dim <= 6 in three chunk-table lookups
 once the batch outgrows one table. A closure grows one generator at a
 time, <H, s> from the closed H, by right cosets of H (Dimino): each
 element is multiplied out once, in batches of whole cosets. The
-stabilizer O(Q) of a form is closed from its own transvections.
+stabilizer O(Q) of a form is built from one level of a stabilizer chain of
+its transvections (`_LastRowChain`): the orbit of the last packed row with
+a transversal, and the closure of that row's stabilizer H, so no closure
+grows past H and the elements come coset by coset, H t_w by ascending w.
 The census joins each subgroup H once per double coset H g H, since
 <H, h g h'> = <H, g> for h, h' in H. Conjugation has one map on elements
 (`_conjugator`) and one on sets of them (`_set_conjugator`).
@@ -412,7 +415,8 @@ class SubgroupHandle:
     handle neither sorts nor copies them. `symplectic_group` passes a
     `_SymplecticBases`, which stores no element and works each one out
     from its symplectic basis when it is asked for. `orthogonal_group`
-    passes an `array('Q')` (dim <= 6, so every element is below 2^36).
+    passes an `array('Q')` (dim <= 6, so every element is below 2^36),
+    filled with the sorted cosets of its last-row stabilizer.
     Closures, census subgroups and the obstruction groups up to dim 16,
     whose packed elements (dim^2 bits) can outgrow a 64-bit word, pass a
     sorted tuple. Callers index and iterate all three alike, and
@@ -420,12 +424,13 @@ class SubgroupHandle:
     array or a tuple and asks `_SymplecticBases` directly. Walking all of
     Sp6(F2) works out its 1.45M elements again each time, so a caller that
     walks a group many times takes one tuple of it first. The elements are
-    always the closure of `core`: `_grow_core` returns the two together and
-    `orthogonal_group` keeps the core it found; `symplectic_group` counts
-    the group against |Sp_2m(F2)| and proves that its core generates it by
-    the orbit of a transvection's vector; the census and `lemma51_scan`
-    pass each subgroup's join generators (empty for the trivial group). A
-    subgroup test therefore needs only the core.
+    always the closure of `core`: `_grow_core` returns the two together;
+    `orthogonal_group` finds its core by `_grow_core`'s walk over the
+    sorted elements, with a `_LastRowChain` as the membership test;
+    `symplectic_group` counts the group against |Sp_2m(F2)| and proves
+    that its core generates it by the orbit of a transvection's vector; the
+    census and `lemma51_scan` pass each subgroup's join generators (empty
+    for the trivial group). A subgroup test therefore needs only the core.
     """
 
     __slots__ = ("space", "dim", "generators", "elements", "order", "core")
@@ -571,6 +576,51 @@ def _check_last_row_cosets(
         raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
 
 
+class _LastRowChain:
+    """One level of a stabilizer chain of G = <gens> (Schreier-Sims; Seress,
+    Permutation Group Algorithms, 2003).
+
+    It holds the orbit of the last packed row e = 1 << (dim - 1) under right
+    multiplication by the generators, found breadth first, with a
+    transversal t_w (e t_w = w) for each row w in it, and the stabilizer H
+    of e, closed through `_grow_core` from the Schreier generators
+    t_w s t_(w s)^-1 (Schreier's lemma). |G| = |orbit| |H| by orbit and
+    stabilizer. Every element of the coset H t_w has last row w, so c lies
+    in G exactly when its last row w is in the orbit and c t_w^-1 lies in H.
+    """
+
+    __slots__ = ("dim", "reps", "stab", "_undo")
+
+    def __init__(self, gens: Sequence[int], dim: int):
+        self.dim = dim
+        e = 1 << (dim - 1)
+        rights = [_RightMul(s, dim) for s in gens]
+        reps = {e: _identity(dim)}
+        queue = [e]
+        edges = []  # (t_w s, w s) for each edge the tree does not take
+        for w in queue:
+            t = reps[w]
+            for right in rights:
+                u, ts = right.table[w], right([t])[0]
+                if u in reps:
+                    edges.append((ts, u))
+                else:
+                    reps[u] = ts
+                    queue.append(u)
+        self.reps = reps
+        self._undo = {w: _RightMul(_inv_packed(t, dim), dim) for w, t in reps.items()}
+        schreier = (self._undo[u]([ts])[0] for ts, u in edges)
+        self.stab, _ = _grow_core(schreier, dim, DEFAULT_CAP)
+
+    @property
+    def order(self) -> int:
+        return len(self.reps) * len(self.stab)
+
+    def __contains__(self, c: int) -> bool:
+        undo = self._undo.get(c >> ((self.dim - 1) * self.dim))
+        return undo is not None and undo([c])[0] in self.stab
+
+
 def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
     """Whether <gens> carries v to every nonzero vector. When T_v lies in
     <gens>, so does T_(gv) = g T_v g^-1 for each g in it: a full orbit
@@ -630,11 +680,17 @@ def symplectic_group(m: int) -> SubgroupHandle:
 def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -> SubgroupHandle:
     """O(Q), the elements of Sp_2m(F2) preserving the form's value table.
 
-    Closed from the transvections T_v with Q(v) = 1, which are exactly the
+    Generated by the transvections T_v with Q(v) = 1, which are exactly the
     transvections preserving Q; over F2 they generate O(Q) except for
     O+(4, 2) (Dieudonne; Taylor, The Geometry of the Classical Groups),
-    which is refused. The order is checked against |O^+-(2m, 2)|. The core
-    is the one `_grow_core` finds over the sorted elements. `ambient`, when
+    which is refused. Their `_LastRowChain` gives the order, |orbit| x |H|,
+    which is checked against |O^+-(2m, 2)|, and the elements: packed order
+    compares the last row first, so the sorted cosets H t_w, by ascending
+    last row w, are the sorted group. The largest set held is H (1920
+    elements for O-(6, 2), whose last-row orbit has 27 rows). The core is
+    the one `_grow_core` would find over the sorted elements: the same
+    ascending walk, with the chain of the core so far as its membership
+    test, which stops once that chain has the whole order. `ambient`, when
     given, must be the full Sp_2m(F2) on the form's space.
     """
     space = base.space
@@ -660,13 +716,22 @@ def orthogonal_group(base: BaseForm, ambient: Optional[SubgroupHandle] = None) -
             if any(base.value(t.apply(1 << i)) != basis_vals[i] for i in range(dim)):
                 raise AssertionError("a transvection with Q(v) = 1 moves the form")
             gens.append(t.packed)
-    elements, _ = _grow_core(gens, dim, DEFAULT_CAP)
-    if len(elements) != want:
-        raise AssertionError("transvection closure disagrees with |O(Q)|")
-    ordered = array("Q", sorted(elements))
-    del elements
-    _, core = _grow_core(ordered, dim, DEFAULT_CAP)
-    return SubgroupHandle(space, [F2Matrix.from_packed(p, dim) for p in core], ordered, core)
+    chain = _LastRowChain(gens, dim)
+    if chain.order != want:
+        raise AssertionError("the transvections' stabilizer chain disagrees with |O(Q)|")
+    ordered = array("Q")
+    for w in sorted(chain.reps):
+        ordered.extend(sorted(_RightMul(chain.reps[w], dim)(chain.stab)))
+    del chain
+    core: List[int] = []
+    sub = _LastRowChain(core, dim)
+    for p in ordered:
+        if p not in sub:
+            core.append(p)
+            sub = _LastRowChain(core, dim)
+            if sub.order == want:  # every later element is a member
+                break
+    return SubgroupHandle(space, [F2Matrix.from_packed(p, dim) for p in core], ordered, tuple(core))
 
 
 def smallest_fixed_vector(

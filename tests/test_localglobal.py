@@ -224,6 +224,40 @@ def test_symbol_layer_refuses_floats_bools_and_strings(call, args, message):
     assert str(info.value) == message
 
 
+def test_legendre_matches_the_squares_mod_p():
+    for p in primes_upto(200)[1:]:
+        squares = {x * x % p for x in range(1, p)}
+        for u in range(-2 * p, 2 * p):
+            if u % p:
+                assert legendre(u, p) == (1 if u % p in squares else -1), (u, p)
+    with pytest.raises(ValueError, match="^12 is divisible by 3$"):
+        legendre(12, 3)
+
+
+@pytest.mark.parametrize(
+    "u, p, message",
+    [
+        (2, 9, "legendre needs an odd prime p, got 9"),
+        (2, 2, "legendre needs an odd prime p, got 2"),
+        (3, 1, "legendre needs an odd prime p, got 1"),
+        (3, 0, "legendre needs an odd prime p, got 0"),
+        (3, -7, "legendre needs an odd prime p, got -7"),
+        (5, 1.0, "legendre needs an odd prime p, got 1.0"),
+        (5, 7.0, "legendre needs an odd prime p, got 7.0"),
+        (5, True, "legendre needs an odd prime p, got True"),
+        (5, "7", "legendre needs an odd prime p, got '7'"),
+        (2.0, 7, "legendre takes an int u, got 2.0"),
+        (True, 7, "legendre takes an int u, got True"),
+        (Fraction(2), 7, "legendre takes an int u, got Fraction(2, 1)"),
+        ("2", 7, "legendre takes an int u, got '2'"),
+    ],
+)
+def test_legendre_refuses_what_is_not_an_int_over_an_odd_prime(u, p, message):
+    with pytest.raises(ValueError) as info:
+        legendre(u, p)
+    assert str(info.value) == message
+
+
 def test_local_obstructions_known_cases():
     assert local_obstructions(1, 1, -1) == []
     assert local_obstructions(1, 1, 1) == [2, "real"]

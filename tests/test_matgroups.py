@@ -485,6 +485,123 @@ def test_orthogonal_group_rejects_a_partial_ambient():
         orthogonal_group(base, symplectic_group(1))
 
 
+def _orthogonal_by_two_closures(base):
+    """The two-closure build of O(Q), the oracle: the closure of the
+    transvections T_v with Q(v) = 1, sorted, and the core that `_grow_core`
+    finds when it closes those sorted elements once more."""
+    dim = base.space.dim
+    gens = [transvection(v, base.space).packed for v in range(1, 1 << dim) if base.value(v)]
+    elements, _ = matgroups._grow_core(gens, dim, matgroups.DEFAULT_CAP)
+    ordered = sorted(elements)
+    _, core = matgroups._grow_core(ordered, dim, matgroups.DEFAULT_CAP)
+    return ordered, core
+
+
+def _assert_orthogonal_matches_two_closures(base):
+    og = orthogonal_group(base)
+    ordered, core = _orthogonal_by_two_closures(base)
+    assert list(og.elements) == ordered
+    assert og.core == core
+    assert [g.packed for g in og.generators] == list(core)
+
+
+def test_orthogonal_group_matches_the_two_closure_build(sp3):
+    """Every base that `orthogonal_group` accepts at m = 1, 2, and at m = 3
+    the standard base (O-) and the O+ base that `_arf0_seeds` builds on."""
+    accepted = 0
+    for m in (1, 2):
+        base = standard_base_form(m)
+        for f in all_forms(base):
+            if (m, f.arf) != (2, 0):
+                _assert_orthogonal_matches_two_closures(BaseForm(base.space, f.table))
+                accepted += 1
+    assert accepted == 4 + 6
+    base = standard_base_form(3)
+    _assert_orthogonal_matches_two_closures(base)
+    arf0 = arf0_mask(base)
+    oplus_base = BaseForm(base.space, form_from_vector(base, (arf0 & -arf0).bit_length() - 1).table)
+    _assert_orthogonal_matches_two_closures(oplus_base)
+    oplus, _, _ = matgroups._arf0_seeds(sp3, base)
+    assert oplus.element_set == orthogonal_group(oplus_base).element_set
+
+
+@pytest.mark.extended
+def test_orthogonal_group_matches_the_two_closure_build_on_every_m3_base():
+    """All 64 bases Q_v at m = 3, 28 of Arf 1 and 36 of Arf 0."""
+    base = standard_base_form(3)
+    for f in all_forms(base):
+        _assert_orthogonal_matches_two_closures(BaseForm(base.space, f.table))
+
+
+def test_orthogonal_group_builds_no_chunk_table_and_no_closure_past_its_stabilizer(monkeypatch):
+    """O-(6, 2) (51 840 elements) is |orbit| x |H| = 27 x 1920: the largest
+    closure is the last-row stabilizer H, and every batch is one coset of
+    it, smaller than a 4096-entry chunk table."""
+    tables, sizes = [], []
+    real_tables, real_mulclose = matgroups._chunk_tables, matgroups._mulclose
+
+    def chunk_tables(table, dim):
+        tables.append(dim)
+        return real_tables(table, dim)
+
+    def mulclose(rights, group, cap):
+        out = real_mulclose(rights, group, cap)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(matgroups, "_chunk_tables", chunk_tables)
+    monkeypatch.setattr(matgroups, "_mulclose", mulclose)
+    og = orthogonal_group(standard_base_form(3))
+    assert og.order == 51840
+    assert tables == []
+    assert sizes and max(sizes) == 1920
+    chain = matgroups._LastRowChain([g.packed for g in og.generators], 6)
+    assert (len(chain.reps), len(chain.stab)) == (27, 1920)
+
+
+def test_last_row_chain_membership_matches_the_element_set(sp3, o3):
+    """The chain of O-(6, 2)'s core against its element set: seeded
+    elements of Sp6, 1 in 28 of them members, every member and the int
+    just past it, and ints that are no element of Sp6."""
+    chain = matgroups._LastRowChain(o3.core, 6)
+    assert chain.order == o3.order
+    view = o3.element_set
+    rng = random.Random(29)
+    probes = [sp3.elements[rng.randrange(sp3.order)] for _ in range(3000)]
+    probes += [rng.getrandbits(36) for _ in range(3000)]
+    probes += [q for p in o3.elements for q in (p, p + 1)]
+    members = [p for p in probes if p in chain]
+    assert members == [p for p in probes if p in view]
+    assert 51840 < len(members) < len(probes) // 2
+
+
+def test_last_row_chain_order_matches_the_closure_on_seeded_subgroups():
+    """Proper subgroups of Sp4 and of O-(6, 2), each generated by one to
+    three seeded elements of the group; membership is tested on every int
+    below 2^16 at dim 4, and at dim 6 on every 7th element of O-(6, 2) and
+    that element with its top bit flipped."""
+    rng = random.Random(30)
+    sp4 = symplectic_group(2)
+    o6 = orthogonal_group(standard_base_form(3))
+    probes = [q for p in o6.elements[::7] for q in (p, p ^ (1 << 35))]
+    orders = []
+    for dim, pool in ((4, sp4.elements), (6, o6.elements)):
+        for _ in range(30 if dim == 4 else 12):
+            gens = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 3))]
+            closure, _ = matgroups._grow_core(gens, dim, matgroups.DEFAULT_CAP)
+            if len(closure) == len(pool):
+                continue
+            chain = matgroups._LastRowChain(gens, dim)
+            assert chain.order == len(closure)
+            orders.append(len(closure))
+            if dim == 4:
+                assert [p for p in range(1 << 16) if p in chain] == sorted(closure)
+            else:
+                assert [p for p in probes if p in chain] == [p for p in probes if p in closure]
+    assert len(orders) == 22
+    assert {2, 3, 5, 9, 120, 360, 1920, 25920} <= set(orders)
+
+
 def test_chunk_table_product_matches_generic_product():
     rng = random.Random(8)
     for dim in range(1, 7):
@@ -542,11 +659,16 @@ def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
     assert _chunk_builds_are_per_generator(chunk_builds) == 0
     assert got[0] == sp4.element_set
     assert got == _grow_core_by_rows(sorted(sp4.element_set), 4)
-    # O-(6, 2): the transvection closure and the core regrown from it
-    del chunk_builds[:]
+    # O-(6, 2): the closure of its transvections, and its core regrown by
+    # `_grow_core` from its sorted elements, whose coset batches past the
+    # 4096-entry tables take the chunk tables (`orthogonal_group` itself
+    # builds none)
     base = standard_base_form(3)
     og = orthogonal_group(base)
+    del chunk_builds[:]
+    got = matgroups._grow_core(og.elements, 6, matgroups.DEFAULT_CAP)
     assert _chunk_builds_are_per_generator(chunk_builds) > 0
+    assert got == (og.element_set, og.core)
     gens = [transvection(v, base.space).packed for v in range(1, 64) if base.value(v)]
     elements, _ = _grow_core_by_rows(gens, 6)
     assert elements == og.element_set
@@ -655,14 +777,17 @@ def test_element_view_compares_with_frozensets_and_is_read_only():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_sp6_build_peak_memory_stays_under_one_copy():
-    # Sp6 and O-(6, 2) peak near 21.5-23 MB, where a tuple of 1.45M ints
+    # Sp6 and O-(6, 2) peak near 20.6-20.7 MB, where a tuple of 1.45M ints
     # alone peaked near 91 MB; any container of Sp6's elements (5.8 MB of
     # 4-byte words, a frozenset about 64 MB) would pass 32 MB. Step by
     # step, Sp6's build, the closure of its last-row stabilizer (23 040
-    # elements) with no element stored, raises the peak by about 3 MB and
-    # O-(6, 2) by about 2 MB; 4-byte low words in last-row blocks raised
-    # the Sp6 step by about 8.1 MB, an array('Q') of Sp6's 8-byte words by
-    # about 13.5-13.9 MB
+    # elements) with no element stored, raises the peak by about 2.5-3 MB.
+    # O-(6, 2), built from its last-row stabilizer chain (the largest set
+    # is the 1920-element stabilizer) into a 415 KB array('Q'), stays
+    # under that peak and raises it by 0.00 MB; closing all 51 840 elements
+    # twice raised it by about 1.9 MB. 4-byte low words in last-row blocks
+    # raised the Sp6 step by about 8.1 MB, an array('Q') of Sp6's 8-byte
+    # words by about 13.5-13.9 MB
     build = (
         "import resource\n"
         "from sdrkit.matgroups import orthogonal_group, symplectic_group\n"
@@ -686,7 +811,7 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
     before, after_sp6, peak_mb = (int(x) / 1024 for x in out.stdout.split())
     assert peak_mb < 32, peak_mb
     assert after_sp6 - before < 5, (before, after_sp6)
-    assert peak_mb - after_sp6 < 4, (after_sp6, peak_mb)
+    assert peak_mb - after_sp6 < 1.5, (after_sp6, peak_mb)
 
 
 def test_contains_and_subgroup_relation():

@@ -35,7 +35,6 @@ from .quadforms import (
     arf_by_count,
     adapted_symplectic_basis,
     form_from_vector,
-    pairing_mask,
     standard_base_form,
     MAX_FORM_DIM,
 )
@@ -307,11 +306,11 @@ def direct_sum_form(m: int) -> QuadraticForm:
     for i in range(dim):
         delta |= ((diff >> (1 << i)) & 1) << i
     v = ((delta >> m) | (delta << m)) & ((1 << dim) - 1)  # swap e/f halves
-    if pairing_mask(base.space, v) != diff:
-        raise AssertionError("direct-sum defect is not linear")
+    # Q_v's table is Q0's plus the pairing mask of v, so this checks at once
+    # that the defect is linear and that the form is the computed shift
     form = form_from_vector(base, v)
     if form.table != table:
-        raise AssertionError("direct-sum form is not the computed shift")
+        raise AssertionError("direct-sum defect is not linear: the form is not the computed shift")
     if arf_by_count(table, m) != form.arf:
         raise AssertionError("direct-sum arf disagreement")
     return form

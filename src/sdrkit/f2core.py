@@ -32,9 +32,13 @@ def _parity(x: int) -> int:
 
 
 class F2Matrix:
-    """A square matrix over GF(2), rows stored as ints (bit j = column j)."""
+    """A square matrix over GF(2), rows stored as ints (bit j = column j).
 
-    __slots__ = ("dim", "rows", "_hash")
+    `_symplectic` is None, or (space, column pairs (e_i, f_i) or None): the
+    one check of this matrix as a symplectic basis of `space`, made by
+    `quadforms.arf_by_basis` and kept for its next call."""
+
+    __slots__ = ("dim", "rows", "_hash", "_symplectic")
 
     def __init__(self, rows: Iterable[int], dim: Optional[int] = None):
         rows = tuple(rows)
@@ -51,6 +55,7 @@ class F2Matrix:
         self.dim = dim
         self.rows = rows
         self._hash = hash((dim, rows))
+        self._symplectic = None
 
     # -- constructors -------------------------------------------------
 

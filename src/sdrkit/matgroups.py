@@ -10,14 +10,13 @@ pairings. Its build closes the last-row stabilizer H and counts the last
 rows, which proves the order. O(Q) at dim <= 6 keeps an `array('Q')` of
 8-byte words, and every other handle a tuple. `_product` multiplies one
 pair; `_RightMul` multiplies a batch on the right by one element, in dim
-row-table lookups a product, or at dim <= 6 in three chunk-table lookups
-once the batch outgrows one table. A closure grows one generator at a
-time, <H, s> from the closed H, by right cosets of H (Dimino): each
-element is multiplied out once, in batches of whole cosets. The
-stabilizer O(Q) of a form is built from one level of a stabilizer chain of
-its transvections (`_LastRowChain`): the orbit of the last packed row with
-a transversal, and the closure of that row's stabilizer H, so no closure
-grows past H and the elements come coset by coset, H t_w by ascending w.
+row-table lookups a product. A closure grows one generator at a time,
+<H, s> from the closed H, by right cosets of H (Dimino): each element is
+multiplied out once, in batches of whole cosets. The stabilizer O(Q) of
+a form is built from one level of a stabilizer chain of its transvections
+(`_LastRowChain`): the orbit of the last packed row with a transversal,
+and the closure of that row's stabilizer H, so no closure grows past H and
+the elements come coset by coset, H t_w by ascending w.
 The census joins each subgroup H once per double coset H g H, since
 <H, h g h'> = <H, g> for h, h' in H. Conjugation has one map on elements
 (`_conjugator`) and one on sets of them (`_set_conjugator`).
@@ -107,49 +106,18 @@ def _product(a: int, b: int, dim: int) -> int:
     return out
 
 
-def _chunk_tables(
-    table: Sequence[int], dim: int
-) -> Tuple[List[int], List[int], List[int]]:
-    """Row table of M regrouped into three pre-shifted chunk tables, for
-    dim <= 6: a chunk is ceil(dim/3) consecutive rows of a packed element,
-    so a * M is t0[a & C] | t1[(a >> W) & C] | t2[a >> 2W], with W the
-    chunk's bit width and C = 2^W - 1. At dim 6 a chunk is 2 rows, 12 bits.
-    At dim 6 the three hold about 440 KB per generator."""
-    if dim <= 3:
-        t0 = list(table)
-    else:
-        mask = (1 << dim) - 1
-        t0 = [table[x & mask] | table[x >> dim] << dim for x in range(1 << (2 * dim))]
-    width = -(-dim // 3) * dim
-    t1 = [v << width for v in t0]
-    t2 = [v << (2 * width) for v in t0[: 1 << max(0, dim * dim - 2 * width)]]
-    return t0, t1, t2
-
-
 class _RightMul:
     """x -> x * b over a batch of packed elements x: the one batched
     product. It holds b's row table, r * b for all 2^dim row vectors r
-    (2^dim XORs), so a product is dim lookups. At dim <= 6, once a batch
-    outgrows one chunk table, it builds the chunk tables of `_chunk_tables`
-    and keeps them, and from then on a product is three lookups."""
+    (2^dim XORs), so a product is dim lookups."""
 
-    __slots__ = ("dim", "table", "width", "chunks")
+    __slots__ = ("dim", "table")
 
     def __init__(self, b: int, dim: int):
         self.dim = dim
         self.table = _span_table(_rows(b, dim))
-        self.width = -(-dim // 3) * dim if dim <= 6 else 0
-        self.chunks: Optional[Tuple[List[int], List[int], List[int]]] = None
 
     def __call__(self, xs: Collection[int]) -> List[int]:
-        width = self.width
-        if self.chunks is None and width and len(xs) > 1 << width:
-            self.chunks = _chunk_tables(self.table, self.dim)
-        if self.chunks is not None:
-            t0, t1, t2 = self.chunks
-            cmask = (1 << width) - 1
-            w2 = 2 * width
-            return [t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> w2] for a in xs]
         dim = self.dim
         tab = self.table
         mask = (1 << dim) - 1
@@ -193,8 +161,8 @@ def _grow_core(
 ) -> Tuple[set[int], Tuple[int, ...]]:
     """Closure of the candidates and the core of those that were not yet in
     the running closure when their turn came. Each core element p closes
-    one step, <closure so far, p>, through `_mulclose`, and its `_RightMul`,
-    with any chunk tables it builds, serves every later step."""
+    one step, <closure so far, p>, through `_mulclose`, and its `_RightMul`
+    serves every later step."""
     elements = {_identity(dim)}
     core: List[int] = []
     rights: List[_RightMul] = []
@@ -217,11 +185,10 @@ def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> 
     each generator t, the frontier's representatives times t in one batch,
     rts; a product rt outside the closure names a new coset, and a second
     batch multiplies the blocks of all of t's new cosets by t. Both batches
-    go through t's own `_RightMul`, so each element is multiplied out once,
-    membership is tested once per coset and generator, and chunk tables
-    are built once per generator, never per coset. With H trivial a block
-    is its representative, so the new block is rts minus the closure: the
-    plain breadth-first step.
+    go through t's own `_RightMul`, so each element is multiplied out once
+    and membership is tested once per coset and generator. With H trivial a
+    block is its representative, so the new block is rts minus the closure:
+    the plain breadth-first step.
     Raises ClosureCapExceeded once the closure has more than `cap` elements.
     """
     ident = _identity(rights[0].dim)

@@ -3,8 +3,9 @@
 A form Q satisfies Q(x+y) + Q(x) + Q(y) = <x,y>. Fixing a base form Q0
 (the standard one has Arf 1), every such form is Q_v(x) = Q0(x) + <x,v> for
 a unique vector v, so forms are keyed by v and value tables are single ints
-with bit x holding Q(x). Q_v has Arf invariant Arf(Q0) + Q0(v) on any base
-(`arf0_mask`).
+with bit x holding Q(x). Each base keeps the tables of its forms Q_v that
+have been built, by v, so a form is one dict read once its table exists.
+Q_v has Arf invariant Arf(Q0) + Q0(v) on any base (`arf0_mask`).
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 MAX_FORM_DIM = 16  # value tables are 2**dim bits
-_COLUMNS_MEMO = 64  # bases whose check and columns arf_by_basis remembers
 
 
 def _swap_halves(v: int, m: int) -> int:
@@ -52,9 +52,10 @@ def _swap_halves(v: int, m: int) -> int:
 
 
 class BaseForm:
-    """The fixed reference form Q0 on the standard symplectic space."""
+    """The fixed reference form Q0 on the standard symplectic space, with
+    the value tables of its forms Q_v built so far, keyed by v."""
 
-    __slots__ = ("space", "m", "table")
+    __slots__ = ("space", "m", "table", "_tables")
 
     def __init__(self, space: SymplecticSpace, table: int):
         if not space.is_standard():
@@ -62,6 +63,7 @@ class BaseForm:
         self.space = space
         self.m = space.m
         self.table = table
+        self._tables: Dict[int, int] = {}  # v -> Q_v's table, filled by QuadraticForm
 
     def value(self, x: int) -> int:
         return (self.table >> x) & 1
@@ -106,9 +108,9 @@ def standard_base_form(m: int) -> BaseForm:
     return form
 
 
-@lru_cache(maxsize=None)
 def pairing_mask(space: SymplecticSpace, v: int) -> int:
-    """Bitmask with bit x = <x, v>."""
+    """Bitmask with bit x = <x, v>, in 2^dim steps; `QuadraticForm` keeps
+    the table it builds from it on the base, so it runs once per (base, v)."""
     gv = space.gram.apply(v)
     mask = 0
     for x in range(1 << space.dim):
@@ -118,17 +120,19 @@ def pairing_mask(space: SymplecticSpace, v: int) -> int:
 
 class QuadraticForm:
     """Q_v(x) = Q0(x) + <x, v>; equal when base and v agree, hashable by
-    (m, v)."""
+    (m, v). Its value table is built on the first form with this base and v
+    and kept on the base for every later one."""
 
     __slots__ = ("base", "v", "table")
 
-    def __init__(self, base: BaseForm, v: int, table: Optional[int] = None):
-        if not 0 <= v < (1 << base.space.dim):
-            raise ValueError("vector outside the space")
+    def __init__(self, base: BaseForm, v: int):
+        table = base._tables.get(v)
+        if table is None:
+            if not 0 <= v < (1 << base.space.dim):
+                raise ValueError("vector outside the space")
+            table = base._tables[v] = base.table ^ pairing_mask(base.space, v)
         self.base = base
         self.v = v
-        if table is None:
-            table = base.table ^ pairing_mask(base.space, v)
         self.table = table
 
     @property
@@ -212,29 +216,30 @@ def arf_by_count(table_or_form: Union[int, QuadraticForm, BaseForm], m: Optional
     raise ValueError("value counts do not match any Arf class")
 
 
-@lru_cache(maxsize=_COLUMNS_MEMO)
-def _symplectic_columns(basis: F2Matrix, space: SymplecticSpace) -> Optional[Tuple[int, ...]]:
-    """The columns of `basis` when it is symplectic on `space`, else None."""
-    return tuple(basis.cols()) if is_symplectic(basis, space) else None
-
-
 def arf_by_basis(form: QuadraticForm, basis: F2Matrix) -> int:
     """Arf invariant as sum of Q(e_i) Q(f_i) over a symplectic basis.
 
     `basis` holds the basis vectors as columns, e-block then f-block; it must
-    satisfy the symplectic condition for the standard pairing. Each distinct
-    basis is checked and transposed once, in a bounded memo, so evaluating
-    every form on one basis pays for the check once; a rejected basis is
-    rejected on every call.
+    satisfy the symplectic condition for the standard pairing. The matrix
+    keeps its check and its column pairs for the last space it was checked
+    on, so evaluating every form on one basis pays for the check once, and
+    a rejected basis is rejected on every call.
     """
-    cols = _symplectic_columns(basis, form.space)
-    if cols is None:
+    space = form.base.space
+    memo = basis._symplectic
+    if memo is None or memo[0] is not space:
+        pairs = None
+        if is_symplectic(basis, space):
+            cols = basis.cols()
+            pairs = tuple(zip(cols[: space.m], cols[space.m :]))
+        memo = basis._symplectic = (space, pairs)
+    pairs = memo[1]
+    if pairs is None:
         raise ValueError("columns are not a symplectic basis")
-    m = form.m
     table = form.table
     acc = 0
-    for i in range(m):
-        acc ^= (table >> cols[i]) & (table >> cols[m + i])
+    for e, f in pairs:
+        acc ^= (table >> e) & (table >> f)
     return acc & 1
 
 

@@ -39,7 +39,6 @@ from sdrkit.quadforms import (
     arf_by_count,
     fixed_form_vectors,
     form_from_vector,
-    pairing_mask,
     standard_base_form,
 )
 
@@ -122,41 +121,17 @@ def _grow_core_by_rows(candidates, dim):
 
 
 @pytest.fixture
-def chunk_builds(monkeypatch):
-    """One entry per `_mulclose` call: its number of generators and, for
-    each chunk-table build inside it, the size of the batch that set it off
-    and of one chunk table."""
+def mulclose_gens(monkeypatch):
+    """The number of generators of each `_mulclose` call, in call order."""
     calls = []
-    live = []
     real_mulclose = matgroups._mulclose
-    real_call = matgroups._RightMul.__call__
 
     def mulclose(rights, group, cap):
-        live.append([])
-        try:
-            return real_mulclose(rights, group, cap)
-        finally:
-            calls.append((len(rights), live.pop()))
-
-    def call(self, xs):
-        fresh = self.chunks is None
-        out = real_call(self, xs)
-        if live and fresh and self.chunks is not None:
-            live[-1].append((len(xs), 1 << self.width))
-        return out
+        calls.append(len(rights))
+        return real_mulclose(rights, group, cap)
 
     monkeypatch.setattr(matgroups, "_mulclose", mulclose)
-    monkeypatch.setattr(matgroups._RightMul, "__call__", call)
     return calls
-
-
-def _chunk_builds_are_per_generator(calls):
-    """At most one chunk-table build per generator in each `_mulclose`
-    call, and only for a batch larger than one table; the number of builds."""
-    for gens, builds in calls:
-        assert len(builds) <= gens
-        assert all(batch > table for batch, table in builds)
-    return sum(len(builds) for _, builds in calls)
 
 
 def _order3_element(sp):
@@ -533,27 +508,20 @@ def test_orthogonal_group_matches_the_two_closure_build_on_every_m3_base():
         _assert_orthogonal_matches_two_closures(BaseForm(base.space, f.table))
 
 
-def test_orthogonal_group_builds_no_chunk_table_and_no_closure_past_its_stabilizer(monkeypatch):
+def test_orthogonal_group_closes_nothing_past_its_stabilizer(monkeypatch):
     """O-(6, 2) (51 840 elements) is |orbit| x |H| = 27 x 1920: the largest
-    closure is the last-row stabilizer H, and every batch is one coset of
-    it, smaller than a 4096-entry chunk table."""
-    tables, sizes = [], []
-    real_tables, real_mulclose = matgroups._chunk_tables, matgroups._mulclose
-
-    def chunk_tables(table, dim):
-        tables.append(dim)
-        return real_tables(table, dim)
+    closure is the last-row stabilizer H."""
+    sizes = []
+    real_mulclose = matgroups._mulclose
 
     def mulclose(rights, group, cap):
         out = real_mulclose(rights, group, cap)
         sizes.append(len(out))
         return out
 
-    monkeypatch.setattr(matgroups, "_chunk_tables", chunk_tables)
     monkeypatch.setattr(matgroups, "_mulclose", mulclose)
     og = orthogonal_group(standard_base_form(3))
     assert og.order == 51840
-    assert tables == []
     assert sizes and max(sizes) == 1920
     chain = matgroups._LastRowChain([g.packed for g in og.generators], 6)
     assert (len(chain.reps), len(chain.stab)) == (27, 1920)
@@ -602,45 +570,32 @@ def test_last_row_chain_order_matches_the_closure_on_seeded_subgroups():
     assert {2, 3, 5, 9, 120, 360, 1920, 25920} <= set(orders)
 
 
-def test_chunk_table_product_matches_generic_product():
-    rng = random.Random(8)
-    for dim in range(1, 7):
-        width = -(-dim // 3) * dim
-        cmask = (1 << width) - 1
-        for _ in range(200):
-            a = rng.getrandbits(dim * dim)
-            b = rng.getrandbits(dim * dim)
-            t0, t1, t2 = matgroups._chunk_tables(matgroups._RightMul(b, dim).table, dim)
-            assert len(t0) == len(t1) == cmask + 1
-            got = t0[a & cmask] | t1[(a >> width) & cmask] | t2[a >> (2 * width)]
-            assert got == _entry_product(a, b, dim)
-            assert matgroups._product(a, b, dim) == got
-
-
 def test_batched_right_multiply_is_exhaustively_right_on_both_paths():
-    # every (a, b) at dims 1-3: batches no larger than one chunk table take
-    # the row loop; the whole list twice over (at dim 1 the list is only as
-    # long as one table) builds and uses the chunk tables
+    # every (a, b) at dims 1-3, through both product paths: the batched
+    # `_RightMul`, in batches of one and in one batch of the whole list
+    # twice over, and the single `_product`
     for dim in range(1, 4):
         everything = list(range(1 << (dim * dim)))
         for b in everything:
             table = _entry_right_table(b, dim)
             want = [_by_rows(a, table, dim) for a in everything]
-            rows = matgroups._RightMul(b, dim)
-            step = 1 << rows.width
-            got = [p for i in range(0, len(everything), step) for p in rows(everything[i : i + step])]
-            assert rows.chunks is None
-            assert got == want
-            chunked = matgroups._RightMul(b, dim)
-            assert chunked(everything * 2) == want * 2
-            assert chunked.chunks is not None
-            # once built, the chunk tables serve small batches too
-            assert chunked(everything[:1]) == want[:1]
+            right = matgroups._RightMul(b, dim)
+            assert [p for a in everything for p in right([a])] == want
+            assert right(everything * 2) == want * 2
+            assert [matgroups._product(a, b, dim) for a in everything] == want
+    # and seeded pairs up to dim 6 against the product from the definition
+    rng = random.Random(8)
+    for dim in range(1, 7):
+        for _ in range(200):
+            a = rng.getrandbits(dim * dim)
+            b = rng.getrandbits(dim * dim)
+            want = _entry_product(a, b, dim)
+            assert matgroups._RightMul(b, dim)([a]) == [want]
+            assert matgroups._product(a, b, dim) == want
 
 
-def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
-    # Sp2 from its core: the 3-element <c>, then its second coset, every
-    # batch within the 4-entry tables
+def test_closures_match_the_row_loop(mulclose_gens):
+    # Sp2 from its core: the 3-element <c>, then its second coset
     sp2 = symplectic_group(1)
     ident = F2Matrix.identity(2).packed
     rights = [matgroups._RightMul(g, 2) for g in sp2.core]
@@ -648,26 +603,19 @@ def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
     assert c == _mulclose_by_rows(sp2.core[:1], 2, {ident})
     got = matgroups._mulclose(rights, c, matgroups.DEFAULT_CAP)
     assert got == _mulclose_by_rows(sp2.core, 2, c) == sp2.element_set
-    assert _chunk_builds_are_per_generator(chunk_builds) == 0
     # Sp4 (720 elements) regrown from its sorted elements: four steps, the
-    # last one ten cosets of a group of order 72, and no batch past the
-    # 256-entry tables
-    del chunk_builds[:]
+    # last one ten cosets of a group of order 72
     sp4 = symplectic_group(2)
+    del mulclose_gens[:]
     got = matgroups._grow_core(sorted(sp4.element_set), 4, matgroups.DEFAULT_CAP)
-    assert [gens for gens, _ in chunk_builds] == [1, 2, 3, 4]
-    assert _chunk_builds_are_per_generator(chunk_builds) == 0
+    assert mulclose_gens == [1, 2, 3, 4]
     assert got[0] == sp4.element_set
     assert got == _grow_core_by_rows(sorted(sp4.element_set), 4)
     # O-(6, 2): the closure of its transvections, and its core regrown by
-    # `_grow_core` from its sorted elements, whose coset batches past the
-    # 4096-entry tables take the chunk tables (`orthogonal_group` itself
-    # builds none)
+    # `_grow_core` from its sorted elements
     base = standard_base_form(3)
     og = orthogonal_group(base)
-    del chunk_builds[:]
     got = matgroups._grow_core(og.elements, 6, matgroups.DEFAULT_CAP)
-    assert _chunk_builds_are_per_generator(chunk_builds) > 0
     assert got == (og.element_set, og.core)
     gens = [transvection(v, base.space).packed for v in range(1, 64) if base.value(v)]
     elements, _ = _grow_core_by_rows(gens, 6)
@@ -675,15 +623,16 @@ def test_closures_past_the_chunk_table_size_match_the_row_loop(chunk_builds):
     assert (og.element_set, og.core) == _grow_core_by_rows(sorted(elements), 6)
 
 
-def test_sp6_closure_builds_chunk_tables_once_per_generator(sp3, chunk_builds):
-    # from the core (c, T): cosets of <c>, then, reversed, of <T>, of order 2
+@pytest.mark.extended
+def test_sp6_core_regrows_sp6_in_both_orders(sp3, mulclose_gens):
+    # from the core (c, T): cosets of <c>, then, reversed, of <T>, of order 2;
+    # two closure steps either way, and all 1 451 520 elements of Sp6
     for core in (sp3.core, sp3.core[::-1]):
-        del chunk_builds[:]
+        del mulclose_gens[:]
         got, grown = matgroups._grow_core(core, 6, matgroups.DEFAULT_CAP)
         assert grown == core
         assert got == sp3.element_set
-        assert len(chunk_builds) == 2
-        assert _chunk_builds_are_per_generator(chunk_builds) > 0
+        assert mulclose_gens == [1, 2]
 
 
 def test_handle_json_roundtrip():
@@ -1129,8 +1078,7 @@ def test_fixed_arf0_masks_match_the_linear_solve(sp3):
             got = fixed_form_vectors(F2Matrix.from_packed(p, base.space.dim), base)
             if got is not None:
                 for v in affine_span(*got):
-                    table = base.table ^ pairing_mask(base.space, v)
-                    want |= (arf_by_count(table, base.m) == 0) << v
+                    want |= (arf_by_count(form_from_vector(base, v)) == 0) << v
             assert mask_of(p) == want
             outcomes.add((base.m, want != 0))
     assert outcomes == {(m, fixes) for m in (1, 2, 3, 4) for fixes in (True, False)}
@@ -1186,7 +1134,7 @@ def test_obstruction_verdict_does_not_depend_on_the_base(sp3):
             base = BaseForm(q0.space, form_from_vector(q0, v).table)
             report = obstruction_conditions(group, base)
             forms = frozenset(
-                base.table ^ pairing_mask(base.space, w) for w in report.invariant_arf0_vectors
+                form_from_vector(base, w).table for w in report.invariant_arf0_vectors
             )
             assert all(arf_by_count(t, base.m) == 0 for t in forms)
             assert set(invariant_arf0_vectors(group, base)) == set(report.invariant_arf0_vectors)

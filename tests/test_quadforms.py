@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from sdrkit.f2core import F2Matrix, standard_symplectic
+from sdrkit import quadforms
+from sdrkit.f2core import F2Matrix, SymplecticSpace, _standard_gram, standard_symplectic
 from sdrkit.matgroups import close, symplectic_group, transvection
 from sdrkit.quadforms import (
     BaseForm,
     QuadraticForm,
-    _COLUMNS_MEMO,
-    _symplectic_columns,
     act,
     action_shift,
     adapted_symplectic_basis,
@@ -125,11 +124,29 @@ def test_forms_on_different_bases_are_different_forms():
     assert f.table != g.table and (f.arf, g.arf) == (0, 1)
     assert f != g and len({f, g}) == 2
     assert f == QuadraticForm(BaseForm(q0.space, b.table), 0)
+    # every v at m = 3, each form built twice, so the second build reads
+    # the table its base kept: base table plus pairing mask, per base
+    q0 = standard_base_form(3)
+    b = BaseForm(q0.space, form_from_vector(q0, 1).table)
+    for base in (q0, b, q0, b):
+        for v in range(64):
+            assert QuadraticForm(base, v).table == base.table ^ pairing_mask(base.space, v)
+    for v in range(64):
+        assert QuadraticForm(q0, v).table != QuadraticForm(b, v).table
+
+
+def test_form_vector_out_of_range_is_refused_on_a_warm_base():
+    for m in (1, 3):
+        base = standard_base_form(m)
+        all_forms(base)
+        for v in (-1, 1 << base.space.dim, 1 << 70):
+            with pytest.raises(ValueError, match="outside the space"):
+                QuadraticForm(base, v)
 
 
 def test_arf_by_basis_identity_and_random():
     """Each basis is evaluated as is and through an equal but distinct copy,
-    so the second call of each pair reads the memoized columns."""
+    which is checked on its own: the check is kept on the matrix."""
     rng = random.Random(17)
     for m in (1, 2, 3, 4):
         base = standard_base_form(m)
@@ -163,11 +180,78 @@ def test_arf_by_basis_rejects_non_symplectic():
             arf_by_basis(f, basis)
 
 
-def test_arf_by_basis_memo_is_bounded():
+@pytest.fixture
+def symplectic_checks(monkeypatch):
+    """The (matrix, space) of each `is_symplectic` call in `quadforms`."""
+    calls = []
+    real = quadforms.is_symplectic
+
+    def counted(g, space):
+        calls.append((g, space))
+        return real(g, space)
+
+    monkeypatch.setattr(quadforms, "is_symplectic", counted)
+    return calls
+
+
+def _module_sizes():
+    """The size of every cache, dict, list and set at module level in
+    `quadforms`."""
+    out = {}
+    for name, obj in vars(quadforms).items():
+        if hasattr(obj, "cache_info"):
+            out[name] = obj.cache_info().currsize
+        elif isinstance(obj, (dict, list, set)) and not name.startswith("__"):
+            out[name] = len(obj)
+    return out
+
+
+def test_arf_by_basis_checks_each_basis_once_and_keeps_nothing_at_module_level(symplectic_checks):
+    base = standard_base_form(3)
+    forms = all_forms(base)
+    basis = F2Matrix.identity(6)
+    assert [arf_by_basis(f, basis) for f in forms] == [f.arf for f in forms]
+    assert symplectic_checks == [(basis, base.space)]
+    # 720 distinct bases of Sp4: one check each, and nothing at module level
+    # grows with them
     form = form_from_vector(standard_base_form(2), 5)
-    for p in symplectic_group(2).elements[: _COLUMNS_MEMO + 10]:
-        assert arf_by_basis(form, F2Matrix.from_packed(p, 4)) == form.arf
-    assert _symplectic_columns.cache_info().currsize <= _COLUMNS_MEMO
+    before = _module_sizes()
+    del symplectic_checks[:]
+    for p in symplectic_group(2).elements:
+        basis = F2Matrix.from_packed(p, 4)
+        assert arf_by_basis(form, basis) == arf_by_basis(form, basis) == form.arf
+    assert len(symplectic_checks) == 720
+    assert _module_sizes() == before
+
+
+def test_arf_by_basis_rejects_a_basis_on_every_call_and_checks_it_once(symplectic_checks):
+    base = standard_base_form(2)
+    squash = F2Matrix([0b1111, 0, 0, 0], 4)
+    for f in all_forms(base):
+        with pytest.raises(ValueError, match="not a symplectic basis"):
+            arf_by_basis(f, squash)
+    assert symplectic_checks == [(squash, base.space)]
+
+
+def test_arf_by_basis_rechecks_a_basis_on_another_space(symplectic_checks):
+    """The check is kept for one space, matched by identity: a form on
+    another space, or on an equal but distinct copy of the same one, has
+    the basis checked again."""
+    q0 = standard_base_form(2)
+    twin = SymplecticSpace(_standard_gram(2))
+    assert twin == q0.space and twin is not q0.space
+    on_twin = QuadraticForm(BaseForm(twin, q0.table), 3)
+    on_q0 = form_from_vector(q0, 3)
+    basis = F2Matrix.identity(4)
+    for form in (on_q0, on_q0, on_twin, on_twin, on_q0):
+        assert arf_by_basis(form, basis) == on_q0.arf
+    assert symplectic_checks == [(basis, q0.space), (basis, twin), (basis, q0.space)]
+    # accepted at m = 2, refused for a form at m = 3, accepted again at m = 2
+    form3 = form_from_vector(standard_base_form(3), 0)
+    with pytest.raises(ValueError):
+        arf_by_basis(form3, basis)
+    assert arf_by_basis(on_q0, basis) == on_q0.arf
+    assert len(symplectic_checks) == 5
 
 
 def test_action_shift_defining_identity():

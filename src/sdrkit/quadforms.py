@@ -126,6 +126,9 @@ class QuadraticForm:
     __slots__ = ("base", "v", "table")
 
     def __init__(self, base: BaseForm, v: int):
+        # an equal float or bool would find v's table and pass as v
+        if type(v) is not int:
+            raise ValueError(f"a form's vector must be an int, got {v!r}")
         table = base._tables.get(v)
         if table is None:
             if not 0 <= v < (1 << base.space.dim):

@@ -142,6 +142,10 @@ def test_form_vector_out_of_range_is_refused_on_a_warm_base():
         for v in (-1, 1 << base.space.dim, 1 << 70):
             with pytest.raises(ValueError, match="outside the space"):
                 QuadraticForm(base, v)
+        # 1.0 and True equal the key 1 of a kept table
+        for v in (1.0, True, "1", None):
+            with pytest.raises(ValueError, match="must be an int"):
+                QuadraticForm(base, v)
 
 
 def test_arf_by_basis_identity_and_random():

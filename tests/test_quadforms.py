@@ -249,7 +249,7 @@ def test_arf_by_basis_rechecks_a_basis_on_another_space(symplectic_checks):
     basis = F2Matrix.identity(4)
     for form in (on_q0, on_q0, on_twin, on_twin, on_q0):
         assert arf_by_basis(form, basis) == on_q0.arf
-    assert symplectic_checks == [(basis, q0.space), (basis, twin), (basis, q0.space)]
+    assert [space is twin for _, space in symplectic_checks] == [False, True, False]
     # accepted at m = 2, refused for a form at m = 3, accepted again at m = 2
     form3 = form_from_vector(standard_base_form(3), 0)
     with pytest.raises(ValueError):

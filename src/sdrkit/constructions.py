@@ -31,6 +31,7 @@ from .matgroups import (
 )
 from .quadforms import (
     QuadraticForm,
+    _coordinate_tables,
     act,
     arf_by_count,
     adapted_symplectic_basis,
@@ -288,19 +289,23 @@ def direct_sum_form(m: int) -> QuadraticForm:
         raise ValueError("the direct-sum form needs m >= 3")
     mu = m - 2
     base = standard_base_form(m)
-    small = standard_base_form(mu)
+    small = standard_base_form(mu).table
     dim = 2 * m
-    table = 0
-    for x in range(1 << dim):
-        small_x = 0
-        for ell in range(2 * mu):
-            small_x |= ((x >> _embed_index(ell, mu, m)) & 1) << ell
-        val = small.value(small_x)
-        for j in (m - 2, m - 1):  # planes (e_(m-1), f_(m-1)) and (e_m, f_m)
-            a = (x >> j) & 1
-            b = (x >> (m + j)) & 1
-            val ^= a | b
-        table |= val << x
+    # x = low | pe << mu | fs << m | pf << (m + mu): the small form's e and f
+    # halves (low, fs) and the e and f bits of the last two planes (pe, pf).
+    # Row fs of the small table, 2^mu bits, is Q on the 2^mu consecutive x
+    # for each pe and pf; spread it over the four pe, then the four pf.
+    width = 1 << mu
+    ones = (1 << width) - 1
+    spread = 0
+    for fs in range(width):
+        row = (small >> (fs * width)) & ones
+        spread |= (row | row << width | row << 2 * width | row << 3 * width) << (4 * width * fs)
+    quarter = 1 << (m + mu)
+    table = spread | spread << quarter | spread << 2 * quarter | spread << 3 * quarter
+    x = _coordinate_tables(dim)
+    for j in (m - 2, m - 1):  # planes (e_(m-1), f_(m-1)) and (e_m, f_m): e OR f
+        table ^= x[j] | x[m + j]
     diff = table ^ base.table
     delta = 0
     for i in range(dim):

@@ -18,8 +18,9 @@ a form is built from one level of a stabilizer chain of its transvections
 and the closure of that row's stabilizer H, so no closure grows past H and
 the elements come coset by coset, H t_w by ascending w.
 The census joins each subgroup H once per double coset H g H, since
-<H, h g h'> = <H, g> for h, h' in H. Conjugation has one map on elements
-(`_conjugator`) and one on sets of them (`_set_conjugator`).
+<H, h g h'> = <H, g> for h, h' in H; it walks element indices, where a
+product is one read of a Cayley table (`_CayleyRight`). Conjugation has one
+map on elements (`_conjugator`) and one on sets of them (`_set_conjugator`).
 """
 from __future__ import annotations
 
@@ -107,15 +108,20 @@ def _product(a: int, b: int, dim: int) -> int:
 
 
 class _RightMul:
-    """x -> x * b over a batch of packed elements x: the one batched
-    product. It holds b's row table, r * b for all 2^dim row vectors r
-    (2^dim XORs), so a product is dim lookups."""
+    """x -> x * b over a batch of packed elements x. It holds b's row
+    table, r * b for all 2^dim row vectors r (2^dim XORs), so a product is
+    dim lookups."""
 
     __slots__ = ("dim", "table")
 
     def __init__(self, b: int, dim: int):
         self.dim = dim
         self.table = _span_table(_rows(b, dim))
+
+    @property
+    def ident(self) -> int:
+        """The packed identity, where `_mulclose` starts."""
+        return _identity(self.dim)
 
     def __call__(self, xs: Collection[int]) -> List[int]:
         dim = self.dim
@@ -131,6 +137,22 @@ class _RightMul:
                 shift += dim
             out.append(p)
         return out
+
+
+class _CayleyRight:
+    """x -> x * g on element indices: row g of a Cayley table, perm[i] the
+    index of element_i * g, so a product is one list read. `ident` is the
+    identity's index, as `_mulclose` needs it."""
+
+    __slots__ = ("perm", "ident")
+
+    def __init__(self, perm: List[int], ident: int):
+        self.perm = perm
+        self.ident = ident
+
+    def __call__(self, xs: Iterable[int]) -> List[int]:
+        perm = self.perm
+        return [perm[x] for x in xs]
 
 
 def _inv_packed(a: int, dim: int) -> int:
@@ -175,7 +197,7 @@ def _grow_core(
     return elements, tuple(core)
 
 
-def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> set[int]:
+def _mulclose(rights: Sequence[_RightMul | _CayleyRight], group: Collection[int], cap: int) -> set[int]:
     """<group, s>, where `rights` multiply by generators whose last is s and
     group is the closed subgroup the others generate.
 
@@ -185,13 +207,14 @@ def _mulclose(rights: Sequence[_RightMul], group: Collection[int], cap: int) -> 
     each generator t, the frontier's representatives times t in one batch,
     rts; a product rt outside the closure names a new coset, and a second
     batch multiplies the blocks of all of t's new cosets by t. Both batches
-    go through t's own `_RightMul`, so each element is multiplied out once
-    and membership is tested once per coset and generator. With H trivial a
-    block is its representative, so the new block is rts minus the closure:
-    the plain breadth-first step.
+    go through t's own right multiplier (a `_RightMul` on packed elements,
+    or a `_CayleyRight` on indices; either names the identity), so each
+    element is multiplied out once and membership is tested once per coset
+    and generator. With H trivial a block is its representative, so the new
+    block is rts minus the closure: the plain breadth-first step.
     Raises ClosureCapExceeded once the closure has more than `cap` elements.
     """
-    ident = _identity(rights[0].dim)
+    ident = rights[0].ident
     front = [ident]
     front += [h for h in group if h != ident]
     size = len(front)
@@ -918,29 +941,42 @@ def _all_subgroups(ambient: SubgroupHandle) -> Dict[FrozenSet[int], Tuple[int, .
     is larger, and joining it would have added nothing; dropping the whole
     double coset therefore gives the same dict, in the same insertion
     order, as a walk over the right cosets H g.
+
+    The walk runs on the elements' indices in ascending packed order, where
+    the right product by g is row g of the ambient group's Cayley table;
+    the numbering keeps the order, so `min` picks the same g. The table
+    (|G|^2 small ints) lives for this call only, and the dict is mapped back
+    to packed elements once at the end.
     """
     dim = ambient.dim
-    ident = _identity(dim)
+    elements = sorted(ambient.elements)
+    index = {g: i for i, g in enumerate(elements)}
+    ident = index[_identity(dim)]
+    rights = [
+        _CayleyRight([index[x] for x in _RightMul(g, dim)(elements)], ident) for g in elements
+    ]
     cap = ambient.order + 1
-    everything = tuple(ambient.elements)  # walked once per subgroup
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {frozenset({ident}): ()}
     queue = deque(subs.keys())
     while queue:
         hset = queue.popleft()
         hgens = subs[hset]
-        hrights = [_RightMul(h, dim) for h in hgens]
-        hall = [_RightMul(h, dim) for h in hset]
-        remaining = set(everything) - hset
+        hrights = [rights[h] for h in hgens]
+        hall = [rights[h] for h in hset]
+        remaining = set(range(len(elements))) - hset
         while remaining:
             g = min(remaining)
-            right = _RightMul(g, dim)
+            right = rights[g]
             jset = frozenset(_mulclose(hrights + [right], hset, cap))
             if jset not in subs:
                 subs[jset] = hgens + (g,)
                 queue.append(jset)
             hg = right(hset)
             remaining.difference_update(*(r(hg) for r in hall))
-    return subs
+    return {
+        frozenset([elements[i] for i in hset]): tuple([elements[i] for i in hgens])
+        for hset, hgens in subs.items()
+    }
 
 
 def _conjugation_orbits(family, ambient: SubgroupHandle) -> List[list]:

@@ -87,6 +87,23 @@ class BaseForm:
 
 
 @lru_cache(maxsize=None)
+def _coordinate_tables(dim: int) -> Tuple[int, ...]:
+    """Entry i is the 2^dim-bit table of the coordinate x_i: bit x is bit i
+    of x, so 2^i zeros then 2^i ones, repeated. A form's table is a few
+    ANDs, ORs and XORs of these, with no loop over x."""
+    size = 1 << dim
+    out = []
+    for i in range(dim):
+        width = 2 << i
+        table = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < size:
+            table |= table << width
+            width *= 2
+        out.append(table)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def standard_base_form(m: int) -> BaseForm:
     """Q0 = (a^2 + ab + b^2) on plane 1, plus split products ab on planes 2..m.
 
@@ -95,26 +112,24 @@ def standard_base_form(m: int) -> BaseForm:
     space = standard_symplectic(m)
     if space.dim > MAX_FORM_DIM:
         raise ValueError("value table too large for this m")
-    table = 0
-    for x in range(1 << space.dim):
-        a1 = x & 1
-        b1 = (x >> m) & 1
-        val = a1 | b1
-        for i in range(1, m):
-            val ^= ((x >> i) & 1) & ((x >> (m + i)) & 1)
-        table |= val << x
+    x = _coordinate_tables(space.dim)
+    table = x[0] | x[m]
+    for i in range(1, m):
+        table ^= x[i] & x[m + i]
     form = BaseForm(space, table)
     assert form.arf == 1
     return form
 
 
 def pairing_mask(space: SymplecticSpace, v: int) -> int:
-    """Bitmask with bit x = <x, v>, in 2^dim steps; `QuadraticForm` keeps
-    the table it builds from it on the base, so it runs once per (base, v)."""
+    """Bitmask with bit x = <x, v>: the sum of the coordinate tables of the
+    bits of Gv. `QuadraticForm` keeps the table it builds from it on the
+    base, so it runs once per (base, v)."""
     gv = space.gram.apply(v)
     mask = 0
-    for x in range(1 << space.dim):
-        mask |= ((x & gv).bit_count() & 1) << x
+    for i, table in enumerate(_coordinate_tables(space.dim)):
+        if (gv >> i) & 1:
+            mask ^= table
     return mask
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sdrkit import constructions
+from sdrkit import constructions, quadforms
 from sdrkit.constructions import (
     DihedralConditionError,
     DihedralPair,
@@ -143,6 +143,24 @@ def test_direct_sum_form_values():
         assert form.value(e ^ f) == 1
     with pytest.raises(ValueError):
         direct_sum_form(2)
+
+
+def test_direct_sum_form_matches_its_blocks_one_x_at_a_time():
+    """The table assembled from the small form's rows and the two planes
+    equals the block sum evaluated at each x, for m = 3..6."""
+    for m in range(3, 7):
+        mu = m - 2
+        small = standard_base_form(mu)
+        want = 0
+        for x in range(1 << (2 * m)):
+            small_x = (x & ((1 << mu) - 1)) | ((x >> m) & ((1 << mu) - 1)) << mu
+            val = small.value(small_x)
+            for j in (m - 2, m - 1):
+                val ^= ((x >> j) | (x >> (m + j))) & 1
+            want |= val << x
+        form = direct_sum_form(m)
+        assert form.table == want
+        assert form.table == standard_base_form(m).table ^ quadforms.pairing_mask(form.space, form.v)
 
 
 def test_build_obstruction_subgroup_m3():

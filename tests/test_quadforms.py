@@ -55,12 +55,26 @@ def test_base_form_arf_is_one():
         assert standard_base_form(m).arf == 1
 
 
+def test_base_form_table_matches_its_formula():
+    """Q0(x) = (a_1 OR b_1) + sum over i >= 2 of a_i b_i, x = a | b << m,
+    one x at a time, up to dim 10."""
+    for m in range(1, 6):
+        want = 0
+        for x in range(1 << (2 * m)):
+            a, b = x & ((1 << m) - 1), x >> m
+            want |= (((a | b) & 1) ^ ((a & b) >> 1).bit_count() & 1) << x
+        assert standard_base_form(m).table == want
+
+
 def test_pairing_mask_table():
-    sp = standard_symplectic(2)
-    for v in range(16):
-        mask = pairing_mask(sp, v)
-        for x in range(16):
-            assert (mask >> x) & 1 == sp.pairing(x, v)
+    """Every v up to dim 4, then both ends and 8 seeded v up to dim 10."""
+    rng = random.Random(34)
+    for m in range(1, 6):
+        sp = standard_symplectic(m)
+        top = 1 << sp.dim
+        vs = range(top) if m <= 2 else [0, top - 1] + [rng.randrange(top) for _ in range(8)]
+        for v in vs:
+            assert pairing_mask(sp, v) == sum(sp.pairing(x, v) << x for x in range(top))
 
 
 def test_form_tables_are_base_plus_linear():

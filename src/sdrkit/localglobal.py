@@ -953,7 +953,7 @@ def _cubic_square_disc_has_root(p: int, a: int, b: int) -> bool:
 # 3.11, three runs each; the time at 10^6 in brackets). The Lucas ladder runs only for an
 # S3 cubic with a != 0, at each prime of the classes where (d|p) = 1:
 # x^3 - x - 1 took 2.4-2.7 s (0.21-0.29 s). With a = 0 one pow per such
-# prime decides it: x^3 - 2 took 0.86-0.89 s (0.09-0.10 s). x^3 - 3x + 1
+# prime decides it: x^3 - 2 took 0.62-0.64 s (0.05-0.08 s). x^3 - 3x + 1
 # (square discriminant, period 9: nine ladders and nine slice counts) took
 # 0.08-0.10 s (6-8 ms), most of it the sieve.
 DENSITY_BOUND_LIMIT = 10 ** 7
@@ -1045,10 +1045,19 @@ def cubic_local_root_density(a: Rat, b: Rat, prime_bound: int) -> DensityReport:
         sieve[q] = 0
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
 
-    def has_root(p: int) -> bool:
-        ai = an * pow(ad, -1, p) % p if ad != 1 else an % p
-        bi = bn * pow(bd, -1, p) % p if bd != 1 else bn % p
-        return _cubic_square_disc_has_root(p, ai, bi)
+    if an == 0:
+        # X^3 + b has a root where -b is a cube, so where -b bd^3 is: one pow
+        cube = -bn * bd * bd
+
+        def has_root(p: int) -> bool:
+            return pow(cube, (p - 1) // 3, p) == 1
+
+    else:
+
+        def has_root(p: int) -> bool:
+            ai = an * pow(ad, -1, p) % p if ad != 1 else an % p
+            bi = bn * pow(bd, -1, p) % p if bd != 1 else bn % p
+            return _cubic_square_disc_has_root(p, ai, bi)
 
     if d == 1:
         t = 1  # the least t with ad | t^2 and bd | t^3

@@ -864,7 +864,8 @@ def test_cubic_root_mod_matches_enumeration():
 # is F = sqrt of the integral model's discriminant: 9 for x^3 - 3x + 1 and
 # for (-3/4, 1/8), whose model is y^3 - 3y + 1; 7 for (-7, 7); 20 for
 # (-7, 6), which has three rational roots; and 468 > 316 for (-39, 26),
-# which takes the ladder at every prime.
+# which takes the ladder at every prime. With a = 0 one pow at each prime
+# decides whether -b is a cube, with b's denominator in (0, 7/4).
 _DENSITY_KERNELS = {
     (0, -2): -3,
     (-3, 1): 1,
@@ -876,6 +877,7 @@ _DENSITY_KERNELS = {
     (Fraction(-3, 4), Fraction(1, 8)): 1,
     (-39, 26): 1,
     (-7, 6): 1,
+    (0, Fraction(7, 4)): -3,
 }
 
 

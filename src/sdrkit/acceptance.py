@@ -82,9 +82,10 @@ class AcceptanceContext:
     def time_sp3_build(self) -> float:
         """Seconds for one build of Sp6, measured once per context.
 
-        The build is the order gate of `symplectic_group`: the closure of
-        the last-row stabilizer (23 040 elements), the count of last rows
-        and the transvection check. It stores no element of Sp6; those are
+        The build is the order gate of `symplectic_group`: the last-row
+        stabilizer chain of its two-element core (63 last rows, a 23 040-
+        element stabilizer closed from Schreier generators) and the
+        transvection check. It stores no element of Sp6; those are
         worked out from their symplectic bases when they are read.
         `symplectic_group` is cached per process, so its cache is cleared
         first: the budget then times a build even when something earlier in

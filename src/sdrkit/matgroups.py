@@ -6,16 +6,16 @@ bisection, so even O(Q) in Sp6(F2) needs no hash table; the handle's one
 constructor keeps the sequence as its caller sorted it. Sp_2m(F2) itself
 stores no element: `_SymplecticBases` works out element i from its
 symplectic basis when it is asked for, and tests membership by the rows'
-pairings. Its build closes the last-row stabilizer H and counts the last
-rows, which proves the order. O(Q) at dim <= 6 keeps an `array('Q')` of
-8-byte words, and every other handle a tuple. `_product` multiplies one
-pair; `_RightMul` multiplies a batch on the right by one element, in dim
-row-table lookups a product. A closure grows one generator at a time,
-<H, s> from the closed H, by right cosets of H (Dimino): each element is
-multiplied out once, in batches of whole cosets. The stabilizer O(Q) of
-a form is built from one level of a stabilizer chain of its transvections
-(`_LastRowChain`): the orbit of the last packed row with a transversal,
-and the closure of that row's stabilizer H, so no closure grows past H and
+pairings. O(Q) at dim <= 6 keeps an `array('Q')` of 8-byte words, and
+every other handle a tuple. `_product` multiplies one pair; `_RightMul`
+multiplies a batch on the right by one element, in dim row-table lookups
+a product. A closure grows one generator at a time, <H, s> from the
+closed H, by right cosets of H (Dimino): each element is multiplied out
+once, in batches of whole cosets. One level of a stabilizer chain
+(`_LastRowChain`) holds the orbit of the last packed row with a
+transversal, and the closure of that row's stabilizer H. On the
+two-element core of Sp_2m(F2) it proves the group's order; on the
+transvections of a form it builds O(Q), so no closure grows past H and
 the elements come coset by coset, H t_w by ascending w.
 The census joins each subgroup H once per double coset H g H, since
 <H, h g h'> = <H, g> for h, h' in H; it walks element indices, where a
@@ -417,8 +417,8 @@ class SubgroupHandle:
     always the closure of `core`: `_grow_core` returns the two together;
     `orthogonal_group` finds its core by `_grow_core`'s walk over the
     sorted elements, with a `_LastRowChain` as the membership test;
-    `symplectic_group` counts the group against |Sp_2m(F2)| and proves
-    that its core generates it by the orbit of a transvection's vector; the
+    `symplectic_group` proves by the core's `_LastRowChain` that the core
+    generates a group of order |Sp_2m(F2)|; the
     census and `lemma51_scan` pass each subgroup's join generators (empty
     for the trivial group). A subgroup test therefore needs only the core.
     """
@@ -545,27 +545,6 @@ def _orthogonal_order_formula(m: int, arf: int) -> int:
     return n
 
 
-def _check_last_row_cosets(
-    stabilizer: Sequence[int], moves: Sequence[int], dim: int, order: int
-) -> None:
-    """Check that the group G generated by `moves` has at least `order`
-    elements, by the right cosets of the last-row stabilizer H = <stabilizer>
-    in it: raises AssertionError unless |H| times the number of last rows
-    is `order`.
-
-    Every generator of H has last packed row e = 1 << (dim - 1), so every
-    element of H does. Breadth-first search of e under right multiplication
-    by `moves` reaches a last row w = e t_w for each t_w it meets, and
-    every element of the coset H t_w has last row w, so cosets of different
-    rows never meet. H is closed in full and dropped; no coset is
-    multiplied out.
-    """
-    stab, _ = _grow_core(stabilizer, dim, DEFAULT_CAP)
-    rows = _orbit(1 << (dim - 1), [_span_table(_rows(g, dim)).__getitem__ for g in moves])
-    if len(stab) * len(rows) != order:
-        raise AssertionError("the cosets of the last-row stabilizer do not fill the group")
-
-
 class _LastRowChain:
     """One level of a stabilizer chain of G = <gens> (Schreier-Sims; Seress,
     Permutation Group Algorithms, 2003).
@@ -611,31 +590,22 @@ class _LastRowChain:
         return undo is not None and undo([c])[0] in self.stab
 
 
-def _orbit_is_every_vector(gens: Sequence[int], v: int, dim: int) -> bool:
-    """Whether <gens> carries v to every nonzero vector. When T_v lies in
-    <gens>, so does T_(gv) = g T_v g^-1 for each g in it: a full orbit
-    puts every transvection, and so all of Sp_2m(F2), in <gens>."""
-    moves = [F2Matrix.from_packed(g, dim).apply for g in gens]
-    return len(_orbit(v, moves)) == (1 << dim) - 1
-
-
 @lru_cache(maxsize=None)
 def symplectic_group(m: int) -> SubgroupHandle:
     """Sp_2m(F2) for m <= 3, its elements read off their symplectic bases.
 
     The elements are a `_SymplecticBases`, which works each one out when it
-    is asked for and stores none. The build is the order gate: the
-    transvections T generate a group inside the symplectic matrices, and
-    `_check_last_row_cosets` finds at least |Sp_2m(F2)| elements in <T>,
-    |H| times the last rows, from the closure of the stabilizer H of the
-    last packed row (generated by the transvections that fix that row) and
-    a breadth-first search over the last rows. The sequence lists the
-    symplectic matrices, as many as the formula, so the two sets are equal;
-    every transvection must lie in it. The declared generators are all
+    is asked for and stores none. The declared generators are all
     transvections. The core is (c, T): c is the product of a chain of
     plane-linking transvections T_e1, T_f1, T_(e1+e2), T_f2, ... and
-    T = T_v for v = e2 (e1 for m = 1); the orbit of v under c and T is
-    every nonzero vector, which proves that they generate the group.
+    T = T_v for v = e2 (e1 for m = 1). The build is the order gate: the
+    `_LastRowChain` of the core has order exactly |<c, T>|, the orbit of
+    the last packed row times its stabilizer closed from Schreier
+    generators (23 040 elements at m = 3). c and T are products of
+    transvections, so <c, T> lies in Sp_2m(F2), and an order equal to the
+    formula proves that they generate it. The sequence lists the symplectic
+    matrices, as many as the formula, so it is the same set; every
+    transvection must lie in it.
     """
     order = symplectic_order_formula(m)
     if order > DEFAULT_CAP:
@@ -651,18 +621,14 @@ def symplectic_group(m: int) -> SubgroupHandle:
         c = c * transvection(v, space)
     v = 1 if m == 1 else 0b10
     core = (c.packed, transvection(v, space).packed)
-    if not _orbit_is_every_vector(core, v, dim):
-        raise AssertionError("the core does not generate Sp_2m(F2)")
+    if _LastRowChain(core, dim).order != order:
+        raise AssertionError("the core's stabilizer chain disagrees with |Sp_2m(F2)|")
     generators = all_transvections(space)
-    packed = [g.packed for g in generators]
-    top = (dim - 1) * dim
-    stabilizer = [p for p in packed if p >> top == 1 << (dim - 1)]
-    _check_last_row_cosets(stabilizer, packed, dim, order)
     elements = _SymplecticBases(m)
     if len(elements) != order:
         raise AssertionError("the symplectic bases do not number |Sp_2m(F2)|")
     handle = SubgroupHandle(space, generators, elements, core)
-    if not all(handle.contains(p) for p in packed):
+    if not all(handle.contains(g.packed) for g in generators):
         raise AssertionError("a transvection escaped the closure")
     return handle
 

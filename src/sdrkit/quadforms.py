@@ -409,7 +409,7 @@ def adapted_symplectic_basis(space: SymplecticSpace, table: int) -> F2Matrix:
     if not is_symplectic(t, space):
         raise AssertionError("adapted basis is not symplectic")
     target = standard_base_form(m).table
-    for x in range(1 << space.dim):
-        if val(t.apply(x)) != (target >> x) & 1:
+    for x, tx in enumerate(t.images()):
+        if val(tx) != (target >> x) & 1:
             raise AssertionError("adapted basis fails to standardize the form")
     return t

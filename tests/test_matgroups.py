@@ -305,15 +305,20 @@ def test_symplectic_element_sequences_are_pinned(sp3):
     )
 
 
-def test_orbit_check_refuses_a_core_that_does_not_generate():
-    for m in (1, 2, 3):
+def test_chain_order_refuses_a_core_that_does_not_generate():
+    """The last-row chain's order is |<gens>| exactly, so only the full core
+    reaches |Sp_2m(F2)|: T_v alone has order 2, and c alone is cyclic."""
+    for m, want, c_order in ((1, 6, 3), (2, 720, 5), (3, 1451520, 7)):
         c, t = _sp_core_by_definition(m)
-        v = 1 if m == 1 else 0b10
-        assert matgroups._orbit_is_every_vector((c, t), v, 2 * m)
-        # T_v alone fixes v; at m = 1 the order-3 element c is transitive
-        assert not matgroups._orbit_is_every_vector((t, t), v, 2 * m)
-        if m > 1:
-            assert not matgroups._orbit_is_every_vector((c, c), v, 2 * m)
+        assert matgroups._LastRowChain((c, t), 2 * m).order == want == symplectic_order_formula(m)
+        assert matgroups._LastRowChain((t, t), 2 * m).order == 2
+        assert matgroups._LastRowChain((c, c), 2 * m).order == c_order
+
+
+def test_symplectic_group_refuses_a_core_short_of_the_formula(monkeypatch):
+    monkeypatch.setattr(matgroups, "symplectic_order_formula", lambda m: 1440)
+    with pytest.raises(AssertionError, match="stabilizer chain"):
+        symplectic_group.__wrapped__(2)
 
 
 def _cyclic_subgroup(x):
@@ -367,18 +372,8 @@ def _sp_by_coset_products(m):
     return out
 
 
-def test_coset_build_refuses_a_stabilizer_short_of_the_group():
-    sp = standard_symplectic(2)
-    moves = [g.packed for g in all_transvections(sp)]
-    stabilizer = [p for p in moves if p >> 12 == 0b1000]
-    assert len(stabilizer) == 7
-    matgroups._check_last_row_cosets(stabilizer, moves, 4, 720)
+def test_coset_products_match_the_sp4_sequence():
     assert list(_sp_by_coset_products(2)) == list(symplectic_group(2).elements)
-    with pytest.raises(AssertionError, match="cosets"):
-        matgroups._check_last_row_cosets(stabilizer[:2], moves, 4, 720)
-    # every row is reached, so a wrong group order is caught as well
-    with pytest.raises(AssertionError, match="cosets"):
-        matgroups._check_last_row_cosets(stabilizer, moves, 4, 1440)
 
 
 @pytest.mark.extended
@@ -726,11 +721,12 @@ def test_element_view_compares_with_frozensets_and_is_read_only():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_sp6_build_peak_memory_stays_under_one_copy():
-    # Sp6 and O-(6, 2) peak near 20.6-20.7 MB, where a tuple of 1.45M ints
+    # Sp6 and O-(6, 2) peak near 18.1-18.2 MB, where a tuple of 1.45M ints
     # alone peaked near 91 MB; any container of Sp6's elements (5.8 MB of
     # 4-byte words, a frozenset about 64 MB) would pass 32 MB. Step by
-    # step, Sp6's build, the closure of its last-row stabilizer (23 040
-    # elements) with no element stored, raises the peak by about 2.5-3 MB.
+    # step, Sp6's build, the stabilizer chain of its two-element core (a
+    # 23 040-element stabilizer) with no element stored, raises the peak by
+    # about 3.5 MB.
     # O-(6, 2), built from its last-row stabilizer chain (the largest set
     # is the 1920-element stabilizer) into a 415 KB array('Q'), stays
     # under that peak and raises it by 0.00 MB; closing all 51 840 elements

@@ -239,7 +239,8 @@ def _cmd_lemma51(args) -> Tuple[Dict[str, object], int]:
             "qualifies": v is not None,
         }
         if v is not None:
-            assert all(g.apply(v) == v for g in handle.matrices())
+            if any(g.apply(v) != v for g in handle.matrices()):
+                raise AssertionError("an element of the subgroup moves its common fixed vector")
             row["common_fixed_vector"] = v
         rows.append(row)
     payload = {

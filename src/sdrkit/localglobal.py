@@ -515,7 +515,8 @@ def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int], List[List
 
 
 # Input limits of the Holzer search: the range of its outer loop, and the
-# number of candidates it may visit. At both limits it takes a few seconds.
+# number of candidates it may visit. A search that visits every u near the
+# candidate limit takes about 1 s on a 2-core x86 box under Python 3.11.
 HOLZER_OUTER_LIMIT = 2 * 10 ** 6
 HOLZER_CANDIDATE_LIMIT = 5 * 10 ** 6
 
@@ -562,8 +563,13 @@ def _holzer_search(
     (u, w), are enumerated in lexicographic order; the first solution found
     is returned. Only the w with cs | c1 u^2 + c2 w^2 are visited. For each
     prime q of the squarefree cs these are w = 0 mod q when q | u, and
-    w = +-r u mod q with r^2 = -c1/c2 mod q otherwise; the residues mod |cs|
-    are combined by CRT for each u. Inputs past HOLZER_OUTER_LIMIT or
+    w = +-r u mod q with r^2 = -c1/c2 mod q otherwise. The roots are
+    combined once by CRT into a set R of residues mod |cs| (0 mod each
+    rootless q); the w classes at u are then u R mod |cs|, which is 0 mod
+    every q that divides u. A q with no root admits only the u it divides,
+    so u steps by the product of the rootless primes. Each class is scanned
+    in ascending w and the least hit over the classes is kept, which is the
+    lexicographically first solution. Inputs past HOLZER_OUTER_LIMIT or
     HOLZER_CANDIDATE_LIMIT raise ValueError.
     """
     if 0 in coeffs:
@@ -585,13 +591,17 @@ def _holzer_search(
     qs = sorted(primes[solve_idx])
     if math.prod(qs) != mod or math.gcd(mod, c1 * c2) != 1:
         raise ValueError("the Holzer search needs a squarefree, pairwise coprime form")
-    # per prime q: the roots r, and the CRT idempotent (1 mod q, 0 mod |cs|/q)
-    sieve = []
-    residues_per_u = 1
+    # the root classes R mod |cs|, combined with the CRT idempotents
+    # (1 mod q, 0 mod |cs|/q), and the product of the rootless primes
+    classes, step, residues_per_u = [0], 1, 1
     for q in qs:
         roots = _sqrt_mod_prime(-c1 * pow(c2, -1, q) % q, q)
-        cofactor = mod // q
-        sieve.append((q, roots, cofactor * pow(cofactor, -1, q) % mod))
+        if roots:
+            cofactor = mod // q
+            idem = cofactor * pow(cofactor, -1, q) % mod
+            classes = [(x + r * idem) % mod for x in classes for r in roots]
+        else:
+            step *= q
         residues_per_u *= max(len(roots), 1)
     candidates = (outer + 1) * residues_per_u * (inner // mod + 1)
     if candidates > HOLZER_CANDIDATE_LIMIT:
@@ -600,22 +610,11 @@ def _holzer_search(
             f"the limit is {HOLZER_CANDIDATE_LIMIT}"
         )
     isqrt = math.isqrt
-    bases = range(0, inner + 1, mod)
-    for u in range(outer + 1):
-        residues = [0]
-        for q, roots, idem in sieve:
-            uq = u % q
-            if uq:
-                residues = [(x + r * uq * idem) % mod for x in residues for r in roots]
-        if not residues:
-            continue
-        residues.sort()
+    for u in range(0, outer + 1, step):
         c1uu = c1 * u * u
-        for base in bases:
-            for res in residues:
-                w = base + res
-                if w > inner:
-                    break
+        least, hit = inner + 1, None
+        for res in {u * x % mod for x in classes}:
+            for w in range(res, least, mod):
                 num = -(c1uu + c2 * w * w)
                 if num % cs:
                     raise AssertionError("the residue sieve admitted a w outside its classes")
@@ -624,9 +623,12 @@ def _holzer_search(
                 if square >= 0:
                     r = isqrt(square)
                     if r * r == square and (u or w):
-                        sol = [0, 0, 0]
-                        sol[e1], sol[e2], sol[solve_idx] = u, w, r
-                        return tuple(sol)
+                        least, hit = w, r
+                        break
+        if hit is not None:
+            sol = [0, 0, 0]
+            sol[e1], sol[e2], sol[solve_idx] = u, least, hit
+            return tuple(sol)
     return None
 
 

@@ -10,7 +10,7 @@ from sdrkit import localglobal as lg
 from sdrkit.cli import main
 from sdrkit.constructions import demo_certificate
 from sdrkit.f2core import standard_symplectic
-from sdrkit.matgroups import symplectic_order_formula, transvection
+from sdrkit.matgroups import lemma51_scan, symplectic_order_formula, transvection
 
 
 def run(capsys, argv):
@@ -188,6 +188,14 @@ def test_lemma51_single_subgroup(capsys):
     assert code == 0
     assert payload["qualifies"] is True
     assert payload["common_fixed_vector"] != 0
+
+
+def test_lemma51_refuses_a_moved_fixed_vector(monkeypatch):
+    # <[[0, 1], [1, 0]]> fixes 3 = (1, 1) but swaps 1 and 2
+    handle = next(h for h, v in lemma51_scan() if h.order == 2 and v == 3)
+    monkeypatch.setattr("sdrkit.cli.lemma51_scan", lambda: [(handle, 1)])
+    with pytest.raises(AssertionError, match="moves its common fixed vector"):
+        main(["lemma51"])
 
 
 def test_lemma51_blocked_subgroup(capsys):

@@ -75,6 +75,8 @@ CASES = {
     "conic-heavy": (["conic", "--diag", "997", "1009", "-1013"], 0),
     "conic-heavy-obstructed": (["conic", "--diag", "998", "1001", "-1003"], 1),
     "conic-heavy-no-sdr": (["conic", "--diag", "1009", "-1013", "1019", "--no-sdr"], 0),
+    # 1000033/1000037 is no square mod 1000003, so the search steps u by 1000003
+    "conic-million-obstructed": (["conic", "--diag", "1000003", "1000033", "-1000037"], 1),
 }
 
 

@@ -481,6 +481,25 @@ def test_conic_limits_raise():
         conic_rational_point([[2, 0, 0], [0, 3, 0], [0, 0, -(10 ** 15 + 37)]])
 
 
+def test_holzer_search_refuses_a_w_outside_its_classes(monkeypatch):
+    # a "root" r with r^2 != t mod q puts w = r u outside the classes where
+    # cs divides c1 u^2 + c2 w^2; cs = 3 here
+    def non_root(t, q):
+        return (next(r for r in range(1, q) if r * r % q != t),)
+
+    monkeypatch.setattr("sdrkit.localglobal._sqrt_mod_prime", non_root)
+    with pytest.raises(AssertionError, match="the residue sieve admitted a w outside its classes"):
+        _search((3, 5, -7))
+
+
+def test_search_and_symbols_must_agree(monkeypatch):
+    # 2 + 3 - 5 = 0, so the symbols find no obstruction; a search that finds
+    # no point contradicts them
+    monkeypatch.setattr("sdrkit.localglobal._holzer_search", lambda coeffs, primes: None)
+    with pytest.raises(AssertionError, match="search and local symbols disagree on solvability"):
+        conic_rational_point([[2, 0, 0], [0, 3, 0], [0, 0, -5]])
+
+
 def test_conic_sdr_det_identity():
     cases = [
         [[1, 0, 0], [0, 1, 0], [0, 0, -1]],

@@ -515,8 +515,10 @@ def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int], List[List
 
 
 # Input limits of the Holzer search: the range of its outer loop, and the
-# number of candidates it may visit. A search that visits every u near the
-# candidate limit takes about 1 s on a 2-core x86 box under Python 3.11.
+# number of candidates it may visit, counted before the rootless primes
+# sieve the box. Only a conic with a point can visit every u, and it stops
+# at its first point; a box of 4.8-5.0 * 10^6 candidates run to its end
+# took 1.1-1.7 s on a 2-core x86 box under Python 3.11.
 HOLZER_OUTER_LIMIT = 2 * 10 ** 6
 HOLZER_CANDIDATE_LIMIT = 5 * 10 ** 6
 
@@ -566,11 +568,26 @@ def _holzer_search(
     w = +-r u mod q with r^2 = -c1/c2 mod q otherwise. The roots are
     combined once by CRT into a set R of residues mod |cs| (0 mod each
     rootless q); the w classes at u are then u R mod |cs|, which is 0 mod
-    every q that divides u. A q with no root admits only the u it divides,
-    so u steps by the product of the rootless primes. Each class is scanned
-    in ascending w and the least hit over the classes is kept, which is the
-    lexicographically first solution. Inputs past HOLZER_OUTER_LIMIT or
-    HOLZER_CANDIDATE_LIMIT raise ValueError.
+    every q that divides u.
+
+    The rootless primes of all three coefficients sieve the box:
+    - a q of cs with no root admits only the u it divides;
+    - an odd p of c1 where -cs/c2 is no square mod p (cs r^2 + c2 w^2 = 0
+      mod p) divides r and w of every solution, so p^2 divides c1 u^2 and,
+      c1 being squarefree, p divides u too;
+    - likewise an odd p of c2 where -cs/c1 is no square mod p divides r, u
+      and w.
+    u steps by the product of all of them. With P the product of the last
+    two kinds, each w class mod |cs| becomes the one class mod |cs| P that
+    is 0 mod P: w = P (u R' mod |cs|) with R' = R / P mod |cs|, stepped by
+    |cs| P. A conic with a point has no rootless prime, so the sieve
+    leaves its search as it is; an obstructed one with mixed signs has an
+    odd obstructed prime (obstructed places come in even numbers, and the
+    real place is not one), which is rootless, so it visits at most 1/p of
+    its candidates. Each class is scanned in ascending w and the least hit
+    over the classes is kept, which is the lexicographically first
+    solution. Inputs past HOLZER_OUTER_LIMIT or HOLZER_CANDIDATE_LIMIT
+    raise ValueError; the candidate count is taken before the sieve.
     """
     if 0 in coeffs:
         raise ValueError("the Holzer search needs nonzero coefficients")
@@ -589,7 +606,10 @@ def _holzer_search(
         )
     mod = abs(cs)
     qs = sorted(primes[solve_idx])
-    if math.prod(qs) != mod or math.gcd(mod, c1 * c2) != 1:
+    # the sieve below reads every coefficient's primes
+    if any(math.prod(ps) != abs(x) for x, ps in zip(coeffs, primes)) or (
+        math.gcd(a, b) * math.gcd(a, c) * math.gcd(b, c) != 1
+    ):
         raise ValueError("the Holzer search needs a squarefree, pairwise coprime form")
     # the root classes R mod |cs|, combined with the CRT idempotents
     # (1 mod q, 0 mod |cs|/q), and the product of the rootless primes
@@ -609,12 +629,23 @@ def _holzer_search(
             f"the conic search could visit {candidates} candidates; "
             f"the limit is {HOLZER_CANDIDATE_LIMIT}"
         )
+    # the rootless odd primes of c1 and c2: Euler's criterion on -cs other,
+    # which is -cs/other times the square other^2
+    rootless = 1
+    for k, other in ((e1, c2), (e2, c1)):
+        for p in primes[k]:
+            if p != 2 and pow(-cs * other % p, (p - 1) // 2, p) != 1:
+                rootless *= p
+    step *= rootless
+    inverse = pow(rootless, -1, mod)
+    classes = [x * inverse % mod for x in classes]
+    w_step = mod * rootless
     isqrt = math.isqrt
     for u in range(0, outer + 1, step):
         c1uu = c1 * u * u
         least, hit = inner + 1, None
-        for res in {u * x % mod for x in classes}:
-            for w in range(res, least, mod):
+        for res in {u * x % mod * rootless for x in classes}:
+            for w in range(res, least, w_step):
                 num = -(c1uu + c2 * w * w)
                 if num % cs:
                     raise AssertionError("the residue sieve admitted a w outside its classes")
@@ -859,7 +890,8 @@ def cubic_rational_roots(a: Rat, b: Rat) -> List[Fraction]:
     d = math.lcm(a.denominator, b.denominator)
     p = a * d * d
     q = b * d ** 3
-    assert p.denominator == 1 and q.denominator == 1
+    if p.denominator != 1 or q.denominator != 1:
+        raise AssertionError("scaling by the common denominator left a fraction")
     pi, qi = int(p), int(q)
     roots = set()
     if qi == 0:

@@ -141,7 +141,8 @@ def _search_squarefree(a0: int, b0: int, p: int) -> int:
         return _search_squarefree(a0, -(u // g) * (w // g), p)
     if not alpha and not beta:
         x, y, z = _smooth_point_mod_p(u % p, w % p, p)
-        assert (u * x * x + w * y * y - z * z) % p == 0
+        if (u * x * x + w * y * y - z * z) % p:
+            raise AssertionError("the smooth point mod p is not a solution")
         return 1
     if alpha:  # symmetric; put the unit first
         u, w = w, u
@@ -149,7 +150,8 @@ def _search_squarefree(a0: int, b0: int, p: int) -> int:
     sq = {z * z % p for z in range(p)}
     if u % p in sq:
         zz = next(z for z in range(p) if z * z % p == u % p)
-        assert zz % p != 0  # smooth: the z-partial is a unit
+        if zz % p == 0:
+            raise AssertionError("the square root of a unit is 0 mod p, so the point is not smooth")
         return 1
     # u a nonsquare: mod p forces x = z = 0 (p), then p w y^2 = z^2 - u x^2
     # has valuation >= 2 on the right, so y = 0 (p) too: no primitive zero.

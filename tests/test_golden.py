@@ -75,8 +75,13 @@ CASES = {
     "conic-heavy": (["conic", "--diag", "997", "1009", "-1013"], 0),
     "conic-heavy-obstructed": (["conic", "--diag", "998", "1001", "-1003"], 1),
     "conic-heavy-no-sdr": (["conic", "--diag", "1009", "-1013", "1019", "--no-sdr"], 0),
-    # 1000033/1000037 is no square mod 1000003, so the search steps u by 1000003
+    # 1000033/1000037 is no square mod 1000003 (cs), and 1000003/1000037 none
+    # mod 1000033 (c1), so the search steps u by both and visits only u = 0
     "conic-million-obstructed": (["conic", "--diag", "1000003", "1000033", "-1000037"], 1),
+    # the obstructions 1000033 and 1000171 are primes of c1 and c2, not of
+    # cs = 1000003: both are rootless and step u past the outer bound, so
+    # only u = 0 is visited
+    "conic-million-c1c2-obstructed": (["conic", "--diag", "1000003", "1000033", "-1000171"], 1),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -445,12 +446,59 @@ def _reduced(a, b, c):
     return squarefree and coprime and mixed
 
 
+def _rootless_primes(conic):
+    """{role: the odd primes of that coefficient with no root}, with the
+    roles cs, c1, c2 named as in `_holzer_search`. An odd prime p of one
+    coefficient is rootless when minus the product of the other two is no
+    square mod p."""
+    a, b, c = conic
+    bounds = [math.isqrt(abs(b * c)), math.isqrt(abs(a * c)), math.isqrt(abs(a * b))]
+    solve_idx = max(range(3), key=lambda i: bounds[i])
+    e1, e2 = [i for i in range(3) if i != solve_idx]
+    out = {}
+    for role, k in (("cs", solve_idx), ("c1", e1), ("c2", e2)):
+        i, j = [x for x in range(3) if x != k]
+        rootless = [
+            p
+            for p in _factor(conic[k])
+            if p != 2 and pow(-conic[i] * conic[j] % p, (p - 1) // 2, p) != 1
+        ]
+        if rootless:
+            out[role] = rootless
+    return out
+
+
+def _check_against_the_reference(conic):
+    """The sieved search returns the unsieved reference's first point, and
+    each rootless prime is a place the conic is obstructed at."""
+    assert _search(conic) == _holzer_reference(*conic), conic
+    rootless = _rootless_primes(conic)
+    places = local_obstructions(*conic)
+    assert {p for ps in rootless.values() for p in ps} <= set(places), conic
+    return frozenset(rootless)
+
+
 def test_holzer_search_matches_double_loop_on_the_sweep():
     signed = [s * v for v in range(1, 21) for s in (1, -1)]
     sweep = [(a, b, c) for a in signed for b in signed for c in signed if _reduced(a, b, c)]
     assert len(sweep) > 6000
     for conic in sweep:
-        assert _search(conic) == _holzer_reference(*conic), conic
+        _check_against_the_reference(conic)
+
+
+def test_holzer_search_matches_double_loop_on_every_rootless_role():
+    # seeded forms up to 90: a rootless prime in cs only, in c1 only, in c2
+    # only, in several roles, and in none
+    rng = random.Random(38)
+    seen = collections.Counter()
+    for _ in range(6000):
+        conic = tuple(rng.randint(1, 90) * rng.choice((1, -1)) for _ in range(3))
+        if _reduced(*conic):
+            seen[_check_against_the_reference(conic)] += 1
+    for role in ("cs", "c1", "c2"):
+        assert seen[frozenset([role])] >= 10, seen
+    assert sum(n for roles, n in seen.items() if len(roles) > 1) >= 10, seen
+    assert seen[frozenset()] >= 10, seen
 
 
 def test_holzer_search_matches_double_loop_near_a_thousand():
@@ -483,13 +531,14 @@ def test_conic_limits_raise():
 
 def test_holzer_search_refuses_a_w_outside_its_classes(monkeypatch):
     # a "root" r with r^2 != t mod q puts w = r u outside the classes where
-    # cs divides c1 u^2 + c2 w^2; cs = 3 here
+    # cs divides c1 u^2 + c2 w^2; cs = 3 here, and neither 17 (c1) nor 5
+    # (c2) is rootless, so the sieve still visits u = 1
     def non_root(t, q):
         return (next(r for r in range(1, q) if r * r % q != t),)
 
     monkeypatch.setattr("sdrkit.localglobal._sqrt_mod_prime", non_root)
     with pytest.raises(AssertionError, match="the residue sieve admitted a w outside its classes"):
-        _search((3, 5, -7))
+        _search((3, 17, -10))
 
 
 def test_search_and_symbols_must_agree(monkeypatch):

@@ -295,13 +295,7 @@ def _cmd_certify(args) -> Tuple[Dict[str, object], int]:
         verdict = certify_counterexample(cert)
     except ValueError as exc:
         raise UsageError(f"cannot check this certificate: {exc}")
-    payload = {
-        "certified": verdict.certified,
-        "checks": dict(verdict.checks),
-        "notes": list(verdict.notes),
-        "certificate": cert.to_json(),
-    }
-    return payload, 0 if verdict.certified else 1
+    return {**verdict.to_json(), "certificate": cert.to_json()}, 0 if verdict.certified else 1
 
 
 def _conic_matrix(args) -> List[List[Fraction]]:

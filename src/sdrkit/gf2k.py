@@ -188,7 +188,8 @@ def make_field(k: int) -> BinaryFieldCtx:
         if _is_irreducible(cand):
             modulus = cand
             break
-    assert modulus is not None  # degree-k irreducibles always exist
+    if modulus is None:
+        raise AssertionError(f"no irreducible modulus of degree {k}; one always exists")
     ctx = BinaryFieldCtx(k, modulus, gamma=1)
     if ctx.order > 1:
         for a in range(2, 1 << k):

@@ -131,19 +131,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_factor_limit(n: int) -> None:
-    if abs(n) > FACTOR_LIMIT:
-        raise ValueError(
-            f"cannot factor {abs(n)}: integers are factored only up to "
-            f"10^14 in absolute value"
-        )
-
-
 def _factor(n: int) -> Dict[int, int]:
     """Trial-division factorization of |n| <= FACTOR_LIMIT; larger |n|
     raise ValueError."""
-    _check_factor_limit(n)
     n = abs(n)
+    if n > FACTOR_LIMIT:
+        raise ValueError(
+            f"cannot factor {n}: integers are factored only up to "
+            f"10^14 in absolute value"
+        )
     out: Dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -443,28 +439,6 @@ def diagonalize_symmetric(m: Sequence[Sequence[Rat]]) -> Tuple[Mat3, Tuple[Fract
     return t, tuple(Fraction(x, s * s * delta) for x, s in zip(b, scales))
 
 
-def _squarefree_split(n: int, primes: Iterable[int]) -> Tuple[int, int, List[int]]:
-    """n = squarefree * square, for an n whose primes are among `primes`:
-    (squarefree, sqrt of square, the primes of squarefree). The size limit
-    and message are `_factor`'s."""
-    _check_factor_limit(n)
-    sf, rt, odd = 1 if n > 0 else -1, 1, []
-    for p in primes:
-        if n % p:
-            continue
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e % 2:
-            sf *= p
-            odd.append(p)
-        rt *= p ** (e // 2)
-    if n not in (1, -1):
-        raise AssertionError(f"a prime of {n} is missing from the known primes")
-    return sf, rt, odd
-
-
 def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int], List[List[int]]]:
     """Reduce a diagonal integer conic to squarefree pairwise-coprime shape.
 
@@ -473,44 +447,42 @@ def _legendre_reduce(coeffs: List[int]) -> Tuple[List[int], List[int], List[List
     f2 z)), and the primes of each reduced coefficient, ascending.
 
     The coefficients are factored once, after the common factor is divided
-    out; every later value's primes are among theirs, so the squarefree
-    splits below divide by those primes and do not factor again.
+    out, so each prime divides at most two of them. One ascending pass over
+    those primes touches only the coefficients each prime p divides: p^(2k)
+    leaves a coefficient with the other two coordinates scaled by p^k, and
+    an odd p left in two coefficients moves to the third. A move leaves p in
+    one coefficient, so nothing is factored again, and a coefficient that a
+    move pushes past FACTOR_LIMIT is still reduced.
     """
-    factors = [1, 1, 1]
     g = math.gcd(*coeffs)
     work = [x // g for x in coeffs]
-    known = sorted({p for x in work for p in _factor(x)})
-    changed = True
-    while changed:
-        changed = False
-        g = math.gcd(*work)
-        if g > 1:
-            work = [x // g for x in work]
-            changed = True
-        primes = []
-        for idx in range(3):
-            sf, rt, odd = _squarefree_split(work[idx], known)
-            primes.append(odd)
-            if rt != 1:
-                # coeff = sf * rt^2: solutions transform by scaling the
-                # *other* two coordinates by rt
-                work[idx] = sf
-                for other in range(3):
-                    if other != idx:
-                        factors[other] *= rt
-                changed = True
+    factors = [1, 1, 1]
+    primes: List[List[int]] = [[], [], []]
+    for p in sorted({p for x in work for p in _factor(x)}):
+        odd = []
         for i in range(3):
-            for j in range(i + 1, 3):
-                g = math.gcd(work[i], work[j])
-                if g > 1:
-                    k = 3 - i - j
-                    # <g A, g B, C> -> <A, B, g C>; reduced (x,y,z) maps back
-                    # with the slot-k coordinate multiplied by g
-                    work[i] //= g
-                    work[j] //= g
-                    work[k] *= g
-                    factors[k] *= g
-                    changed = True
+            if work[i] % p == 0:
+                # rest p^v -> rest: solutions transform by scaling the other
+                # two coordinates, i - 1 and i - 2 (mod 3), by p^(v // 2)
+                v, work[i] = _split_valuation(work[i], p)
+                if v > 1:
+                    factors[i - 1] *= p ** (v // 2)
+                    factors[i - 2] *= p ** (v // 2)
+                if v % 2:
+                    odd.append(i)
+        # p goes back once, to the coefficient of odd valuation; two of them
+        # give <p A, p B, C> -> <A, B, p C>, and reduced (x, y, z) maps back
+        # with the third coordinate multiplied by p
+        if len(odd) == 2:
+            odd = [3 - sum(odd)]
+            factors[odd[0]] *= p
+        if odd:
+            work[odd[0]] *= p
+            primes[odd[0]].append(p)
+    for x, ps in zip(work, primes):
+        left = x // math.prod(ps)
+        if left not in (1, -1):
+            raise AssertionError(f"a prime of {left} is missing from the known primes")
     return work, factors, primes
 
 
@@ -613,7 +585,7 @@ def _holzer_search(
         raise ValueError("the Holzer search needs a squarefree, pairwise coprime form")
     # the root classes R mod |cs|, combined with the CRT idempotents
     # (1 mod q, 0 mod |cs|/q), and the product of the rootless primes
-    classes, step, residues_per_u = [0], 1, 1
+    classes, step = [0], 1
     for q in qs:
         roots = _sqrt_mod_prime(-c1 * pow(c2, -1, q) % q, q)
         if roots:
@@ -622,8 +594,7 @@ def _holzer_search(
             classes = [(x + r * idem) % mod for x in classes for r in roots]
         else:
             step *= q
-        residues_per_u *= max(len(roots), 1)
-    candidates = (outer + 1) * residues_per_u * (inner // mod + 1)
+    candidates = (outer + 1) * len(classes) * (inner // mod + 1)
     if candidates > HOLZER_CANDIDATE_LIMIT:
         raise ValueError(
             f"the conic search could visit {candidates} candidates; "

@@ -697,7 +697,8 @@ def smallest_fixed_vector(
     None; the default accepts every nonzero x."""
     rows = [g.rows[i] ^ (1 << i) for g in mats for i in range(dim)]
     got = solve_affine(rows, [0] * len(rows), dim)
-    assert got is not None  # homogeneous systems always have x = 0
+    if got is None:
+        raise AssertionError("the homogeneous system has no solution, not even x = 0")
     return min(filter(accept, affine_span(*got)), default=None)
 
 

@@ -117,7 +117,8 @@ def standard_base_form(m: int) -> BaseForm:
     for i in range(1, m):
         table ^= x[i] & x[m + i]
     form = BaseForm(space, table)
-    assert form.arf == 1
+    if form.arf != 1:
+        raise AssertionError("the standard base form's Arf invariant is not 1")
     return form
 
 

@@ -399,6 +399,19 @@ def test_conic_over_the_limits_is_usage_error(diag, limit):
     assert limit in proc.stderr
 
 
+def test_conic_reduced_past_the_factoring_limit(capsys):
+    """The reduction moves the 2 of 6 and 10 onto 90000000000007, past
+    10^14. It divides only by the coefficients' known primes, so the
+    positive definite conic is answered, and the indefinite one is refused
+    by the search's outer loop, not by the factoring limit."""
+    code, payload, _ = run_json(capsys, ["conic", "--diag", "6", "10", "90000000000007"])
+    assert code == 1
+    assert payload["obstructions"] == [3, 5, 522736117, "real"]
+    code, out, err = run(capsys, ["conic", "--diag", "6", "10", "-90000000000007"])
+    assert code == 2 and not out
+    assert f"the limit is {lg.HOLZER_OUTER_LIMIT}" in err
+
+
 @pytest.mark.parametrize("diag", [["997", "1009", "-1013"], ["998", "1001", "-1003"]])
 def test_conic_diagonalizes_once(capsys, monkeypatch, diag):
     calls = []

@@ -82,6 +82,12 @@ CASES = {
     # cs = 1000003: both are rootless and step u past the outer bound, so
     # only u = 0 is visited
     "conic-million-c1c2-obstructed": (["conic", "--diag", "1000003", "1000033", "-1000171"], 1),
+    # the reduction removes the squares 10^2 of 300 and 7^2 of -147 and moves
+    # the 3 they share onto -22: the reduced form is <1, -1, -66>
+    "conic-reduced": (["conic", "--diag", "300", "-147", "-22"], 0),
+    # 2^2 leaves 60 and -84, then 3, 5 and 7 each move: <7, -5, -3>, with
+    # the obstructions 3 and 7
+    "conic-reduced-obstructed": (["conic", "--diag", "60", "-84", "-35"], 1),
 }
 
 

@@ -36,10 +36,11 @@ from sdrkit.localglobal import (
     _factor,
     _adjugate,
     _holzer_search,
+    _legendre_reduce,
     _second_conic_point,
     _sqrt_mod_prime,
-    _squarefree_split,
 )
+from sdrkit.oracles import squarefree_part
 
 
 PLACES = ["real", 2, 3, 5, 7, 13]
@@ -529,6 +530,35 @@ def test_conic_limits_raise():
         conic_rational_point([[2, 0, 0], [0, 3, 0], [0, 0, -(10 ** 15 + 37)]])
 
 
+def test_legendre_reduce_on_squares_and_shared_primes():
+    """Seeded triples of both signs, with squares, a prime shared by two
+    coefficients and a common factor, reduce to a squarefree pairwise coprime
+    form whose solutions map back: c_i f_i^2 / c'_i is one positive rational
+    for all i, so a reduced solution (x, y, z) gives (f0 x, f1 y, f2 z)."""
+    rng = random.Random(3901)
+    small = (2, 3, 5, 7, 11, 13)
+    for _ in range(2000):
+        coeffs = [
+            rng.choice((1, -1)) * math.prod(rng.choice(small) for _ in range(rng.randint(0, 5)))
+            for _ in range(3)
+        ]
+        shared = rng.choice(small)
+        for i in rng.sample(range(3), 2):
+            coeffs[i] *= shared
+        common = rng.choice((1, 1, 2, 9))
+        coeffs = [c * common for c in coeffs]
+        reduced, factors, primes = _legendre_reduce(coeffs)
+        for r, ps in zip(reduced, primes):
+            assert ps == sorted(set(ps)) and all(is_prime(p) for p in ps), coeffs
+            assert math.prod(ps) == abs(r), coeffs
+        for i, j in itertools.combinations(range(3), 2):
+            assert math.gcd(reduced[i], reduced[j]) == 1, coeffs
+        # square removals and moves multiply by positive integers
+        assert [r > 0 for r in reduced] == [c > 0 for c in coeffs], coeffs
+        ratios = {Fraction(c * f * f, r) for c, f, r in zip(coeffs, factors, reduced)}
+        assert len(ratios) == 1 and min(ratios) > 0, coeffs
+
+
 def test_holzer_search_refuses_a_w_outside_its_classes(monkeypatch):
     # a "root" r with r^2 != t mod q puts w = r u outside the classes where
     # cs divides c1 u^2 + c2 w^2; cs = 3 here, and neither 17 (c1) nor 5
@@ -951,10 +981,7 @@ _DENSITY_KERNELS = {
 
 @pytest.mark.parametrize("a, b", list(_DENSITY_KERNELS))
 def test_density_matches_the_polynomial_reference(a, b):
-    disc = cubic_discriminant(a, b)
-    n = disc.numerator * disc.denominator
-    kernel = _squarefree_split(n, _factor(n))[0]
-    assert kernel == _DENSITY_KERNELS[a, b]
+    assert squarefree_part(cubic_discriminant(a, b)) == _DENSITY_KERNELS[a, b]
     report = cubic_local_root_density(a, b, 10 ** 5)
     a, b = Fraction(a), Fraction(b)
     counted = with_root = 0

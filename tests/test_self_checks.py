@@ -1,19 +1,30 @@
-"""Every reachable self-check of `localglobal` (and the checks of `oracles`'
-search symbol) fires when the kernel beneath it is broken.
+"""Every reachable self-check of `localglobal` and `matgroups` (and the
+checks of `oracles`' search symbol, `make_field` and `standard_base_form`)
+fires when the kernel beneath it is broken.
 
 Each case patches one kernel and expects AssertionError with the gate's own
 message. The two conic gates of `_holzer_search` and `_point_and_places`
-fire in `tests/test_localglobal.py`.
+fire in `tests/test_localglobal.py`, and two gates of `matgroups` fire in
+`tests/test_matgroups.py`: the core's stabilizer chain against
+|Sp_2m(F2)|, and a conjugate that leaves the census family. A cached
+builder is called through `__wrapped__`, so its cache keeps no broken
+object.
 
-No patch reaches one check: in `oracles._search_squarefree`, the square
-root zz of the unit u mod p is nonzero, since the branch above it puts the
-coefficient prime to p first, and zz^2 = u mod p then rules out zz = 0.
+No patch reaches two checks:
+- in `oracles._search_squarefree`, the square root zz of the unit u mod p
+  is nonzero, since the branch above it puts the coefficient prime to p
+  first, and zz^2 = u mod p then rules out zz = 0;
+- in `matgroups.subgroup_census`, "normalizer indices do not sum to the
+  subgroup count": each class's index |G| / |N| is its orbit size once the
+  orbit-size gate passes, and the orbit sizes sum to the subgroup count once
+  the partition gate passes.
 """
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from sdrkit import localglobal
+from sdrkit import gf2k, localglobal, matgroups, quadforms
 from sdrkit.localglobal import (
     conic_rational_point,
     conic_sdr,
@@ -164,3 +175,96 @@ def test_smooth_point_search_refuses_a_degenerate_form():
     # a = b = 0: every zero is (x, y, 0), where no partial is a unit
     with pytest.raises(AssertionError, match="no smooth point on a nondegenerate ternary form"):
         _smooth_point_mod_p(0, 0, 5)
+
+
+def test_make_field_checks_its_modulus(monkeypatch):
+    monkeypatch.setattr(gf2k, "_is_irreducible", lambda f: False)
+    with pytest.raises(AssertionError, match="no irreducible modulus of degree 3; one always exists"):
+        gf2k.make_field.__wrapped__(3)
+
+
+def test_standard_base_form_checks_its_arf(monkeypatch):
+    monkeypatch.setattr(quadforms, "arf_by_count", lambda table, m=None: 0)
+    with pytest.raises(AssertionError, match="the standard base form's Arf invariant is not 1"):
+        quadforms.standard_base_form.__wrapped__(1)
+
+
+MG = {
+    name: getattr(matgroups, name)
+    for name in ("transvection", "_conjugation_orbits", "_transporters")
+}
+
+
+def _q0_transvection(v, space):
+    """T_w for the least w with Q0(w) = 0 at m = 2, whatever v is asked for:
+    a transvection that moves the standard base form."""
+    base = quadforms.standard_base_form(2)
+    return MG["transvection"](next(w for w in range(1, 16) if not base.value(w)), space)
+
+
+# (patched name, replacement, call, the gate's message); a name with a dot
+# patches an attribute of a class in `matgroups`
+MATGROUPS_CASES = {
+    "symplectic-bases-count": (
+        "_SymplecticBases.__len__", lambda self: 5,
+        lambda: matgroups.symplectic_group.__wrapped__(1),
+        "the symplectic bases do not number |Sp_2m(F2)|",
+    ),
+    "transvection-membership": (
+        "_SymplecticBases.__contains__", lambda self, x: False,
+        lambda: matgroups.symplectic_group.__wrapped__(1),
+        "a transvection escaped the closure",
+    ),
+    "transvection-moves-form": (
+        "transvection", _q0_transvection,
+        lambda: matgroups.orthogonal_group(quadforms.standard_base_form(2)),
+        "a transvection with Q(v) = 1 moves the form",
+    ),
+    "orthogonal-order": (
+        "_orthogonal_order_formula", lambda m, arf: 1,
+        lambda: matgroups.orthogonal_group(quadforms.standard_base_form(2)),
+        "the transvections' stabilizer chain disagrees with |O(Q)|",
+    ),
+    "fixed-vector-solve": (
+        "solve_affine", lambda rows, rhs, dim: None,
+        lambda: matgroups.has_nonzero_fixed_vector(matgroups.F2Matrix.identity(2)),
+        "the homogeneous system has no solution, not even x = 0",
+    ),
+    "census-orbits-partition": (
+        "_conjugation_orbits", lambda family, ambient: MG["_conjugation_orbits"](family, ambient)[1:],
+        lambda: matgroups.subgroup_census(1),
+        "conjugacy orbits do not partition the subgroups",
+    ),
+    "census-normalizer-index": (
+        "_transporters", lambda *args: islice(MG["_transporters"](*args), 1, None),
+        lambda: matgroups.subgroup_census(1),
+        "orbit size disagrees with the normalizer index",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATGROUPS_CASES))
+def test_matgroups_gate_fires(name, monkeypatch):
+    target, replacement, call, message = MATGROUPS_CASES[name]
+    owner, _, attr = target.rpartition(".")
+    monkeypatch.setattr(getattr(matgroups, owner) if owner else matgroups, attr, replacement)
+    with pytest.raises(AssertionError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_common_fixed_vector_gate_fires(monkeypatch):
+    # every element passes its own check, and only the common solve fails
+    monkeypatch.setattr(matgroups, "has_nonzero_fixed_vector", lambda g: 1)
+    monkeypatch.setattr(matgroups, "smallest_fixed_vector", lambda mats, dim, accept=bool: None)
+    with pytest.raises(AssertionError, match="no common fixed vector despite elementwise fixes"):
+        matgroups.gl22_common_fixed_vector(matgroups.symplectic_group(1))
+
+
+def test_arf0_seeds_gate_fires():
+    # Sp_2(F2) with its core cut to the transvection T, of order 2: the
+    # breadth-first search reaches 2 of the 3 Arf-0 forms
+    sp1 = matgroups.symplectic_group(1)
+    cut = matgroups.SubgroupHandle(sp1.space, sp1.generators, sp1.elements, sp1.core[1:])
+    with pytest.raises(AssertionError, match="Sp_6\\(F2\\) is not transitive on the Arf-0 forms"):
+        matgroups._arf0_seeds(cut, quadforms.standard_base_form(1))

@@ -85,8 +85,8 @@ class AcceptanceContext:
         The build is the order gate of `symplectic_group`: the last-row
         stabilizer chain of its two-element core (63 last rows, a 23 040-
         element stabilizer closed from Schreier generators) and the
-        transvection check. It stores no element of Sp6; those are
-        worked out from their symplectic bases when they are read.
+        transvection check. It keeps that chain, the stabilizer sorted
+        once, and reads each element of Sp6 off it when it is asked for.
         `symplectic_group` is cached per process, so its cache is cleared
         first: the budget then times a build even when something earlier in
         the process built Sp6, never a lookup.

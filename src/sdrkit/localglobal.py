@@ -132,9 +132,11 @@ def is_prime(n: int) -> bool:
 
 
 def _factor(n: int) -> Dict[int, int]:
-    """Trial-division factorization of |n| <= FACTOR_LIMIT; larger |n|
-    raise ValueError."""
+    """Trial-division factorization of 0 < |n| <= FACTOR_LIMIT; 0, which
+    every prime divides, and larger |n| raise ValueError."""
     n = abs(n)
+    if n == 0:
+        raise ValueError("cannot factor 0: every prime divides it")
     if n > FACTOR_LIMIT:
         raise ValueError(
             f"cannot factor {n}: integers are factored only up to "

@@ -4,19 +4,20 @@ Group elements are packed ints (rows concatenated, row i at bit offset
 i*dim). A subgroup keeps them as an ascending sequence, searched by
 bisection, so even O(Q) in Sp6(F2) needs no hash table; the handle's one
 constructor keeps the sequence as its caller sorted it. Sp_2m(F2) itself
-stores no element: `_SymplecticBases` works out element i from its
-symplectic basis when it is asked for, and tests membership by the rows'
-pairings. O(Q) at dim <= 6 keeps an `array('Q')` of 8-byte words, and
-every other handle a tuple. `_product` multiplies one pair; `_RightMul`
-multiplies a batch on the right by one element, in dim row-table lookups
-a product. A closure grows one generator at a time, <H, s> from the
-closed H, by right cosets of H (Dimino): each element is multiplied out
-once, in batches of whole cosets. One level of a stabilizer chain
-(`_LastRowChain`) holds the orbit of the last packed row with a
-transversal, and the closure of that row's stabilizer H. On the
-two-element core of Sp_2m(F2) it proves the group's order; on the
-transvections of a form it builds O(Q), so no closure grows past H and
-the elements come coset by coset, H t_w by ascending w.
+is the one exception: it is read off the last-row chain that proves its
+order (`_LastRowCosets`), element i the product of one stabilizer element
+and one transversal element, and membership tests the rows' pairings.
+O(Q) at dim <= 6 keeps an `array('Q')` of 8-byte words, and every other
+handle a tuple. `_product` multiplies one pair; `_RightMul` multiplies a
+batch on the right by one element, in dim row-table lookups a product. A
+closure grows one generator at a time, <H, s> from the closed H, by right
+cosets of H (Dimino): each element is multiplied out once, in batches of
+whole cosets. One level of a stabilizer chain (`_LastRowChain`) holds the
+orbit of the last packed row with a transversal, and the closure of that
+row's stabilizer H. On the two-element core of Sp_2m(F2) it proves the
+group's order and lists the elements; on the transvections of a form it
+builds O(Q), so no closure grows past H and the elements come coset by
+coset, H t_w by ascending w.
 The census joins each subgroup H once per double coset H g H, since
 <H, h g h'> = <H, g> for h, h' in H; it walks element indices, where a
 product is one read of a Cayley table (`_CayleyRight`). Conjugation has one
@@ -30,9 +31,6 @@ from collections import deque
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from math import prod
-from operator import xor
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .f2core import (
@@ -240,142 +238,12 @@ def _mulclose(rights: Sequence[_RightMul | _CayleyRight], group: Collection[int]
 # ---------------------------------------------------------------------------
 # subgroup handles
 
-class _SymplecticBases(Sequence):
-    """Sp_2m(F2) as a read-only ascending sequence of packed elements, each
-    worked out when it is asked for: nothing is stored.
-
-    g is in Sp_2m(F2) exactly when its rows form a symplectic basis: row i
-    pairs to 1 with row i + m (mod 2m) and to 0 with every other row.
-    Packed order compares the top row first, so ascending order chooses the
-    rows from the top down. Rows 2m - 1 .. m, the frame, span an isotropic
-    space: with t of them chosen, the next is any vector orthogonal to them
-    and outside their span, 2^(2m - t) - 2^t choices (63, 30, 12 at m = 3).
-    Rows m - 1 .. 0, the tail, are one completion of the frame plus the
-    symmetric combinations S of its rows (row i gains sum_j S_ij times row
-    m + j): 2^(m(m+1)/2) tails, 64 at m = 3. Every level has as many
-    choices whatever was chosen above it (Witt's theorem), so element i is
-    tail i % 2^(m(m+1)/2) of frame i // 2^(m(m+1)/2), the frame read in
-    mixed radix over its levels. A frame's tails are worked out and sorted
-    together; membership tests the rows' pairings.
-    """
-
-    __slots__ = ("m", "dim", "_mask", "_levels", "_tails", "_len", "_pairs")
-
-    def __init__(self, m: int):
-        self.m = m
-        self.dim = dim = 2 * m
-        self._mask = (1 << dim) - 1
-        self._levels = tuple((1 << (dim - t)) - (1 << t) for t in range(m))
-        self._tails = 1 << (m * (m + 1) // 2)
-        self._len = self._tails * prod(self._levels)
-        # (i, j, <row i, row j>) for i < j in a symplectic basis
-        self._pairs = tuple((i, j, j == i + m) for i in range(dim) for j in range(i + 1, dim))
-
-    def _swap(self, v: int) -> int:
-        """The Gram image of v: <u, v> is the parity of u & swap(v)."""
-        return (v >> self.m | v << self.m) & self._mask
-
-    # A partial frame is a state (frame, duals, kernel): its rows from the
-    # top, a dual for each row (pairing to 1 with it and to 0 with the
-    # others), and a basis of the vectors orthogonal to every row.
-
-    def _start(self) -> Tuple[List[int], List[int], List[int]]:
-        return [], [], [1 << i for i in range(self.dim)]
-
-    @staticmethod
-    def _next_rows(state) -> List[int]:
-        """The rows that can come next, ascending: the vectors orthogonal
-        to the frame and outside its span."""
-        frame, _, kernel = state
-        span = set(_span_table(frame))
-        return sorted(v for v in _span_table(kernel) if v not in span)
-
-    def _push(self, state, row: int):
-        """The state once `row` joins the frame. The first kernel vector
-        that pairs to 1 with row is its dual, and adding that vector to
-        the other duals and kernel vectors that pair to 1 with row makes
-        them orthogonal to it."""
-        frame, duals, kernel = state
-        image = self._swap(row)
-
-        def paired(u: int) -> int:
-            return (u & image).bit_count() & 1
-
-        dual = next(b for b in kernel if paired(b))
-        duals = [u ^ dual if paired(u) else u for u in duals] + [dual]
-        kernel = [b ^ dual if paired(b) else b for b in kernel if b != dual]
-        return frame + [row], duals, kernel
-
-    def _frames(self, state) -> Iterator[tuple]:
-        if len(state[0]) == self.m:
-            yield state
-        else:
-            for row in self._next_rows(state):
-                yield from self._frames(self._push(state, row))
-
-    def _block(self, state) -> List[int]:
-        """The elements of one whole frame, ascending. Row i of the frame
-        (from the top) is row 2m - 1 - i of the element, and its partner,
-        row m - 1 - i, is its dual plus <dual_i, dual_k> times row k of
-        the frame over k > i, which makes the tail rows pair to 0."""
-        frame, duals, _ = state
-        m, dim = self.m, self.dim
-        first = 0
-        for i, (f, u) in enumerate(zip(frame, duals)):
-            row = u
-            for k in range(i + 1, m):
-                if (u & self._swap(duals[k])).bit_count() & 1:
-                    row ^= frame[k]
-            first |= f << ((2 * m - 1 - i) * dim) | row << ((m - 1 - i) * dim)
-        sym = [
-            frame[j] << ((m - 1 - i) * dim) | (frame[i] << ((m - 1 - j) * dim) if j != i else 0)
-            for i in range(m)
-            for j in range(i, m)
-        ]
-        return sorted(map(xor, repeat(first), _span_table(sym)))
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("Sp_2m(F2) index out of range")
-        q, tail = divmod(i, self._tails)
-        digits = []
-        for n in reversed(self._levels):
-            q, d = divmod(q, n)
-            digits.append(d)
-        state = self._start()
-        for d in reversed(digits):
-            state = self._push(state, self._next_rows(state)[d])
-        return self._block(state)[tail]
-
-    def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(map(self._block, self._frames(self._start())))
-
-    def __contains__(self, x: object) -> bool:
-        dim, m, mask = self.dim, self.m, self._mask
-        if not isinstance(x, int) or x < 0 or x >> (dim * dim):
-            return False
-        rows = [(x >> s) & mask for s in range(0, dim * dim, dim)]
-        swapped = [(r >> m | r << m) & mask for r in rows]
-        for i, j, pairing in self._pairs:
-            if (rows[j] & swapped[i]).bit_count() & 1 != pairing:
-                return False
-        return True
-
-
 class _SortedView(Set):
     """Read-only, unhashable set view of an ascending sequence of elements.
 
-    Membership bisects the sequence, or for Sp_2m(F2) (`_SymplecticBases`)
-    asks it, which tests the rows' pairings; `<=`, `==` and the other
-    comparisons come from `collections.abc.Set`, so the view compares with
-    frozensets in either order.
+    Membership bisects the sequence; `<=`, `==` and the other comparisons
+    come from `collections.abc.Set`, so the view compares with frozensets
+    in either order.
     """
 
     __slots__ = ("_items",)
@@ -385,8 +253,6 @@ class _SortedView(Set):
 
     def __contains__(self, x: object) -> bool:
         items = self._items
-        if isinstance(items, _SymplecticBases):
-            return x in items
         i = bisect_left(items, x)
         return i < len(items) and items[i] == x
 
@@ -400,21 +266,21 @@ class _SortedView(Set):
 class SubgroupHandle:
     """A subgroup with its declared generator list and its elements.
 
-    The elements are the ascending sequence `elements`, which the
-    constructor keeps as given: the caller sorts them, and the
-    handle neither sorts nor copies them. `symplectic_group` passes a
-    `_SymplecticBases`, which stores no element and works each one out
-    from its symplectic basis when it is asked for. `orthogonal_group`
-    passes an `array('Q')` (dim <= 6, so every element is below 2^36),
-    filled with the sorted cosets of its last-row stabilizer.
-    Closures, census subgroups and the obstruction groups up to dim 16,
-    whose packed elements (dim^2 bits) can outgrow a 64-bit word, pass a
-    sorted tuple. Callers index and iterate all three alike, and
-    `element_set` is a set view of each (`_SortedView`): it bisects an
-    array or a tuple and asks `_SymplecticBases` directly. Walking all of
-    Sp6(F2) works out its 1.45M elements again each time, so a caller that
-    walks a group many times takes one tuple of it first. The elements are
-    always the closure of `core`: `_grow_core` returns the two together;
+    The elements are the sequence `elements`, which the constructor keeps
+    as given: the handle neither sorts nor copies them. `symplectic_group`
+    passes a `_LastRowCosets`, which multiplies each element out of its
+    last-row chain when it is read, coset by coset, so its elements are
+    not ascending; it is a set itself, and `element_set` is the sequence.
+    `orthogonal_group` passes an `array('Q')` (dim <= 6, so every element
+    is below 2^36), filled with the sorted cosets of its last-row
+    stabilizer. Closures, census subgroups and the obstruction groups up
+    to dim 16, whose packed elements (dim^2 bits) can outgrow a 64-bit
+    word, pass a sorted tuple. Callers index and iterate all three alike;
+    for an array or a tuple `element_set` is a `_SortedView` that bisects
+    it. Walking all of Sp6(F2) multiplies out its 1.45M elements again
+    each time, so a caller that walks a group many times, or needs
+    ascending order, sorts it once first. The elements are always the
+    closure of `core`: `_grow_core` returns the two together;
     `orthogonal_group` finds its core by `_grow_core`'s walk over the
     sorted elements, with a `_LastRowChain` as the membership test;
     `symplectic_group` proves by the core's `_LastRowChain` that the core
@@ -440,8 +306,9 @@ class SubgroupHandle:
         self.core = core
 
     @property
-    def element_set(self) -> _SortedView:
-        return _SortedView(self.elements)
+    def element_set(self) -> Set:
+        elements = self.elements
+        return elements if isinstance(elements, Set) else _SortedView(elements)
 
     def contains(self, g) -> bool:
         packed = g.packed if isinstance(g, F2Matrix) else g
@@ -590,44 +457,95 @@ class _LastRowChain:
         return undo is not None and undo([c])[0] in self.stab
 
 
+class _LastRowCosets(Sequence, Set):
+    """Sp_2m(F2), read off the last-row chain that proves its order.
+
+    It keeps the chain's stabilizer H of the last packed row, sorted once
+    into an `array('Q')`, and a transversal t_w for the last rows w by
+    ascending value. Element i is H[i % |H|] t_w for the (i // |H|)-th
+    row w: the cosets H t_w come by ascending last row, and within a coset
+    in the order of H, so the elements are not ascending. Iteration
+    multiplies them out 64 at a time, so a walk that stops early costs
+    little more than what it reads. g is in Sp_2m(F2) exactly when its
+    rows form a symplectic basis: row i pairs to 1 with row i + m (mod 2m)
+    and to 0 with every other row, which membership tests. `<=`, `==` and
+    the other comparisons come from `collections.abc.Set`.
+    """
+
+    __slots__ = ("m", "dim", "_stab", "_reps", "_pairs")
+
+    def __init__(self, chain: _LastRowChain):
+        self.dim = dim = chain.dim
+        self.m = m = dim // 2
+        self._stab = array("Q", sorted(chain.stab))
+        self._reps = [chain.reps[w] for w in sorted(chain.reps)]
+        # (i, j, <row i, row j>) for i < j in a symplectic basis
+        self._pairs = tuple((i, j, j == i + m) for i in range(dim) for j in range(i + 1, dim))
+
+    def __len__(self) -> int:
+        return len(self._reps) * len(self._stab)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        w, h = divmod(range(len(self))[i], len(self._stab))
+        return _product(self._stab[h], self._reps[w], self.dim)
+
+    def __iter__(self) -> Iterator[int]:
+        stab = self._stab
+        for t in self._reps:
+            right = _RightMul(t, self.dim)
+            for k in range(0, len(stab), 64):
+                yield from right(stab[k : k + 64])
+
+    def __contains__(self, x: object) -> bool:
+        dim, m = self.dim, self.m
+        if not isinstance(x, int) or x < 0 or x >> (dim * dim):
+            return False
+        mask = (1 << dim) - 1
+        rows = [(x >> s) & mask for s in range(0, dim * dim, dim)]
+        swapped = [(r >> m | r << m) & mask for r in rows]
+        for i, j, pairing in self._pairs:
+            if (rows[j] & swapped[i]).bit_count() & 1 != pairing:
+                return False
+        return True
+
+
 @lru_cache(maxsize=None)
 def symplectic_group(m: int) -> SubgroupHandle:
-    """Sp_2m(F2) for m <= 3, its elements read off their symplectic bases.
+    """Sp_2m(F2) for m <= 3, its elements read off its last-row chain.
 
-    The elements are a `_SymplecticBases`, which works each one out when it
-    is asked for and stores none. The declared generators are all
-    transvections. The core is (c, T): c is the product of a chain of
-    plane-linking transvections T_e1, T_f1, T_(e1+e2), T_f2, ... and
-    T = T_v for v = e2 (e1 for m = 1). The build is the order gate: the
-    `_LastRowChain` of the core has order exactly |<c, T>|, the orbit of
-    the last packed row times its stabilizer closed from Schreier
-    generators (23 040 elements at m = 3). c and T are products of
-    transvections, so <c, T> lies in Sp_2m(F2), and an order equal to the
-    formula proves that they generate it. The sequence lists the symplectic
-    matrices, as many as the formula, so it is the same set; every
-    transvection must lie in it.
+    The declared generators are all transvections. The core is (c, T): c
+    is the product of a chain of plane-linking transvections T_e1, T_f1,
+    T_(e1+e2), T_f2, ... and T = T_v for v = e2 (e1 for m = 1). The build
+    is the order gate: the `_LastRowChain` of the core has order exactly
+    |<c, T>|, the orbit of the last packed row times its stabilizer closed
+    from Schreier generators (63 rows and 23 040 elements at m = 3). c and
+    T are products of transvections, so <c, T> lies in Sp_2m(F2), and an
+    order equal to the formula proves that they generate it. The elements
+    are that chain's cosets (`_LastRowCosets`), each multiplied out when it
+    is read, so they are not ascending; membership tests the rows'
+    pairings, and every transvection must pass it.
     """
     order = symplectic_order_formula(m)
     if order > DEFAULT_CAP:
         raise ClosureCapExceeded(DEFAULT_CAP)
     space = standard_symplectic(m)
     dim = space.dim
-    chain = [1, 1 << m]  # e_1, f_1
+    links = [1, 1 << m]  # e_1, f_1
     for i in range(1, m):
-        chain.append((1 << (i - 1)) | (1 << i))  # e_i + e_(i+1)
-        chain.append(1 << (m + i))  # f_(i+1)
+        links.append((1 << (i - 1)) | (1 << i))  # e_i + e_(i+1)
+        links.append(1 << (m + i))  # f_(i+1)
     c = F2Matrix.identity(dim)
-    for v in chain:
+    for v in links:
         c = c * transvection(v, space)
     v = 1 if m == 1 else 0b10
     core = (c.packed, transvection(v, space).packed)
-    if _LastRowChain(core, dim).order != order:
+    chain = _LastRowChain(core, dim)
+    if chain.order != order:
         raise AssertionError("the core's stabilizer chain disagrees with |Sp_2m(F2)|")
     generators = all_transvections(space)
-    elements = _SymplecticBases(m)
-    if len(elements) != order:
-        raise AssertionError("the symplectic bases do not number |Sp_2m(F2)|")
-    handle = SubgroupHandle(space, generators, elements, core)
+    handle = SubgroupHandle(space, generators, _LastRowCosets(chain), core)
     if not all(handle.contains(g.packed) for g in generators):
         raise AssertionError("a transvection escaped the closure")
     return handle

@@ -153,6 +153,13 @@ def test_factor_limit():
         _factor(FACTOR_LIMIT + 1)
 
 
+def test_factor_refuses_zero():
+    # every prime divides 0, so trial division would never finish
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        _factor(0)
+    assert _factor(1) == _factor(-1) == {}
+
+
 def test_hilbert_symbol_known_values():
     assert hilbert_symbol(-1, -1, "real") == -1
     assert hilbert_symbol(-1, -1, 2) == -1

@@ -227,34 +227,40 @@ def test_symplectic_group_matches_the_breadth_first_closure(m):
     sp = symplectic_group(m)
     assert sp.core == grown == core
     assert sp.element_set == elements
-    assert list(sp.elements) == sorted(elements)
+    assert sorted(sp.elements) == sorted(elements)
 
 
-def test_sp6_cosets_come_out_sorted(sp3):
+def test_sp6_cosets_come_out_sorted(sp3, sp3_ascending):
+    """The cosets H t_w of the last-row stabilizer come by ascending last
+    row w, |H| = 23 040 consecutive elements each, and the walk, sorted, is
+    the coset-product oracle."""
     assert sp3.core == _sp_core_by_definition(3)
-    assert list(sp3.elements) == sorted(sp3.element_set)
+    walked = list(sp3.elements)
+    assert [p >> 30 for p in walked] == [w for w in range(1, 64) for _ in range(23_040)]
+    assert array("Q", sorted(walked)) == sp3_ascending
 
 
 def test_materialized_classical_groups_keep_packed_word_layouts(sp3, o3):
-    """Sp2, Sp4 and Sp6 store no element: each is a sequence of frames, the
-    top m rows, with 2^(m(m+1)/2) consecutive elements per frame, and it
-    keeps a few counts and the pairings of a symplectic basis. O-(6, 2)
-    keeps one array('Q') of 8-byte words; a closure keeps its tuple."""
+    """Sp2, Sp4 and Sp6 keep their last-row chain: the stabilizer H of the
+    last row as one sorted array('Q') of 8-byte words and one transversal
+    element per last row, 2^dim - 1 of them, with |H| consecutive elements
+    per coset. O-(6, 2) keeps one array('Q') of 8-byte words; a closure
+    keeps its tuple."""
     for m, group in ((1, symplectic_group(1)), (2, symplectic_group(2)), (3, sp3)):
         seq, dim = group.elements, group.dim
-        assert isinstance(seq, matgroups._SymplecticBases)
+        assert isinstance(seq, matgroups._LastRowCosets)
         assert not hasattr(seq, "__dict__")
-        assert sum(sys.getsizeof(getattr(seq, name)) for name in type(seq).__slots__) < 1024
-        tails = 1 << (m * (m + 1) // 2)
-        frames = len(seq) // tails
-        assert frames * tails == len(seq) == group.order
-        top = m * dim  # the frame is the packed bits from here up
-        # every frame boundary at m <= 2, every 97th and the last at m = 3
-        for lo in sorted({*range(tails, len(seq), tails * (97 if m == 3 else 1)), len(seq) - tails}):
+        stab, reps = seq._stab, seq._reps
+        assert stab.typecode == "Q" and stab.itemsize == 8
+        assert list(stab) == sorted(stab) and len(reps) == (1 << dim) - 1
+        assert len(stab) * len(reps) == len(seq) == group.order
+        assert sys.getsizeof(stab) < 8 * len(stab) + 1024
+        top = (dim - 1) * dim  # the last row is the packed bits from here up
+        # every coset boundary
+        for lo in range(len(stab), len(seq), len(stab)):
             before, first, second = seq[lo - 1], seq[lo], seq[lo + 1]
-            assert before < first < second
             assert before >> top < first >> top == second >> top
-            assert seq[lo - tails] >> top == before >> top
+            assert seq[lo - len(stab)] >> top == before >> top
             assert seq[lo - len(seq)] == first
     assert o3.elements.typecode == "Q" and o3.elements.itemsize == 8
     assert list(o3.elements) == sorted(o3.element_set)
@@ -264,18 +270,21 @@ def test_materialized_classical_groups_keep_packed_word_layouts(sp3, o3):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_symplectic_sequence_matches_the_transvection_closure_exhaustively(m):
-    """Membership of every int below 2^(dim^2), every index from either
-    end, slices and both ends' IndexError, against the sorted closure of
-    all transvections."""
+    """Membership of every int below 2^(dim^2) against the sorted closure
+    of all transvections; each element once, in the same order by every
+    index from either end as by iteration, slices and both ends'
+    IndexError."""
     space = standard_symplectic(m)
     want = sorted(close(all_transvections(space), space).elements)
     seq = symplectic_group(m).elements
     n = len(want)
     assert len(seq) == n
     assert [p for p in range(1 << (4 * m * m)) if p in seq] == want
-    assert [seq[i] for i in range(n)] == want == [seq[i - n] for i in range(n)]
+    walked = list(seq)
+    assert sorted(walked) == want and len(set(walked)) == n
+    assert [seq[i] for i in range(n)] == walked == [seq[i - n] for i in range(n)]
     for s in (slice(None), slice(1, -1), slice(None, None, -1), slice(n // 3, n, 7), slice(-5, None), slice(n, None)):
-        assert seq[s] == tuple(want[s])
+        assert seq[s] == tuple(walked[s])
     for i in (n, -n - 1, n + 64, -(1 << 70)):
         with pytest.raises(IndexError):
             seq[i]
@@ -291,16 +300,18 @@ def _packed_digest(elements) -> str:
     return hashlib.sha256(words.tobytes()).hexdigest()
 
 
-def test_symplectic_element_sequences_are_pinned(sp3):
-    # digests of the sorted sequences of the array('Q') layout they replace:
-    # a reordering, or a lost or changed element, fails here
-    assert _packed_digest(symplectic_group(1).elements) == (
+def test_symplectic_element_sequences_are_pinned(sp3_ascending):
+    # digests of the sorted elements, as the array('Q') layout of an earlier
+    # build held them: a lost, repeated or changed element fails here; at
+    # m = 3 the coset-product oracle's, which test_sp6_cosets_come_out_sorted
+    # compares with the sorted walk
+    assert _packed_digest(sorted(symplectic_group(1).elements)) == (
         "fe93b55b5cd9fc752b0052fba6c192952b5b19d16006f334ab5c276ac11d25a2"
     )
-    assert _packed_digest(symplectic_group(2).elements) == (
+    assert _packed_digest(sorted(symplectic_group(2).elements)) == (
         "20e4c9f6e606e1417ff1186b2fcaefd1341499fafbc1a0bb512d3f06ec21ab16"
     )
-    assert _packed_digest(sp3.elements) == (
+    assert _packed_digest(sp3_ascending) == (
         "d94ea4020c13c76abb5a89d907dde21484390e47fb6f6a211bca43c807364134"
     )
 
@@ -348,10 +359,11 @@ def test_conjugation_orbits_are_the_sorted_classes_and_refuse_an_open_family():
 
 
 def _sp_by_coset_products(m):
-    """The coset-product build of Sp_2m(F2), the sequence's oracle: H, the
-    closure of the transvections that fix the last packed row e, times one
-    t_w per last row w = e t_w, found breadth first; each coset H t_w is
-    multiplied out and sorted, and the cosets come by ascending w."""
+    """The coset-product build of Sp_2m(F2), ascending, the sequence's
+    oracle: H, the closure of the transvections that fix the last packed
+    row e, times one t_w per last row w = e t_w, found breadth first over
+    all transvections; each coset H t_w is multiplied out and sorted, and
+    the cosets come by ascending w."""
     sp = standard_symplectic(m)
     dim = sp.dim
     moves = [g.packed for g in all_transvections(sp)]
@@ -372,16 +384,23 @@ def _sp_by_coset_products(m):
     return out
 
 
+@pytest.fixture(scope="module")
+def sp3_ascending():
+    """The elements of Sp6(F2) in ascending order, from the coset-product
+    oracle (about 1.4 s): the population of the seeded draws at m = 3."""
+    return _sp_by_coset_products(3)
+
+
 def test_coset_products_match_the_sp4_sequence():
-    assert list(_sp_by_coset_products(2)) == list(symplectic_group(2).elements)
+    assert list(_sp_by_coset_products(2)) == sorted(symplectic_group(2).elements)
 
 
 @pytest.mark.extended
-def test_sp6_sequence_matches_the_coset_products(sp3):
+def test_sp6_sequence_matches_the_coset_products(sp3, sp3_ascending):
     """The oracle multiplies out and sorts all 1.45M elements."""
-    want = _sp_by_coset_products(3)
-    assert len(want) == len(sp3.elements)
-    assert all(map(int.__eq__, want, sp3.elements))
+    got = sorted(sp3.elements)
+    assert len(sp3_ascending) == len(got) == len(sp3.elements)
+    assert all(map(int.__eq__, sp3_ascending, got))
 
 
 def test_groups_past_the_cap_are_refused_up_front():
@@ -522,7 +541,7 @@ def test_orthogonal_group_closes_nothing_past_its_stabilizer(monkeypatch):
     assert (len(chain.reps), len(chain.stab)) == (27, 1920)
 
 
-def test_last_row_chain_membership_matches_the_element_set(sp3, o3):
+def test_last_row_chain_membership_matches_the_element_set(sp3, sp3_ascending, o3):
     """The chain of O-(6, 2)'s core against its element set: seeded
     elements of Sp6, 1 in 28 of them members, every member and the int
     just past it, and ints that are no element of Sp6."""
@@ -530,7 +549,7 @@ def test_last_row_chain_membership_matches_the_element_set(sp3, o3):
     assert chain.order == o3.order
     view = o3.element_set
     rng = random.Random(29)
-    probes = [sp3.elements[rng.randrange(sp3.order)] for _ in range(3000)]
+    probes = [sp3_ascending[rng.randrange(sp3.order)] for _ in range(3000)]
     probes += [rng.getrandbits(36) for _ in range(3000)]
     probes += [q for p in o3.elements for q in (p, p + 1)]
     members = [p for p in probes if p in chain]
@@ -548,7 +567,7 @@ def test_last_row_chain_order_matches_the_closure_on_seeded_subgroups():
     o6 = orthogonal_group(standard_base_form(3))
     probes = [q for p in o6.elements[::7] for q in (p, p ^ (1 << 35))]
     orders = []
-    for dim, pool in ((4, sp4.elements), (6, o6.elements)):
+    for dim, pool in ((4, sorted(sp4.elements)), (6, o6.elements)):
         for _ in range(30 if dim == 4 else 12):
             gens = [pool[rng.randrange(len(pool))] for _ in range(rng.randint(1, 3))]
             closure, _ = matgroups._grow_core(gens, dim, matgroups.DEFAULT_CAP)
@@ -663,8 +682,8 @@ def test_element_view_matches_the_closure_set_on_every_dim4_int():
     assert [p for p in range(1 << 16) if p in view] == sorted(oracle)
 
 
-def test_element_view_matches_a_frozenset_of_sp6(sp3):
-    oracle = frozenset(sp3.elements)
+def test_element_view_matches_a_frozenset_of_sp6(sp3, sp3_ascending):
+    oracle = frozenset(sp3_ascending)
     view = sp3.element_set
     rng = random.Random(12)
     for _ in range(100_000):
@@ -676,14 +695,15 @@ def test_element_view_matches_a_frozenset_of_sp6(sp3):
         # the next int up probes the bisection just past a member
         assert (p + 1 in view) == (p + 1 in oracle)
     assert og.element_set <= view
-    # the frame boundaries (64 elements a frame) and one index to either
-    # side, every 97th frame and the last, with one int to either side and
-    # each element with its top row cleared, which no element has
+    # the walk lists each element once; the coset boundaries (23 040
+    # elements a coset) and one index to either side, read by index as the
+    # walk has them, with one int to either side and each element with its
+    # top row cleared, which no element has
     seq = sp3.elements
     ordered = list(seq)
     assert len(ordered) == len(seq) == sp3.order
     below_top = (1 << 30) - 1
-    for lo in sorted({*range(64, len(ordered), 64 * 97), len(ordered) - 64}):
+    for lo in range(23_040, len(ordered), 23_040):
         for i in (lo - 1, lo, lo + 1):
             p = ordered[i]
             assert seq[i] == p and seq[i - len(ordered)] == p
@@ -697,13 +717,65 @@ def test_element_view_matches_a_frozenset_of_sp6(sp3):
         seq[len(ordered)]
     with pytest.raises(IndexError):
         seq[-len(ordered) - 1]
-    # slices across frame boundaries and a last-row boundary (|H| = 23 040),
+    # slices within a coset and across a coset boundary (|H| = 23 040),
     # stepped and reversed
     for s in (slice(None, 5), slice(-3, None), slice(60, 70), slice(-70, -60), slice(23_035, 23_045), slice(100, 40_000, 997)):
         assert list(seq[s]) == ordered[s]
     assert list(seq[::-99_991]) == ordered[::-99_991]
     sample = random.Random(13).sample(seq, 500)
     assert len(set(sample)) == 500 and set(sample) <= oracle
+    # seeded reads by index, from either end, against the walk
+    for i in random.Random(14).sample(range(len(ordered)), 300):
+        assert seq[i] == ordered[i] == seq[i - len(ordered)]
+
+
+def _rows_pair_symplectically(p, m):
+    """The definition the Sp sequence's membership tests: the dim rows of
+    the packed p form a symplectic basis, <row i, row j> = 1 exactly when
+    i and j differ by m, by the standard space's own pairing."""
+    space = standard_symplectic(m)
+    dim = space.dim
+    if not 0 <= p < 1 << (dim * dim):
+        return False
+    rows = [(p >> (i * dim)) & ((1 << dim) - 1) for i in range(dim)]
+    return all(space.pairing(rows[i], rows[j]) == (abs(i - j) == m) for i in range(dim) for j in range(dim))
+
+
+def test_sp_membership_is_the_row_pairing_definition(sp3, sp3_ascending):
+    """Seeded ints at m = 1, 2, 3, seeded elements and each of them with
+    one seeded bit flipped, against the definition."""
+    rng = random.Random(31)
+    for m in (1, 2, 3):
+        seq = sp3.elements if m == 3 else symplectic_group(m).elements
+        bits = 4 * m * m
+        pool = sp3_ascending if m == 3 else sorted(seq)
+        members = [pool[rng.randrange(len(pool))] for _ in range(300)]
+        probes = [rng.getrandbits(bits) for _ in range(2000)] + members
+        probes += [p ^ (1 << rng.randrange(bits)) for p in members]
+        probes += [-1, 1 << bits, -members[0]]
+        got = [p in seq for p in probes]
+        assert got == [_rows_pair_symplectically(p, m) for p in probes]
+        assert 300 <= sum(got) < len(probes) - 300
+
+
+def test_sp_walk_multiplies_out_only_what_it_reads(sp3, monkeypatch):
+    """Reading 3 elements through iter, as obstruction_conditions(Sp6)
+    does before its failing element, multiplies out far fewer than the
+    23 040 elements of a coset."""
+    multiplied = []
+    real_call = matgroups._RightMul.__call__
+
+    def call(self, xs):
+        multiplied.append(len(xs))
+        return real_call(self, xs)
+
+    monkeypatch.setattr(matgroups._RightMul, "__call__", call)
+    walk = iter(sp3.elements)
+    first = [next(walk) for _ in range(3)]
+    assert first == [sp3.elements[i] for i in range(3)]
+    assert 3 <= sum(multiplied) <= 64
+    assert obstruction_conditions(sp3).failing_element is not None
+    assert sum(multiplied) <= 2 * 64
 
 
 def test_element_view_compares_with_frozensets_and_is_read_only():
@@ -725,8 +797,8 @@ def test_sp6_build_peak_memory_stays_under_one_copy():
     # alone peaked near 91 MB; any container of Sp6's elements (5.8 MB of
     # 4-byte words, a frozenset about 64 MB) would pass 32 MB. Step by
     # step, Sp6's build, the stabilizer chain of its two-element core (a
-    # 23 040-element stabilizer) with no element stored, raises the peak by
-    # about 3.5 MB.
+    # 23 040-element stabilizer, kept sorted in a 184 KB array('Q') with
+    # 63 transversal elements), raises the peak by about 3.0-3.5 MB.
     # O-(6, 2), built from its last-row stabilizer chain (the largest set
     # is the 1920-element stabilizer) into a 415 KB array('Q'), stays
     # under that peak and raises it by 0.00 MB; closing all 51 840 elements
@@ -793,7 +865,7 @@ def test_is_subgroup_of_matches_inclusion_on_seeded_sp4_subgroups():
     space = sp4.space
     rng = random.Random(101)
     for _ in range(40):
-        x, y, z = (F2Matrix.from_packed(p, 4) for p in rng.sample(sp4.elements, 3))
+        x, y, z = (F2Matrix.from_packed(p, 4) for p in rng.sample(sorted(sp4.elements), 3))
         handles = [
             close([x, y], space),
             close([x], space),
@@ -1005,7 +1077,7 @@ def test_set_conjugator_maps_each_element():
     sp4 = symplectic_group(2)
     rng = random.Random(26)
     for _ in range(20):
-        g, x, y = rng.sample(sp4.elements, 3)
+        g, x, y = rng.sample(sorted(sp4.elements), 3)
         conj = matgroups._conjugator(g, 4)
         xs = close([F2Matrix.from_packed(p, 4) for p in (x, y)], sp4.space).elements
         assert matgroups._set_conjugator(g, 4)(xs) == frozenset(map(conj, xs))
@@ -1036,7 +1108,7 @@ def test_gl22_common_fixed_vector():
         gl22_common_fixed_vector(symplectic_group(1))
 
 
-def test_fixed_arf0_masks_match_the_linear_solve(sp3):
+def test_fixed_arf0_masks_match_the_linear_solve(sp3_ascending):
     """The bitmask kernel behind `obstruction_conditions` against the
     independent path: the points v of `fixed_form_vectors`' affine span
     whose form has Arf 0 by `arf_by_count`. All of Sp2(F2) and Sp4(F2), the
@@ -1063,10 +1135,10 @@ def test_fixed_arf0_masks_match_the_linear_solve(sp3):
         (q0[1], symplectic_group(1).elements),
         (q0[2], symplectic_group(2).elements),
         (shifted, symplectic_group(2).elements),
-        (q0[3], rng.sample(sp3.elements, 2000)),
+        (q0[3], rng.sample(sp3_ascending, 2000)),
         (q0[4], words),
         (arf0[2], symplectic_group(2).elements),
-        (arf0[3], rng.sample(sp3.elements, 500)),
+        (arf0[3], rng.sample(sp3_ascending, 500)),
     ):
         mask_of = matgroups._fixed_arf0_masks(base)
         for p in elements:
@@ -1080,7 +1152,7 @@ def test_fixed_arf0_masks_match_the_linear_solve(sp3):
     assert outcomes == {(m, fixes) for m in (1, 2, 3, 4) for fixes in (True, False)}
 
 
-def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
+def test_no_cyclic_group_meets_both_obstruction_conditions(sp3_ascending):
     """A form fixed by g is fixed by <g>, so condition 2 on g and condition 1
     on <g> exclude each other; `order6_uniqueness_scan` relies on this to
     assemble dihedral groups only. All of Sp4(F2), 200 seeded Sp6(F2)."""
@@ -1088,7 +1160,7 @@ def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
     outcomes = set()
     for m, elements in (
         (2, symplectic_group(2).elements),
-        (3, rng.sample(sp3.elements, 200)),
+        (3, rng.sample(sp3_ascending, 200)),
     ):
         space = standard_symplectic(m)
         base = standard_base_form(m)
@@ -1101,7 +1173,7 @@ def test_no_cyclic_group_meets_both_obstruction_conditions(sp3):
     assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
-def test_obstruction_verdict_does_not_depend_on_the_base(sp3):
+def test_obstruction_verdict_does_not_depend_on_the_base(sp3_ascending):
     """Which forms a group fixes, and their Arf invariants, do not depend
     on the base form that indexes them by vector: every base at m <= 3
     (4, 16 and 64 of them, of both Arf invariants) gives the same verdict
@@ -1113,13 +1185,13 @@ def test_obstruction_verdict_does_not_depend_on_the_base(sp3):
     rng = random.Random(21)
     involutions = []
     while len(involutions) < 12:
-        g = F2Matrix.from_packed(rng.choice(sp3.elements), 6)
+        g = F2Matrix.from_packed(rng.choice(sp3_ascending), 6)
         n = g.order()
         if n % 2 == 0:
             involutions.append(g ** (n // 2))
     groups = [symplectic_group(1)]
-    groups += [close([F2Matrix.from_packed(p, 4)]) for p in rng.sample(symplectic_group(2).elements, 12)]
-    groups += [close([F2Matrix.from_packed(p, 6)]) for p in rng.sample(sp3.elements, 12)]
+    groups += [close([F2Matrix.from_packed(p, 4)]) for p in rng.sample(sorted(symplectic_group(2).elements), 12)]
+    groups += [close([F2Matrix.from_packed(p, 6)]) for p in rng.sample(sp3_ascending, 12)]
     groups += [close(involutions[i : i + 2]) for i in range(0, 12, 2)]
     groups.append(build_obstruction_subgroup(3).group)
     verdicts = set()
@@ -1146,23 +1218,31 @@ def test_obstruction_verdict_does_not_depend_on_the_base(sp3):
     assert verdicts == {(a, s, e) for a in (0, 1) for s, e in ((True, True), (False, True), (False, False))}
 
 
-def _obstruction_corpus(sp3):
+def _ascending_handle(sp, ascending):
+    """Sp_2m(F2) on its elements in ascending order, with its generators
+    and core."""
+    return SubgroupHandle(sp.space, sp.generators, ascending, sp.core)
+
+
+def _obstruction_corpus(sp3, sp3_ascending):
     """The groups whose obstruction reports the digest below pins: the
     closures of 500 seeded Sp6(F2) elements and of 500 seeded pairs of
     involutions (powers g^(n/2) of elements of even order n), Sp2, Sp4 and
-    Sp6, the trivial group with an empty core, every class of
-    `subgroup_census(1)`, and `build_obstruction_subgroup(m)` for m = 3..8."""
+    Sp6 on their ascending elements, the trivial group with an empty core,
+    every class of `subgroup_census(1)`, and `build_obstruction_subgroup(m)`
+    for m = 3..8."""
     rng = random.Random(20)
     space = sp3.space
-    groups = [close([F2Matrix.from_packed(p, 6)], space) for p in rng.sample(sp3.elements, 500)]
+    groups = [close([F2Matrix.from_packed(p, 6)], space) for p in rng.sample(sp3_ascending, 500)]
     involutions = []
     while len(involutions) < 1000:
-        g = F2Matrix.from_packed(rng.choice(sp3.elements), 6)
+        g = F2Matrix.from_packed(rng.choice(sp3_ascending), 6)
         n = g.order()
         if n % 2 == 0:
             involutions.append(g ** (n // 2))
     groups += [close(involutions[i : i + 2], space) for i in range(0, 1000, 2)]
-    groups += [symplectic_group(m) for m in (1, 2, 3)]
+    groups += [_ascending_handle(symplectic_group(m), sorted(symplectic_group(m).elements)) for m in (1, 2)]
+    groups.append(_ascending_handle(sp3, sp3_ascending))
     groups.append(SubgroupHandle(space, [], (F2Matrix.identity(6).packed,), ()))
     sp1 = standard_symplectic(1)
     for c in subgroup_census(1).classes:
@@ -1187,14 +1267,33 @@ def _report_text(r):
     )
 
 
-def test_frozen_obstruction_reports(sp3):
+def test_frozen_obstruction_reports(sp3, sp3_ascending):
     # the digest pins every field of each report, the witnesses in element
     # order and the failing element included
-    lines = [_report_text(obstruction_conditions(g)) for g in _obstruction_corpus(sp3)]
+    lines = [_report_text(obstruction_conditions(g)) for g in _obstruction_corpus(sp3, sp3_ascending)]
     assert len(lines) == 1014
     assert sum("True, True, True" in line for line in lines) == 37
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b59db856156555568bb8cace8cf5e25c45d4a15f0ba1b514edc07073d646ceff"
+
+
+def test_obstruction_reports_on_sp_match_their_ascending_handles(sp3, sp3_ascending):
+    """Sp2, Sp4 and Sp6 in their coset order report what they report on
+    their ascending elements: the same verdicts and invariant vectors, the
+    same witnesses (none, since each has an element that fixes no Arf-0
+    form), and a failing element, which need not be the same one."""
+    for m, sp, ascending in (
+        (1, symplectic_group(1), sorted(symplectic_group(1).elements)),
+        (2, symplectic_group(2), sorted(symplectic_group(2).elements)),
+        (3, sp3, sp3_ascending),
+    ):
+        got = obstruction_conditions(sp)
+        want = obstruction_conditions(_ascending_handle(sp, ascending))
+        for field in ("m", "no_invariant_arf0", "every_element_fixes_arf0", "invariant_arf0_vectors", "element_witnesses"):
+            assert getattr(got, field) == getattr(want, field), (m, field)
+        failing = got.failing_element.packed
+        assert want.failing_element is not None and failing in sp.element_set
+        assert matgroups._fixed_arf0_masks(standard_base_form(m))(failing) == 0
 
 
 def test_order6_seeds_cover_every_involution_fixing_an_arf0_form(sp3):

@@ -1,6 +1,6 @@
-"""Every reachable self-check of `localglobal` and `matgroups` (and the
-checks of `oracles`' search symbol, `make_field` and `standard_base_form`)
-fires when the kernel beneath it is broken.
+"""Every reachable self-check of `localglobal`, `matgroups`, `gf2k` and
+`f2core` (and the checks of `oracles`' search symbol and
+`standard_base_form`) fires when the kernel beneath it is broken.
 
 Each case patches one kernel and expects AssertionError with the gate's own
 message. The two conic gates of `_holzer_search` and `_point_and_places`
@@ -18,13 +18,16 @@ No patch reaches two checks:
   subgroup count": each class's index |G| / |N| is its orbit size once the
   orbit-size gate passes, and the orbit sizes sum to the subgroup count once
   the partition gate passes.
+`matgroups.symplectic_group` no longer counts its elements against the
+order formula: the sequence's length is the stabilizer chain's order, which
+the chain gate already checks.
 """
 from fractions import Fraction
 from itertools import islice
 
 import pytest
 
-from sdrkit import gf2k, localglobal, matgroups, quadforms
+from sdrkit import f2core, gf2k, localglobal, matgroups, quadforms
 from sdrkit.localglobal import (
     conic_rational_point,
     conic_sdr,
@@ -148,13 +151,21 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_localglobal_gate_fires(name, monkeypatch):
-    target, replacement, call, message = CASES[name]
-    monkeypatch.setattr(localglobal, target, replacement)
+def _assert_gate_fires(module, case, monkeypatch):
+    """Patch the case's name in `module` (a name with a dot patches an
+    attribute of one of its classes), make the call, and expect the gate's
+    own message."""
+    target, replacement, call, message = case
+    owner, _, attr = target.rpartition(".")
+    monkeypatch.setattr(getattr(module, owner) if owner else module, attr, replacement)
     with pytest.raises(AssertionError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_localglobal_gate_fires(name, monkeypatch):
+    _assert_gate_fires(localglobal, CASES[name], monkeypatch)
 
 
 def test_cubic_scaling_gate_fires(monkeypatch):
@@ -183,6 +194,47 @@ def test_make_field_checks_its_modulus(monkeypatch):
         gf2k.make_field.__wrapped__(3)
 
 
+# the fields are built before any patch, so no broken field is cached;
+# columns are checked against the map only past k = 12
+F16, F8192 = gf2k.make_field(4), gf2k.make_field(13)
+
+# (patched name, replacement, call, the gate's message)
+GF2K_CASES = {
+    "primitive-element": (
+        "BinaryFieldCtx.is_primitive", lambda self, a: False,
+        lambda: gf2k.make_field.__wrapped__(3),
+        "no primitive element found",
+    ),
+    "norm-one-norm": (
+        "BinaryFieldCtx.norm", lambda self, a: 0,
+        lambda: gf2k.norm_one_generator(F16),
+        "norm-one generator has norm != 1",
+    ),
+    "norm-one-order": (
+        "BinaryFieldCtx.element_order", lambda self, a: 3,
+        lambda: gf2k.norm_one_generator(F16),
+        "norm-one generator has wrong order",
+    ),
+    "column-extraction": (
+        "F2Matrix.apply", lambda self, v: 0,
+        lambda: gf2k.as_f2_linear(lambda x: x, F8192),
+        "column extraction mismatch",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GF2K_CASES))
+def test_gf2k_gate_fires(name, monkeypatch):
+    _assert_gate_fires(gf2k, GF2K_CASES[name], monkeypatch)
+
+
+def test_symplectic_basis_checks_its_contract(monkeypatch):
+    space = f2core.standard_symplectic(2)
+    monkeypatch.setattr(f2core, "_congruent_rows", lambda rows, gram_rows: ())
+    with pytest.raises(AssertionError, match="symplectic basis construction failed its contract"):
+        f2core.symplectic_basis(space)
+
+
 def test_standard_base_form_checks_its_arf(monkeypatch):
     monkeypatch.setattr(quadforms, "arf_by_count", lambda table, m=None: 0)
     with pytest.raises(AssertionError, match="the standard base form's Arf invariant is not 1"):
@@ -205,13 +257,8 @@ def _q0_transvection(v, space):
 # (patched name, replacement, call, the gate's message); a name with a dot
 # patches an attribute of a class in `matgroups`
 MATGROUPS_CASES = {
-    "symplectic-bases-count": (
-        "_SymplecticBases.__len__", lambda self: 5,
-        lambda: matgroups.symplectic_group.__wrapped__(1),
-        "the symplectic bases do not number |Sp_2m(F2)|",
-    ),
     "transvection-membership": (
-        "_SymplecticBases.__contains__", lambda self, x: False,
+        "_LastRowCosets.__contains__", lambda self, x: False,
         lambda: matgroups.symplectic_group.__wrapped__(1),
         "a transvection escaped the closure",
     ),
@@ -245,12 +292,7 @@ MATGROUPS_CASES = {
 
 @pytest.mark.parametrize("name", sorted(MATGROUPS_CASES))
 def test_matgroups_gate_fires(name, monkeypatch):
-    target, replacement, call, message = MATGROUPS_CASES[name]
-    owner, _, attr = target.rpartition(".")
-    monkeypatch.setattr(getattr(matgroups, owner) if owner else matgroups, attr, replacement)
-    with pytest.raises(AssertionError) as info:
-        call()
-    assert str(info.value) == message
+    _assert_gate_fires(matgroups, MATGROUPS_CASES[name], monkeypatch)
 
 
 def test_common_fixed_vector_gate_fires(monkeypatch):
